@@ -146,7 +146,9 @@ def wma(closes, n: int) -> np.ndarray:
 def ema(closes, alpha: float) -> np.ndarray:
     """Exponential moving average seeded at the first value.
 
-    Position t holds alpha * closes[t] + (1 - alpha) * value[t - 1].
+    Position t holds value[t - 1] + alpha * (closes[t] - value[t - 1]), the
+    usual alpha * closes[t] + (1 - alpha) * value[t - 1] in a form that is
+    exact when closes[t] equals value[t - 1], so a flat stretch stays flat.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -154,9 +156,9 @@ def ema(closes, alpha: float) -> np.ndarray:
     out = np.empty_like(x)
     if x.size == 0:
         return out
-    out[0] = x[0]
+    prev = out[0] = x[0]
     for t in range(1, x.size):
-        out[t] = alpha * x[t] + (1.0 - alpha) * out[t - 1]
+        prev = out[t] = prev + alpha * (x[t] - prev)
     return out
 
 

@@ -14,6 +14,15 @@ Two cell variants exist. "standard" is the usual formulation:
 "as_printed" replaces the input path with i = sigmoid(.) + tanh(.) and the
 state update with c = f * c_prev + i, keeping f, o, and h as above. Neither
 variant uses peephole connections.
+
+Parameters are stored per gate (the w_*/b_* fields and the model file), but
+each time step runs on packed gates, as in Appleyard, Kocisky and Blunsom
+(2016): a layer's arrays are stacked into W_x (I, 4H), W_h (H, 4H) and b (4H)
+with the gate blocks in the order f, i, o, g. Forward is two GEMMs into one
+(B, 4H) pre-activation; adding the bias turns it into a (4H, B) array, so the
+batch runs along columns and each gate is one contiguous block, and one
+sigmoid covers the first 3H rows and one tanh the last H. Backward builds one
+(4H, B) dZ per step and takes four GEMMs from it.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +48,12 @@ _LAYER_FIELDS = (
     "w_fh", "w_ih", "w_gh", "w_oh",
     "b_f", "b_i", "b_g", "b_o",
 )
+
+
+def _field_shape(name: str, input_size: int, hidden_size: int) -> tuple[int, ...]:
+    if name.startswith("b_"):
+        return (hidden_size,)
+    return (hidden_size, input_size if name.endswith("x") else hidden_size)
 
 
 class LstmError(Exception):
@@ -80,6 +95,7 @@ class CorruptModel(LstmError):
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -89,7 +105,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -100,9 +116,17 @@ class SplitMix64:
         return low + (high - low) * unit
 
     def fill(self, shape, low: float, high: float) -> np.ndarray:
+        """The next count uniform() draws, computed as one uint64 array."""
         count = int(np.prod(shape))
-        flat = np.array([self.uniform(low, high) for _ in range(count)], dtype=np.float64)
-        return flat.reshape(shape)
+        draws = np.arange(1, count + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64, as intended
+            z = np.uint64(self._state) + draws * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        unit = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        return (low + (high - low) * unit).reshape(shape)
 
 
 @dataclass(eq=False)
@@ -206,20 +230,12 @@ def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParam
         raise ValueError("sizes must be >= 1")
     rng = SplitMix64(seed)
     bound = 1.0 / math.sqrt(hidden_size)
-    return LstmLayerParams(
-        w_fx=rng.fill((hidden_size, input_size), -bound, bound),
-        w_ix=rng.fill((hidden_size, input_size), -bound, bound),
-        w_gx=rng.fill((hidden_size, input_size), -bound, bound),
-        w_ox=rng.fill((hidden_size, input_size), -bound, bound),
-        w_fh=rng.fill((hidden_size, hidden_size), -bound, bound),
-        w_ih=rng.fill((hidden_size, hidden_size), -bound, bound),
-        w_gh=rng.fill((hidden_size, hidden_size), -bound, bound),
-        w_oh=rng.fill((hidden_size, hidden_size), -bound, bound),
-        b_f=np.ones(hidden_size),
-        b_i=np.zeros(hidden_size),
-        b_g=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size),
-    )
+    weights = {
+        name: rng.fill(_field_shape(name, input_size, hidden_size), -bound, bound)
+        for name in _LAYER_FIELDS[:8]
+    }
+    biases = {name: np.full(hidden_size, float(name == "b_f")) for name in _LAYER_FIELDS[8:]}
+    return LstmLayerParams(**weights, **biases)
 
 
 def new_model(
@@ -267,8 +283,46 @@ def new_model(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+_GATES = "fiog"  # packed block order: the three sigmoid gates, then the tanh candidate
+
+
+def _packed(layer: LstmLayerParams):
+    """W_x (I, 4H), W_h (H, 4H) and b (4H, 1), in gate blocks f, i, o, g.
+
+    Stacked afresh on every call, because training, Adam and the
+    finite-difference checks update the per-gate arrays in place.
+    """
+    W_x = np.concatenate([getattr(layer, f"w_{q}x") for q in _GATES]).T.copy()
+    W_h = np.concatenate([getattr(layer, f"w_{q}h") for q in _GATES]).T.copy()
+    return W_x, W_h, np.concatenate([getattr(layer, f"b_{q}") for q in _GATES])[:, None]
+
+
+def _step(W_x, W_h, b, x, h_prev, c_prev, standard: bool):
+    """One time step on column batches: x is (I, B), h_prev and c_prev (H, B).
+
+    The GEMMs take (B, *) rows, as the per-gate products did, which keeps the
+    outputs bit-identical to those wherever BLAS picks the same kernel for
+    both (batch >= 25 with OpenBLAS 0.3.31 on AVX-512).
+    """
+    hidden = c_prev.shape[0]
+    # z is allocated before the GEMM temporaries, so freeing them leaves no heap hole under it
+    z = np.empty((4 * hidden, max(x.shape[1], h_prev.shape[1])))
+    np.add((x.T @ W_x + h_prev.T @ W_h).T, b, out=z)
+    s = z[: 3 * hidden]  # sigmoid as 1 / (1 + exp(-z)), in place
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    np.tanh(z[3 * hidden :], out=z[3 * hidden :])
+    f, i, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
+    c = f * c_prev
+    c += i * g if standard else i + g
+    tc = np.tanh(c)
+    cache = {
+        "x": x, "h_prev": h_prev, "c_prev": c_prev, "gates": z,
+        "f": f, "i": i, "g": g, "o": o, "tc": tc,
+    }
+    return o * tc, c, cache
 
 
 def cell_forward(params: LstmLayerParams, x_t, prev: LstmState, variant: str = "standard"):
@@ -280,48 +334,42 @@ def cell_forward(params: LstmLayerParams, x_t, prev: LstmState, variant: str = "
         raise ShapeMismatch("state width does not match layer hidden size")
     if variant not in CELL_VARIANTS:
         raise ValueError(f"unknown cell variant {variant!r}")
-    h_prev, c_prev = prev.h, prev.c
-    f = _sigmoid(x_t @ params.w_fx.T + h_prev @ params.w_fh.T + params.b_f)
-    i = _sigmoid(x_t @ params.w_ix.T + h_prev @ params.w_ih.T + params.b_i)
-    g = np.tanh(x_t @ params.w_gx.T + h_prev @ params.w_gh.T + params.b_g)
-    o = _sigmoid(x_t @ params.w_ox.T + h_prev @ params.w_oh.T + params.b_o)
-    if variant == "standard":
-        c = f * c_prev + i * g
-    else:
-        c = f * c_prev + (i + g)
-    tc = np.tanh(c)
-    h = o * tc
-    cache = {
-        "x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-        "f": f, "i": i, "g": g, "o": o, "tc": tc,
-    }
-    return LstmState(h, c), cache
+    rows = np.broadcast_shapes(x_t.shape[:-1], prev.h.shape[:-1], prev.c.shape[:-1]) + (-1,)
+    columns = (np.atleast_2d(a).T for a in (x_t, prev.h, prev.c))
+    h, c, cache = _step(*_packed(params), *columns, variant == "standard")
+
+    def as_rows(arr):  # back to C-ordered (..., width) rows, the layout callers pass in
+        return np.ascontiguousarray(arr.T).reshape(rows)
+
+    return LstmState(as_rows(h), as_rows(c)), {name: as_rows(arr) for name, arr in cache.items()}
 
 
 def forward_batch(model: LstmModel, windows: np.ndarray):
-    """Unrolled forward pass over (batch, lookback, features) windows."""
+    """Unrolled forward pass over (batch, lookback, features) windows.
+
+    The per-step caches hold (width, batch) columns, as _step uses them.
+    """
     X = np.asarray(windows, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] != model.lookback or X.shape[2] != model.num_features:
         raise ShapeMismatch(
             f"windows shaped {X.shape}, model expects (*, {model.lookback}, {model.num_features})"
         )
-    batch, length = X.shape[0], X.shape[1]
-    seq = X
+    if model.cell_variant not in CELL_VARIANTS:
+        raise ValueError(f"unknown cell variant {model.cell_variant!r}")
+    standard = model.cell_variant == "standard"
+    batch = X.shape[0]
+    seq = [X[:, t, :].T for t in range(model.lookback)]  # each layer's input, step by step
     layer_caches = []
     for layer in model.layers:
-        hidden = layer.hidden_size
-        h = np.zeros((batch, hidden))
-        c = np.zeros((batch, hidden))
-        outs = np.empty((batch, length, hidden))
+        packed = _packed(layer)
+        h = c = np.zeros((layer.hidden_size, batch))
         steps = []
-        for t in range(length):
-            state, cache = cell_forward(layer, seq[:, t, :], LstmState(h, c), model.cell_variant)
-            h, c = state.h, state.c
-            outs[:, t, :] = h
+        for t, x in enumerate(seq):
+            h, c, cache = _step(*packed, x, h, c, standard)
             steps.append(cache)
+            seq[t] = h
         layer_caches.append(steps)
-        seq = outs
-    h_last = seq[:, -1, :]
+    h_last = np.ascontiguousarray(seq[-1].T)
     preds = h_last @ model.head_w + model.head_b[0]
     return preds, {
         "shape": X.shape,
@@ -363,7 +411,7 @@ def _check_caches(model: LstmModel, caches) -> tuple[int, int]:
     for layer, steps in zip(model.layers, layer_caches):
         if len(steps) != length:
             raise CacheMismatch("cache step count does not match window length")
-        if steps[0]["x"].shape[-1] != layer.input_size:
+        if steps[0]["x"].shape[0] != layer.input_size:
             raise CacheMismatch("cache input width does not match layer")
     return batch, length
 
@@ -378,63 +426,54 @@ def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
     d_pred = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if d_pred.shape != (batch,):
         raise CacheMismatch(f"d_prediction shaped {d_pred.shape}, cache batch is {batch}")
-
-    grads: dict[str, np.ndarray] = {}
-    for k, layer in enumerate(model.layers):
-        for name in _LAYER_FIELDS:
-            grads[f"layers.{k}.{name}"] = np.zeros_like(getattr(layer, name))
-    grads["head.w"] = caches["h_last"].T @ d_pred
-    grads["head.b"] = np.array([d_pred.sum()])
-
-    top = len(model.layers) - 1
-    d_seq = np.zeros((batch, length, model.layers[top].hidden_size))
-    # the head only sees the last hidden state of the top layer
-    d_seq[:, length - 1, :] = d_pred[:, None] * model.head_w[None, :]
     standard = model.cell_variant == "standard"
 
-    for k in range(top, -1, -1):
+    # keyed up front so the dict keeps model_param_items order; filled top layer first
+    grads = {f"layers.{k}.{name}": None for k in range(len(model.layers)) for name in _LAYER_FIELDS}
+    # gradients w.r.t. each step's layer output, (H, B); the head sees only the top layer's last
+    d_out = [None] * (length - 1) + [model.head_w[:, None] * d_pred[None, :]]
+    for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
-        steps = caches["layers"][k]
-        dh_carry = np.zeros((batch, layer.hidden_size))
-        dc_carry = np.zeros((batch, layer.hidden_size))
-        d_below = np.zeros((batch, length, layer.input_size))
-        gw = {name: grads[f"layers.{k}.{name}"] for name in _LAYER_FIELDS}
+        hidden = layer.hidden_size
+        W_x, W_h, _ = _packed(layer)
+        gw_x = np.zeros((4 * hidden, layer.input_size))  # row blocks f, i, o, g
+        gw_h = np.zeros((4 * hidden, hidden))
+        gb = np.zeros((4 * hidden, batch))  # summed over the batch after the loop
+        dZ = np.empty((4 * hidden, batch))
+        dz_f, dz_i, dz_o, dz_g = (dZ[j * hidden : (j + 1) * hidden] for j in range(4))
+        dh_carry = dc_carry = np.zeros((hidden, batch))
         for t in range(length - 1, -1, -1):
-            cache = steps[t]
-            f, i, g, o, tc = cache["f"], cache["i"], cache["g"], cache["o"], cache["tc"]
-            x_t, h_prev, c_prev = cache["x"], cache["h_prev"], cache["c_prev"]
-            dh = d_seq[:, t, :] + dh_carry
-            do = dh * tc
-            dc = dc_carry + dh * o * (1.0 - tc * tc)
-            df = dc * c_prev
+            cache = caches["layers"][k][t]
+            gates, f, i, g, o, tc = (cache[n] for n in ("gates", "f", "i", "g", "o", "tc"))
+            dh = dh_carry if d_out[t] is None else d_out[t] + dh_carry
+            dc = dh * o
+            dc *= 1.0 - tc * tc
+            dc += dc_carry
+            np.multiply(dc, cache["c_prev"], out=dz_f)
+            np.multiply(dh, tc, out=dz_o)
             if standard:
-                di = dc * g
-                dg = dc * i
+                np.multiply(dc, g, out=dz_i)
+                np.multiply(dc, i, out=dz_g)
             else:
                 # c = f*c_prev + (i + g): both input paths take dc directly
-                di = dc
-                dg = dc
-            dzf = df * f * (1.0 - f)
-            dzi = di * i * (1.0 - i)
-            dzg = dg * (1.0 - g * g)
-            dzo = do * o * (1.0 - o)
-            gw["w_fx"] += dzf.T @ x_t
-            gw["w_ix"] += dzi.T @ x_t
-            gw["w_gx"] += dzg.T @ x_t
-            gw["w_ox"] += dzo.T @ x_t
-            gw["w_fh"] += dzf.T @ h_prev
-            gw["w_ih"] += dzi.T @ h_prev
-            gw["w_gh"] += dzg.T @ h_prev
-            gw["w_oh"] += dzo.T @ h_prev
-            gw["b_f"] += dzf.sum(axis=0)
-            gw["b_i"] += dzi.sum(axis=0)
-            gw["b_g"] += dzg.sum(axis=0)
-            gw["b_o"] += dzo.sum(axis=0)
-            d_below[:, t, :] = dzf @ layer.w_fx + dzi @ layer.w_ix + dzg @ layer.w_gx + dzo @ layer.w_ox
-            dh_carry = dzf @ layer.w_fh + dzi @ layer.w_ih + dzg @ layer.w_gh + dzo @ layer.w_oh
+                dz_i[...] = dc
+                dz_g[...] = dc
+            dZ[: 3 * hidden] *= gates[: 3 * hidden]  # sigmoid' = s * (1 - s)
+            dZ[: 3 * hidden] *= 1.0 - gates[: 3 * hidden]
+            dz_g *= 1.0 - g * g
+            gb += dZ
+            gw_x += dZ @ cache["x"].T
+            gw_h += dZ @ cache["h_prev"].T
+            d_out[t] = W_x @ dZ if k > 0 else None
+            dh_carry = W_h @ dZ
             dc_carry = dc * f
-        if k > 0:
-            d_seq = d_below
+        gb = gb.sum(axis=1)
+        for j, q in enumerate(_GATES):
+            rows = slice(j * hidden, (j + 1) * hidden)
+            grads[f"layers.{k}.w_{q}x"], grads[f"layers.{k}.w_{q}h"] = gw_x[rows], gw_h[rows]
+            grads[f"layers.{k}.b_{q}"] = gb[rows]
+    grads["head.w"] = caches["h_last"].T @ d_pred
+    grads["head.b"] = np.array([d_pred.sum()])
     return grads
 
 
@@ -542,9 +581,12 @@ def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     return model, history
 
 
+def _config_document(cfg) -> dict:
+    """A config dataclass as a JSON object in field order, tuples as lists."""
+    return {f.name: list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v for f in fields(cfg)}
+
+
 def model_to_document(model: LstmModel) -> dict:
-    cfg = model.train_config
-    icfg = model.indicator_config
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": model.mode,
@@ -559,27 +601,8 @@ def model_to_document(model: LstmModel) -> dict:
             "mins": model.scaler.mins,
             "maxs": model.scaler.maxs,
         },
-        "indicator_config": {
-            "sma_periods": list(icfg.sma_periods),
-            "wma_period": icfg.wma_period,
-            "ema_alpha": icfg.ema_alpha,
-            "rsi_period": icfg.rsi_period,
-            "cci_period": icfg.cci_period,
-            "stoch_k_period": icfg.stoch_k_period,
-            "stoch_d_period": icfg.stoch_d_period,
-            "macd_fast": icfg.macd_fast,
-            "macd_slow": icfg.macd_slow,
-            "macd_signal": icfg.macd_signal,
-        },
-        "train_config": {
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "hidden_sizes": [int(h) for h in cfg.hidden_sizes],
-            "validation_fraction": cfg.validation_fraction,
-            "seed": cfg.seed,
-            "gradient_clip_norm": cfg.gradient_clip_norm,
-        },
+        "indicator_config": _config_document(model.indicator_config),
+        "train_config": _config_document(model.train_config),
         "rng_seed": model.rng_seed,
         "layers": [
             {name: getattr(layer, name) for name in _LAYER_FIELDS} for layer in model.layers
@@ -620,6 +643,21 @@ def _need(container, key: str, path: str, kind: type | tuple):
     return value
 
 
+def _config_from_document(cls, doc, key: str):
+    """Inverse of _config_document; each field must have the JSON type of its default."""
+    path = f"$.{key}"
+    section = _need(doc, key, "$", dict)
+    values = {}
+    for f in fields(cls):
+        kind = list if isinstance(f.default, tuple) else type(f.default)
+        value = _need(section, f.name, path, kind)
+        values[f.name] = tuple(value) if kind is list else value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise CorruptModel(path, str(exc)) from None
+
+
 def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray:
     raw = _need(container, key, path, list)
     try:
@@ -635,10 +673,7 @@ def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray
 
 def load_model(source) -> LstmModel:
     """Inverse of save_model; structural problems raise CorruptModel with a path."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -675,38 +710,8 @@ def load_model(source) -> LstmModel:
         maxs=_array(scaler_doc, "maxs", "$.scaler", (width,)),
     )
 
-    icfg_doc = _need(doc, "indicator_config", "$", dict)
-    sma_periods = _need(icfg_doc, "sma_periods", "$.indicator_config", list)
-    try:
-        indicator_config = IndicatorConfig(
-            sma_periods=tuple(sma_periods),
-            wma_period=_need(icfg_doc, "wma_period", "$.indicator_config", int),
-            ema_alpha=_need(icfg_doc, "ema_alpha", "$.indicator_config", float),
-            rsi_period=_need(icfg_doc, "rsi_period", "$.indicator_config", int),
-            cci_period=_need(icfg_doc, "cci_period", "$.indicator_config", int),
-            stoch_k_period=_need(icfg_doc, "stoch_k_period", "$.indicator_config", int),
-            stoch_d_period=_need(icfg_doc, "stoch_d_period", "$.indicator_config", int),
-            macd_fast=_need(icfg_doc, "macd_fast", "$.indicator_config", int),
-            macd_slow=_need(icfg_doc, "macd_slow", "$.indicator_config", int),
-            macd_signal=_need(icfg_doc, "macd_signal", "$.indicator_config", int),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CorruptModel("$.indicator_config", str(exc)) from None
-
-    tcfg_doc = _need(doc, "train_config", "$", dict)
-    tcfg_hidden = _need(tcfg_doc, "hidden_sizes", "$.train_config", list)
-    try:
-        train_config = TrainConfig(
-            epochs=_need(tcfg_doc, "epochs", "$.train_config", int),
-            batch_size=_need(tcfg_doc, "batch_size", "$.train_config", int),
-            learning_rate=_need(tcfg_doc, "learning_rate", "$.train_config", float),
-            hidden_sizes=tuple(tcfg_hidden),
-            validation_fraction=_need(tcfg_doc, "validation_fraction", "$.train_config", float),
-            seed=_need(tcfg_doc, "seed", "$.train_config", int),
-            gradient_clip_norm=_need(tcfg_doc, "gradient_clip_norm", "$.train_config", float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CorruptModel("$.train_config", str(exc)) from None
+    indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
+    train_config = _config_from_document(TrainConfig, doc, "train_config")
 
     layers_doc = _need(doc, "layers", "$", list)
     if len(layers_doc) != len(hidden_sizes):
@@ -715,16 +720,10 @@ def load_model(source) -> LstmModel:
     in_size = width
     for k, (layer_doc, hidden) in enumerate(zip(layers_doc, hidden_sizes)):
         path = f"$.layers[{k}]"
-        kwargs = {}
-        for name in _LAYER_FIELDS:
-            if name.endswith("x"):
-                shape: tuple[int, ...] = (hidden, in_size)
-            elif name.endswith("h"):
-                shape = (hidden, hidden)
-            else:
-                shape = (hidden,)
-            kwargs[name] = _array(layer_doc, name, path, shape)
-        layers.append(LstmLayerParams(**kwargs))
+        layers.append(LstmLayerParams(**{
+            name: _array(layer_doc, name, path, _field_shape(name, in_size, hidden))
+            for name in _LAYER_FIELDS
+        }))
         in_size = hidden
 
     head_doc = _need(doc, "head", "$", dict)

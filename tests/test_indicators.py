@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stockcast.indicators import (
@@ -268,6 +268,7 @@ def test_level_ops_shift_equivariant(xs, c):
 
 
 @given(positive_lists, scales)
+@example(xs=[107.5, 107.5] + [1.0] * 23, c=91.0075)
 def test_level_ops_scale_homogeneous(xs, c):
     x = np.array(xs)
     for f in (lambda v: sma(v, 5), cma, lambda v: wma(v, 5), lambda v: ema(v, 0.1)):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stockcast.dataset import WindowedDataset
+from stockcast.jsonio import dump_json
 from stockcast.lstm import (
     CacheMismatch,
     CorruptModel,
@@ -99,6 +100,15 @@ def test_splitmix64_uniform_range_and_determinism():
     grid = SplitMix64(7).fill((3, 4), -1.0, 1.0)
     assert grid.shape == (3, 4)
     assert not np.array_equal(grid, SplitMix64(8).fill((3, 4), -1.0, 1.0))
+
+
+def test_splitmix64_fill_matches_scalar_stream():
+    for seed in (0, 123, 2**64 - 1):
+        vector, scalar = SplitMix64(seed), SplitMix64(seed)
+        grid = vector.fill((5, 7), -0.3, 0.3)
+        assert grid.tolist() == [[scalar.uniform(-0.3, 0.3) for _ in range(7)] for _ in range(5)]
+        assert vector.next_u64() == scalar.next_u64()
+    assert SplitMix64(1).fill((0,), -1.0, 1.0).shape == (0,)
 
 
 # ------------------------------------------------------------- initialization
@@ -201,6 +211,39 @@ def test_cell_rejects_bad_shapes_and_variant():
         cell_forward(layer, np.ones((1, 2)), good, "fancy")
 
 
+@pytest.mark.parametrize("variant", ["standard", "as_printed"])
+def test_cell_matches_per_gate_equations(variant):
+    layer = init_weights(3, 5, seed=9)
+    layer.b_i[:], layer.b_g[:], layer.b_o[:] = 0.1, -0.2, 0.3
+    rng = np.random.default_rng(3)
+    x, h, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    state, cache = cell_forward(layer, x, LstmState(h, c), variant)
+
+    def pre(q):  # the unpacked per-gate pre-activation, as a reference
+        w_x, w_h, b = (getattr(layer, name) for name in (f"w_{q}x", f"w_{q}h", f"b_{q}"))
+        return x @ w_x.T + h @ w_h.T + b
+
+    f, i, o = (1.0 / (1.0 + np.exp(-pre(q))) for q in "fio")
+    g = np.tanh(pre("g"))
+    c_new = f * c + (i * g if variant == "standard" else i + g)
+    tol = 8 * np.finfo(np.float64).eps
+    for got, want in ((cache["f"], f), (cache["i"], i), (cache["o"], o), (cache["g"], g),
+                      (state.c, c_new), (state.h, o * np.tanh(c_new))):
+        assert np.allclose(got, want, rtol=tol, atol=tol)
+
+
+def test_cell_keeps_unbatched_shapes():
+    layer = init_weights(2, 3, seed=5)
+    x, h, c = np.array([0.3, -0.2]), np.array([0.1, 0.0, -0.4]), np.array([0.2, -0.1, 0.5])
+    state, cache = cell_forward(layer, x, LstmState(h, c))
+    batched, batched_cache = cell_forward(layer, x[None], LstmState(h[None], c[None]))
+    assert state.h.shape == state.c.shape == (3,) and cache["x"].shape == (2,)
+    assert np.array_equal(state.h, batched.h[0]) and np.array_equal(state.c, batched.c[0])
+    for name in ("f", "i", "g", "o", "tc"):
+        assert cache[name].shape == (3,)
+        assert np.array_equal(cache[name], batched_cache[name][0])
+
+
 # ------------------------------------------------------------------- forward
 
 def test_forward_zero_weights_returns_head_bias():
@@ -265,6 +308,24 @@ def test_gate_ranges_on_random_model():
             assert (step[gate] > 0.0).all() and (step[gate] < 1.0).all()
         assert (np.abs(step["g"]) <= 1.0).all()
         assert (np.abs(step["tc"]) <= 1.0).all()
+
+
+@pytest.mark.parametrize("variant", ["standard", "as_printed"])
+def test_forward_batch_matches_cell_forward_chain(variant):
+    model = tiny_model(num_features=3, lookback=6, hidden=(5, 4), seed=4, variant=variant,
+                       mode="multivariate")
+    X = np.random.default_rng(12).normal(size=(7, 6, 3))
+    preds, caches = forward_batch(model, X)
+    inputs = [X[:, t, :] for t in range(6)]
+    for layer, steps in zip(model.layers, caches["layers"]):
+        state = LstmState(np.zeros((7, layer.hidden_size)), np.zeros((7, layer.hidden_size)))
+        for t, step in enumerate(steps):
+            state, cache = cell_forward(layer, inputs[t], state, variant)
+            inputs[t] = state.h
+            # forward_batch keeps its caches as (width, batch) columns
+            for name in ("f", "i", "g", "o", "tc"):
+                assert np.array_equal(step[name], cache[name].T), (t, name)
+    assert np.array_equal(preds, state.h @ model.head_w + model.head_b[0])
 
 
 # ------------------------------------------------------------------ gradients
@@ -467,6 +528,23 @@ def test_save_load_round_trip(tmp_path):
     sink = io.StringIO()
     save_model(loaded, sink)
     assert sink.getvalue() == path.read_text()
+
+
+def test_dump_json_float_arrays_match_generic_path():
+    rng = np.random.default_rng(5)
+    arrays = (
+        rng.normal(size=9) * 1e5,
+        rng.normal(size=(3, 4)),
+        np.array([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1]),
+        np.zeros((2, 0)),
+    )
+    for arr in arrays:
+        assert dump_json({"a": arr}) == dump_json({"a": arr.tolist()})
+    for bad in (np.nan, np.inf, -np.inf):
+        for arr in (np.ones(4), np.ones((2, 3))):
+            arr.flat[-1] = bad
+            with pytest.raises(ValueError):
+                dump_json(arr)
 
 
 def test_save_refuses_non_finite(tmp_path):
