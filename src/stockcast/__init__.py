@@ -9,7 +9,7 @@ seed, including the files the CLI writes.
 """
 
 from .config import ConfigError, RunConfig, parse_config_text, resolve_config
-from .dataset import SplitSpec, WindowedDataset, chronological_split, make_windows
+from .dataset import WindowedDataset, make_windows
 from .evaluation import (
     ForecastResult,
     MetricsReport,
@@ -56,14 +56,12 @@ __all__ = [
     "RunConfig",
     "ScalerParams",
     "SplitMix64",
-    "SplitSpec",
     "TABLE4_ALL",
     "TrainConfig",
     "UNIVARIATE",
     "WindowedDataset",
     "__version__",
     "build_features",
-    "chronological_split",
     "compute_metrics",
     "evaluate_one_step",
     "fetch_quotes",

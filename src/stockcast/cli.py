@@ -12,13 +12,13 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import date as Date
 from pathlib import Path
 
-from . import charts, evaluation, lstm, pipeline, scaling
+from . import charts, evaluation, lstm, pipeline
 from .config import ConfigError, RunConfig, parse_config_text, resolve_config
-from .dataset import DatasetError, SplitSpec, chronological_split, make_windows
+from .dataset import DatasetError
 from .evaluation import EvalError
 from .indicators import IndicatorError, build_features, write_feature_csv
 from .jsonio import dump_json
@@ -178,9 +178,7 @@ def cmd_indicators(args, cfg: RunConfig) -> int:
     input_path = _require(cfg.input, "--input")
     out = _require(cfg.out, "--out")
     series = _load_series(cfg, input_path)
-    matrix = build_features(
-        series, cfg.indicator_config(), cfg.effective_column_set(), cfg.use_adj_close
-    )
+    matrix = pipeline.build_matrix(series, cfg)
     Path(out).write_text(write_feature_csv(matrix))
     print(matrix.warmup_dropped)
     return EXIT_OK
@@ -205,30 +203,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _test_split_for_model(model, series, train_fraction: float):
-    matrix = build_features(
-        series, model.indicator_config, model.column_set, model.use_adj_close
-    )
-    scaled = scaling.transform(model.scaler, matrix)
-    windows = make_windows(scaled, model.lookback)
-    _, test_ds = chronological_split(windows, SplitSpec(train_fraction))
-    return test_ds
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     input_path = _require(cfg.input, "--input")
     model_path = _require(cfg.model, "--model")
     report_out = _require(cfg.out, "--report-out")
     series = _load_series(cfg, input_path)
     model = lstm.load_model(model_path)
-    test_ds = _test_split_for_model(model, series, cfg.train_fraction)
+    matrix = build_features(series, model.indicator_config, model.column_set, model.use_adj_close)
+    split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
+    _, test_ds = pipeline.prepare_datasets(matrix, model.scaler, model.lookback, split_row)
     report, rows = evaluation.evaluate_one_step(model, test_ds)
     document = {
-        "mape": report.mape,
-        "mae": report.mae,
-        "mse": report.mse,
-        "rmse": report.rmse,
-        "n": report.n,
+        **asdict(report),
         "mode": model.mode,
         "symbol": series.symbol,
         "epochs": model.train_config.epochs,
@@ -265,14 +251,7 @@ def cmd_backtest(args, cfg: RunConfig) -> int:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for j, report in enumerate(reports, start=1):
-        document = {
-            "fold": j,
-            "mape": report.mape,
-            "mae": report.mae,
-            "mse": report.mse,
-            "rmse": report.rmse,
-            "n": report.n,
-        }
+        document = {"fold": j, **asdict(report)}
         (directory / f"fold_{j:02d}.json").write_text(dump_json(document) + "\n")
         print(f"fold {j}: mape={report.mape:.6g} rmse={report.rmse:.6g} n={report.n}")
     return EXIT_OK

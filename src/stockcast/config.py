@@ -63,29 +63,10 @@ class RunConfig:
         return UNIVARIATE if self.mode == "univariate" else PAPER_MULTIVARIATE
 
     def indicator_config(self) -> IndicatorConfig:
-        return IndicatorConfig(
-            sma_periods=self.sma_periods,
-            wma_period=self.wma_period,
-            ema_alpha=self.ema_alpha,
-            rsi_period=self.rsi_period,
-            cci_period=self.cci_period,
-            stoch_k_period=self.stoch_k_period,
-            stoch_d_period=self.stoch_d_period,
-            macd_fast=self.macd_fast,
-            macd_slow=self.macd_slow,
-            macd_signal=self.macd_signal,
-        )
+        return IndicatorConfig(**{f.name: getattr(self, f.name) for f in fields(IndicatorConfig)})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            hidden_sizes=self.hidden_sizes,
-            validation_fraction=self.validation_fraction,
-            seed=self.seed,
-            gradient_clip_norm=self.gradient_clip_norm,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def _parse_bool(raw: str) -> bool:
@@ -196,7 +177,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kwargs: dict[str, object] = {}
     for key, raw in merged.items():
-        if isinstance(raw, str) and FIELD_PARSERS[key] is not None:
+        if isinstance(raw, str):
             try:
                 kwargs[key] = FIELD_PARSERS[key](raw)
             except ValueError as exc:

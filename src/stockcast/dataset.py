@@ -1,4 +1,4 @@
-"""Sliding-window sample construction and the chronological train/test split.
+"""Sliding-window sample construction and sample slicing.
 
 Sample s covers matrix rows [s, s + lookback) and its target is the Close
 value at row s + lookback, so inputs never touch the target row or anything
@@ -27,15 +27,6 @@ class TooFewRows(DatasetError):
 
 class DegenerateSplit(DatasetError):
     pass
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.80
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +68,3 @@ def slice_samples(ds: WindowedDataset, start: int, stop: int) -> WindowedDataset
         feature_names=ds.feature_names,
     )
 
-
-def chronological_split(ds: WindowedDataset, spec: SplitSpec = SplitSpec()):
-    """First floor(train_fraction * n) samples train, the rest test. No shuffling."""
-    n = len(ds)
-    k = int(spec.train_fraction * n)
-    if k < 1 or n - k < 1:
-        raise DegenerateSplit(f"split {k}/{n - k} of {n} samples leaves an empty side")
-    return slice_samples(ds, 0, k), slice_samples(ds, k, n)

@@ -15,10 +15,9 @@ from datetime import timedelta
 
 import numpy as np
 
-from . import dataset as dataset_mod
-from . import lstm, pipeline, scaling
+from . import pipeline, scaling
 from .config import RunConfig
-from .dataset import WindowedDataset
+from .dataset import TooFewRows, WindowedDataset
 from .indicators import UNIVARIATE, SeriesTooShort, build_features
 from .market_data import Bar, OhlcvSeries
 
@@ -199,32 +198,15 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[Metric
         train_end = rows * j // (folds + 1)
         test_end = rows * (j + 1) // (folds + 1)
         if train_end - lookback < 1 or test_end - train_end < 1:
-            raise dataset_mod.TooFewRows((folds + 1) * (lookback + 2), rows)
-        fold_matrix = type(matrix)(
-            dates=matrix.dates[:test_end],
-            column_names=matrix.column_names,
-            values=matrix.values[:test_end].copy(),
-            warmup_dropped=matrix.warmup_dropped,
+            raise TooFewRows((folds + 1) * (lookback + 2), rows)
+        fold_matrix = replace(
+            matrix, dates=matrix.dates[:test_end], values=matrix.values[:test_end]
         )
         scaler = scaling.fit(fold_matrix, (0, train_end))
-        scaled = scaling.transform(scaler, fold_matrix, clip=cfg.clip_scaled)
-        windows = dataset_mod.make_windows(scaled, lookback)
-        split = train_end - lookback  # samples with target row < train_end
-        train_part = dataset_mod.slice_samples(windows, 0, split)
-        test_part = dataset_mod.slice_samples(windows, split, len(windows))
-        fold_cfg = replace(cfg.train_config(), seed=cfg.seed + j)
-        model_init = lstm.new_model(
-            cfg.mode,
-            train_part.feature_names,
-            lookback,
-            scaler,
-            fold_cfg,
-            cell_variant=cfg.cell_variant,
-            column_set=cfg.effective_column_set(),
-            indicator_config=cfg.indicator_config(),
-            use_adj_close=cfg.use_adj_close,
+        train_part, test_part = pipeline.prepare_datasets(
+            fold_matrix, scaler, lookback, train_end, cfg.clip_scaled
         )
-        model, _ = lstm.train(model_init, train_part, fold_cfg)
+        model, _ = pipeline.fit_model(cfg, train_part, scaler, cfg.seed + j)
         report, _ = evaluate_one_step(model, test_part)
         reports.append(report)
     return reports

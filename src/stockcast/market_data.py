@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 
 import numpy as np
-import requests
 
 CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
@@ -237,6 +236,11 @@ def fetch_quotes(
     {start_epoch}, {end_epoch} placeholders so tests can point it at a local
     fixture server. The first response line must be the expected header.
     """
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     try:
         url = endpoint.format(
             symbol=symbol,
@@ -248,12 +252,22 @@ def fetch_quotes(
     except (KeyError, IndexError, ValueError) as exc:
         raise NetworkError(f"bad endpoint template: {exc}") from exc
     try:
-        response = requests.get(url, timeout=timeout)
-    except requests.RequestException as exc:
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise NetworkError(f"not an http(s) URL: {url!r}")
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise HttpStatus(exc.code) from exc
+    # URLError and socket timeouts are OSErrors; a malformed URL is a ValueError
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise NetworkError(str(exc)) from exc
-    if response.status_code != 200:
-        raise HttpStatus(response.status_code)
-    text = response.text
+    if status != 200:
+        raise HttpStatus(status)
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnexpectedSchema("response is not UTF-8 text") from exc
     lines = text.lstrip("﻿").splitlines()
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         raise UnexpectedSchema("response is not a daily-history CSV")

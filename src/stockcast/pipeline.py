@@ -1,17 +1,19 @@
 """Glue that wires bars -> features -> scaling -> windows -> training.
 
-The scaler is always fitted on the training rows only: with k train samples
-the last train target sits at matrix row lookback + k - 1, so rows
-[0, lookback + k) are the training partition and everything after is test.
+One split rule serves train, evaluate and backtest: a sample trains when its
+target row lies before ``split_row`` and tests otherwise, so with lookback L
+the first split_row - L samples train. ``prepare_datasets`` applies it to a
+matrix scaled by a given scaler; whoever fits that scaler fits it on rows
+[0, split_row) only. ``fit_model`` is the only model factory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import dataset, lstm, scaling
 from .config import RunConfig
-from .dataset import SplitSpec, WindowedDataset
+from .dataset import WindowedDataset
 from .indicators import FeatureMatrix, build_features
 from .market_data import OhlcvSeries
 from .scaling import ScalerParams
@@ -49,23 +51,25 @@ def split_row_for(matrix_rows: int, lookback: int, train_fraction: float) -> int
     return lookback + k
 
 
-def prepare_datasets(matrix: FeatureMatrix, lookback: int, train_fraction: float, clip: bool = False):
-    """Fit the scaler on training rows, scale everything, window, and split."""
-    split_row = split_row_for(matrix.rows, lookback, train_fraction)
-    scaler = scaling.fit(matrix, (0, split_row))
-    scaled = scaling.transform(scaler, matrix, clip=clip)
-    windows = dataset.make_windows(scaled, lookback)
-    train_ds, test_ds = dataset.chronological_split(windows, SplitSpec(train_fraction))
-    return scaler, train_ds, test_ds
-
-
-def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> PipelineResult:
-    """The full training pipeline as the train command runs it."""
-    matrix = build_matrix(series, cfg)
-    scaler, train_ds, test_ds = prepare_datasets(
-        matrix, cfg.lookback, cfg.train_fraction, clip=cfg.clip_scaled
+def prepare_datasets(
+    matrix: FeatureMatrix,
+    scaler: ScalerParams,
+    lookback: int,
+    split_row: int,
+    clip: bool = False,
+) -> tuple[WindowedDataset, WindowedDataset]:
+    """Scale, window, and split into samples with target row < split_row and the rest."""
+    windows = dataset.make_windows(scaling.transform(scaler, matrix, clip=clip), lookback)
+    split = split_row - lookback
+    return (
+        dataset.slice_samples(windows, 0, split),
+        dataset.slice_samples(windows, split, len(windows)),
     )
-    tcfg = cfg.train_config()
+
+
+def fit_model(cfg: RunConfig, train_ds: WindowedDataset, scaler: ScalerParams, seed: int):
+    """A fresh model for cfg, initialised from seed and trained on train_ds."""
+    tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(
         cfg.mode,
         train_ds.feature_names,
@@ -77,5 +81,14 @@ def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> PipelineResult:
         indicator_config=cfg.indicator_config(),
         use_adj_close=cfg.use_adj_close,
     )
-    model, history = lstm.train(model_init, train_ds, tcfg)
+    return lstm.train(model_init, train_ds, tcfg)
+
+
+def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> PipelineResult:
+    """The full training pipeline as the train command runs it."""
+    matrix = build_matrix(series, cfg)
+    split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
+    scaler = scaling.fit(matrix, (0, split_row))
+    train_ds, test_ds = prepare_datasets(matrix, scaler, cfg.lookback, split_row, cfg.clip_scaled)
+    model, history = fit_model(cfg, train_ds, scaler, cfg.seed)
     return PipelineResult(model, history, scaler, train_ds, test_ds, matrix)

@@ -74,11 +74,13 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             self._send(200, SNAPSHOT_CSV)
         elif route == "/narrow":
             self._send(200, NARROW_CSV)
+        elif route == "/binary":
+            self._send(200, SNAPSHOT_CSV.encode() + b"\xff\n")
         else:
             self._send(404, "not here\n")
 
     def _send(self, status, text):
-        body = text.encode()
+        body = text if isinstance(text, bytes) else text.encode()
         self.send_response(status)
         self.send_header("Content-Type", "text/csv")
         self.send_header("Content-Length", str(len(body)))
@@ -91,7 +93,7 @@ class _FixtureHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture(scope="session")
 def data_server():
-    """Base URL of a local server with /good, /narrow, and 404 routes."""
+    """Base URL of a local server with /good, /narrow, /binary (not UTF-8), and 404 routes."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -17,7 +17,7 @@ import pytest
 
 from stockcast.cli import main
 from stockcast.config import resolve_config
-from stockcast.dataset import SplitSpec, chronological_split, make_windows
+from stockcast.dataset import make_windows
 from stockcast.evaluation import evaluate_one_step, rmse_from_mse
 from stockcast.indicators import (
     PAPER_MULTIVARIATE,
@@ -44,7 +44,7 @@ from stockcast.lstm import (
     train,
 )
 from stockcast.market_data import Bar, OhlcvSeries, parse_csv, slice_by_date
-from stockcast.pipeline import train_from_series
+from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
 from stockcast.scaling import fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
@@ -260,7 +260,9 @@ def test_dataset_hygiene():
             assert np.array_equal(ds.inputs[s], matrix.values[s : s + lookback])
             assert ds.targets[s] == matrix.values[s + lookback, close_idx]
             assert ds.dates[s] == matrix.dates[s + lookback]
-        train_part, test_part = chronological_split(ds, SplitSpec(0.8))
+        split_row = split_row_for(matrix.rows, lookback, 0.8)
+        scaler = fit(matrix, (0, split_row))
+        train_part, test_part = prepare_datasets(matrix, scaler, lookback, split_row)
         assert len(train_part) == int(0.8 * len(ds))
         assert len(train_part) + len(test_part) == len(ds)
         assert train_part.dates[-1] < test_part.dates[0]

@@ -2,11 +2,14 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
 from stockcast.cli import main
-from stockcast.lstm import load_model
+from stockcast.config import RunConfig
+from stockcast.indicators import IndicatorConfig
+from stockcast.lstm import TrainConfig, load_model
 from stockcast.market_data import serialize_csv
 
 from conftest import SNAPSHOT_CSV, random_walk_series
@@ -250,6 +253,16 @@ def test_plot_single_point_and_errors(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- config
+
+def test_run_config_redeclares_every_sub_config_field():
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    for sub in (IndicatorConfig, TrainConfig):
+        for f in fields(sub):
+            assert f.name in run_defaults, f.name
+            assert run_defaults[f.name] == f.default, f.name
+    assert RunConfig().indicator_config() == IndicatorConfig()
+    assert RunConfig().train_config() == TrainConfig()
+
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     data = write_walk(tmp_path)

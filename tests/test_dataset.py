@@ -1,17 +1,18 @@
-"""Windowing and the chronological train/test split."""
+"""Windowing and the chronological train/test split by row."""
 
 import numpy as np
 import pytest
 
+from stockcast.config import ConfigError, resolve_config
 from stockcast.dataset import (
     DatasetError,
     DegenerateSplit,
-    SplitSpec,
     TooFewRows,
-    chronological_split,
     make_windows,
     slice_samples,
 )
+from stockcast.pipeline import prepare_datasets, split_row_for
+from stockcast.scaling import ScalerParams
 
 from test_scaling import matrix_of
 
@@ -55,19 +56,26 @@ def test_close_column_required():
         make_windows(matrix, lookback=1)
 
 
+def split(matrix, lookback, train_fraction):
+    """The pipeline split under a scaler that maps small integers onto themselves."""
+    ones = np.ones(len(matrix.column_names))
+    unit = ScalerParams(matrix.column_names, -ones, ones)
+    split_row = split_row_for(matrix.rows, lookback, train_fraction)
+    return prepare_datasets(matrix, unit, lookback, split_row)
+
+
 def test_split_sizes():
-    ds = make_windows(matrix_of(np.arange(12.0)), lookback=2)
-    train, test = chronological_split(ds, SplitSpec(0.8))
+    train, test = split(matrix_of(np.arange(12.0)), 2, 0.8)
     assert (len(train), len(test)) == (8, 2)
 
-    pair = make_windows(matrix_of(np.arange(4.0)), lookback=2)
-    train, test = chronological_split(pair, SplitSpec(0.5))
+    train, test = split(matrix_of(np.arange(4.0)), 2, 0.5)
     assert (len(train), len(test)) == (1, 1)
 
 
 def test_split_keeps_order_and_dates():
-    ds = make_windows(matrix_of(np.arange(30.0)), lookback=5)
-    train, test = chronological_split(ds, SplitSpec(0.8))
+    matrix = matrix_of(np.arange(30.0))
+    ds = make_windows(matrix, lookback=5)
+    train, test = split(matrix, 5, 0.8)
     assert train.dates + test.dates == ds.dates
     assert train.dates[-1] < test.dates[0]
     assert np.array_equal(np.concatenate([train.targets, test.targets]), ds.targets)
@@ -75,13 +83,13 @@ def test_split_keeps_order_and_dates():
 
 
 def test_degenerate_split():
-    ds = make_windows(matrix_of([1.0, 2.0]), lookback=1)
     with pytest.raises(DegenerateSplit):
-        chronological_split(ds, SplitSpec(0.8))
-    with pytest.raises(ValueError):
-        SplitSpec(1.0)
-    with pytest.raises(ValueError):
-        SplitSpec(0.0)
+        split(matrix_of([1.0, 2.0]), 1, 0.8)
+    for fraction in (1.0, 0.0):
+        with pytest.raises(DegenerateSplit):
+            split_row_for(30, 5, fraction)
+        with pytest.raises(ConfigError):
+            resolve_config(overrides={"train_fraction": fraction})
 
 
 def test_slice_samples_copies():

@@ -1,6 +1,7 @@
 """Metrics, one-step evaluation, recursive forecasts, walk-forward backtest."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stockcast.config import resolve_config
-from stockcast.dataset import TooFewRows, chronological_split, make_windows
+from stockcast.dataset import TooFewRows, make_windows
 from stockcast.evaluation import (
     LengthMismatch,
     MetricsReport,
@@ -21,7 +22,7 @@ from stockcast.evaluation import (
     walk_forward,
 )
 from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
-from stockcast.pipeline import prepare_datasets, train_from_series
+from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
 from stockcast.scaling import fit, inverse_close, transform, transform_close
 
 from conftest import flat_series, random_walk_series
@@ -111,7 +112,9 @@ def test_metrics_properties(pairs):
 def persistence_setup(n=120, lookback=10, seed=6):
     series = random_walk_series(n, seed=seed)
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
-    scaler, train_ds, test_ds = prepare_datasets(matrix, lookback, 0.8)
+    split_row = split_row_for(matrix.rows, lookback, 0.8)
+    scaler = fit(matrix, (0, split_row))
+    train_ds, test_ds = prepare_datasets(matrix, scaler, lookback, split_row)
     model = PersistenceModel(("Close",), lookback, scaler)
     return series, scaler, train_ds, test_ds, model
 
@@ -140,7 +143,9 @@ def test_persistence_evaluation_matches_direct_baseline():
 
 def test_constant_series_scores_exact_zero():
     matrix = build_features(flat_series([42.0] * 30), IndicatorConfig(), UNIVARIATE)
-    scaler, _, test_ds = prepare_datasets(matrix, 5, 0.8)
+    split_row = split_row_for(matrix.rows, 5, 0.8)
+    scaler = fit(matrix, (0, split_row))
+    _, test_ds = prepare_datasets(matrix, scaler, 5, split_row)
     model = PersistenceModel(("Close",), 5, scaler)
     report, _ = evaluate_one_step(model, test_ds)
     assert report == MetricsReport(0.0, 0.0, 0.0, 0.0, report.n)
@@ -251,6 +256,29 @@ def test_multivariate_forecast_rebuilds_features():
     expected = float(inverse_close(scaler, 0.25))
     assert result.values == tuple([expected] * 4)
     assert result.trend == "flat"
+
+
+def test_single_path_keeps_test_rows_out_of_training():
+    # every row sets a new high, so a scaler that saw any test row would show it
+    series = flat_series([100.0 + 0.5 * i for i in range(140)])
+    cfg = resolve_config({}, {
+        "mode": "univariate", "lookback": 8, "epochs": 1, "hidden_sizes": "4",
+        "train_fraction": "0.9", "clip_scaled": "true",
+    })
+    result = train_from_series(series, cfg)
+    matrix = result.matrix
+    split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
+    assert result.test_ds.dates[0] == matrix.dates[split_row]
+    assert all(day < result.test_ds.dates[0] for day in result.train_ds.dates)
+    assert np.array_equal(result.scaler.mins, matrix.values[:split_row].min(axis=0))
+    assert np.array_equal(result.scaler.maxs, matrix.values[:split_row].max(axis=0))
+    assert np.all(result.test_ds.targets == 1.0)  # clipped at the training maximum
+
+    train_end, test_end = 60, 100
+    truncated = replace(matrix, dates=matrix.dates[:test_end], values=matrix.values[:test_end])
+    scaler = fit(truncated, (0, train_end))
+    _, test_ds = prepare_datasets(truncated, scaler, cfg.lookback, train_end, clip=True)
+    assert test_ds.dates == matrix.dates[train_end:test_end]
 
 
 # ---------------------------------------------------------------- walk-forward

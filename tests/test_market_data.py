@@ -208,3 +208,21 @@ def test_fetch_connection_refused(dead_endpoint):
 def test_fetch_bad_template(data_server):
     with pytest.raises(NetworkError):
         fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), data_server + "/{nope}", 5.0)
+
+
+def test_fetch_refuses_file_urls(tmp_path):
+    local = tmp_path / "quotes.csv"
+    local.write_text(SNAPSHOT_CSV)
+    with pytest.raises(NetworkError):
+        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), local.as_uri(), 5.0)
+
+
+def test_fetch_malformed_url():
+    with pytest.raises(NetworkError):
+        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), "http://[::1/q?s={symbol}", 5.0)
+
+
+def test_fetch_undecodable_body(data_server):
+    template = data_server + "/binary?s={symbol}"
+    with pytest.raises(UnexpectedSchema):
+        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), template, 5.0)
