@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
@@ -60,7 +60,7 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
     if title:
         parts.append(
             f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title, quote=False)}</text>'
         )
     # y grid and labels
     for k in range(5):
@@ -118,7 +118,7 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
         )
         parts.append(
             f'<text x="{legend_x + 28:.2f}" y="{y:.2f}" font-family="sans-serif" '
-            f'font-size="12" fill="#222222">{escape(str(label))}</text>'
+            f'font-size="12" fill="#222222">{escape(str(label), quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -15,14 +15,18 @@ Two cell variants exist. "standard" is the usual formulation:
 state update with c = f * c_prev + i, keeping f, o, and h as above. Neither
 variant uses peephole connections.
 
-Parameters are stored per gate (the w_*/b_* fields and the model file), but
-each time step runs on packed gates, as in Appleyard, Kocisky and Blunsom
-(2016): a layer's arrays are stacked into W_x (I, 4H), W_h (H, 4H) and b (4H)
-with the gate blocks in the order f, i, o, g. Forward is two GEMMs into one
-(B, 4H) pre-activation; adding the bias turns it into a (4H, B) array, so the
-batch runs along columns and each gate is one contiguous block, and one
-sigmoid covers the first 3H rows and one tanh the last H. Backward builds one
-(4H, B) dZ per step and takes four GEMMs from it.
+Each layer is stored packed, as in Appleyard, Kocisky and Blunsom (2016):
+W_x (I, 4H), W_h (H, 4H) and b (4H,), with the gate blocks in the order
+f, i, o, g. Forward is two GEMMs into one (B, 4H) pre-activation; adding the
+bias turns it into a (4H, B) array, so the batch runs along columns and each
+gate is one contiguous block, and one sigmoid covers the first 3H rows and one
+tanh the last H. Backward builds one (4H, B) dZ per step and takes four GEMMs
+from it, and its gradients have the shapes of W_x, W_h and b.
+
+The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
+in the model file. gate_view maps each one to a writable view of the packed
+arrays, which is how the file is written and read and how init_weights fills
+a layer in the file's order.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -43,17 +48,12 @@ MODEL_FORMAT_VERSION = 1
 CELL_VARIANTS = ("standard", "as_printed")
 MODES = ("univariate", "multivariate")
 
-_LAYER_FIELDS = (
+_LAYER_FIELDS = (  # the model file's per-gate arrays in file order; init_weights fills w_* in it
     "w_fx", "w_ix", "w_gx", "w_ox",
     "w_fh", "w_ih", "w_gh", "w_oh",
     "b_f", "b_i", "b_g", "b_o",
 )
-
-
-def _field_shape(name: str, input_size: int, hidden_size: int) -> tuple[int, ...]:
-    if name.startswith("b_"):
-        return (hidden_size,)
-    return (hidden_size, input_size if name.endswith("x") else hidden_size)
+_GATES = "fiog"  # packed block order: the three sigmoid gates, then the tanh candidate
 
 
 class LstmError(Exception):
@@ -131,26 +131,34 @@ class SplitMix64:
 
 @dataclass(eq=False)
 class LstmLayerParams:
-    w_fx: np.ndarray
-    w_ix: np.ndarray
-    w_gx: np.ndarray
-    w_ox: np.ndarray
-    w_fh: np.ndarray
-    w_ih: np.ndarray
-    w_gh: np.ndarray
-    w_oh: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_g: np.ndarray
-    b_o: np.ndarray
+    """One layer's packed, C-contiguous weights, in gate blocks f, i, o, g."""
+
+    W_x: np.ndarray  # (I, 4H)
+    W_h: np.ndarray  # (H, 4H)
+    b: np.ndarray  # (4H,)
+
+    @classmethod
+    def zeros(cls, input_size: int, hidden_size: int) -> LstmLayerParams:
+        return cls(np.zeros((input_size, 4 * hidden_size)),
+                   np.zeros((hidden_size, 4 * hidden_size)), np.zeros(4 * hidden_size))
 
     @property
     def hidden_size(self) -> int:
-        return self.b_f.shape[0]
+        return self.W_h.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.w_fx.shape[1]
+        return self.W_x.shape[0]
+
+
+def gate_view(layer: LstmLayerParams, name: str) -> np.ndarray:
+    """The model file's per-gate array name (w_qx (H, I), w_qh (H, H) or b_q (H,))
+    as a writable view of the layer's packed arrays."""
+    start = _GATES.index(name[2]) * layer.hidden_size
+    block = slice(start, start + layer.hidden_size)
+    if name.startswith("b_"):
+        return layer.b[block]
+    return (layer.W_x if name.endswith("x") else layer.W_h)[:, block].T
 
 
 @dataclass(eq=False)
@@ -221,21 +229,21 @@ class LstmModel:
 def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParams:
     """One layer with uniform weights in [-1/sqrt(hidden), +1/sqrt(hidden)].
 
-    A single SplitMix64 stream fills the matrices in field order (input
-    weights f, i, g, o then recurrent f, i, g, o), row-major, so the same
-    seed reproduces the same layer anywhere. Forget-gate bias starts at 1.0,
-    the other biases at 0.
+    A single SplitMix64 stream fills the model file's per-gate matrices in
+    file order (input weights f, i, g, o then recurrent f, i, g, o), each
+    row-major, so the same seed reproduces the same layer anywhere.
+    Forget-gate bias starts at 1.0, the other biases at 0.
     """
     if input_size < 1 or hidden_size < 1:
         raise ValueError("sizes must be >= 1")
     rng = SplitMix64(seed)
     bound = 1.0 / math.sqrt(hidden_size)
-    weights = {
-        name: rng.fill(_field_shape(name, input_size, hidden_size), -bound, bound)
-        for name in _LAYER_FIELDS[:8]
-    }
-    biases = {name: np.full(hidden_size, float(name == "b_f")) for name in _LAYER_FIELDS[8:]}
-    return LstmLayerParams(**weights, **biases)
+    layer = LstmLayerParams.zeros(input_size, hidden_size)
+    for name in _LAYER_FIELDS[:8]:
+        view = gate_view(layer, name)
+        view[...] = rng.fill(view.shape, -bound, bound)
+    gate_view(layer, "b_f")[:] = 1.0
+    return layer
 
 
 def new_model(
@@ -283,21 +291,7 @@ def new_model(
     )
 
 
-_GATES = "fiog"  # packed block order: the three sigmoid gates, then the tanh candidate
-
-
-def _packed(layer: LstmLayerParams):
-    """W_x (I, 4H), W_h (H, 4H) and b (4H, 1), in gate blocks f, i, o, g.
-
-    Stacked afresh on every call, because training, Adam and the
-    finite-difference checks update the per-gate arrays in place.
-    """
-    W_x = np.concatenate([getattr(layer, f"w_{q}x") for q in _GATES]).T.copy()
-    W_h = np.concatenate([getattr(layer, f"w_{q}h") for q in _GATES]).T.copy()
-    return W_x, W_h, np.concatenate([getattr(layer, f"b_{q}") for q in _GATES])[:, None]
-
-
-def _step(W_x, W_h, b, x, h_prev, c_prev, standard: bool):
+def _step(layer: LstmLayerParams, x, h_prev, c_prev, standard: bool):
     """One time step on column batches: x is (I, B), h_prev and c_prev (H, B).
 
     The GEMMs take (B, *) rows, as the per-gate products did, which keeps the
@@ -307,7 +301,7 @@ def _step(W_x, W_h, b, x, h_prev, c_prev, standard: bool):
     hidden = c_prev.shape[0]
     # z is allocated before the GEMM temporaries, so freeing them leaves no heap hole under it
     z = np.empty((4 * hidden, max(x.shape[1], h_prev.shape[1])))
-    np.add((x.T @ W_x + h_prev.T @ W_h).T, b, out=z)
+    np.add((x.T @ layer.W_x + h_prev.T @ layer.W_h).T, layer.b[:, None], out=z)
     s = z[: 3 * hidden]  # sigmoid as 1 / (1 + exp(-z)), in place
     np.negative(s, out=s)
     np.exp(s, out=s)
@@ -336,7 +330,7 @@ def cell_forward(params: LstmLayerParams, x_t, prev: LstmState, variant: str = "
         raise ValueError(f"unknown cell variant {variant!r}")
     rows = np.broadcast_shapes(x_t.shape[:-1], prev.h.shape[:-1], prev.c.shape[:-1]) + (-1,)
     columns = (np.atleast_2d(a).T for a in (x_t, prev.h, prev.c))
-    h, c, cache = _step(*_packed(params), *columns, variant == "standard")
+    h, c, cache = _step(params, *columns, variant == "standard")
 
     def as_rows(arr):  # back to C-ordered (..., width) rows, the layout callers pass in
         return np.ascontiguousarray(arr.T).reshape(rows)
@@ -361,11 +355,10 @@ def forward_batch(model: LstmModel, windows: np.ndarray):
     seq = [X[:, t, :].T for t in range(model.lookback)]  # each layer's input, step by step
     layer_caches = []
     for layer in model.layers:
-        packed = _packed(layer)
         h = c = np.zeros((layer.hidden_size, batch))
         steps = []
         for t, x in enumerate(seq):
-            h, c, cache = _step(*packed, x, h, c, standard)
+            h, c, cache = _step(layer, x, h, c, standard)
             steps.append(cache)
             seq[t] = h
         layer_caches.append(steps)
@@ -429,14 +422,13 @@ def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
     standard = model.cell_variant == "standard"
 
     # keyed up front so the dict keeps model_param_items order; filled top layer first
-    grads = {f"layers.{k}.{name}": None for k in range(len(model.layers)) for name in _LAYER_FIELDS}
+    grads = {key: None for key, _ in model_param_items(model)}
     # gradients w.r.t. each step's layer output, (H, B); the head sees only the top layer's last
     d_out = [None] * (length - 1) + [model.head_w[:, None] * d_pred[None, :]]
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         hidden = layer.hidden_size
-        W_x, W_h, _ = _packed(layer)
-        gw_x = np.zeros((4 * hidden, layer.input_size))  # row blocks f, i, o, g
+        gw_x = np.zeros((4 * hidden, layer.input_size))  # W_x and W_h gradients, transposed
         gw_h = np.zeros((4 * hidden, hidden))
         gb = np.zeros((4 * hidden, batch))  # summed over the batch after the loop
         dZ = np.empty((4 * hidden, batch))
@@ -464,14 +456,11 @@ def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
             gb += dZ
             gw_x += dZ @ cache["x"].T
             gw_h += dZ @ cache["h_prev"].T
-            d_out[t] = W_x @ dZ if k > 0 else None
-            dh_carry = W_h @ dZ
+            d_out[t] = layer.W_x @ dZ if k > 0 else None
+            dh_carry = layer.W_h @ dZ
             dc_carry = dc * f
-        gb = gb.sum(axis=1)
-        for j, q in enumerate(_GATES):
-            rows = slice(j * hidden, (j + 1) * hidden)
-            grads[f"layers.{k}.w_{q}x"], grads[f"layers.{k}.w_{q}h"] = gw_x[rows], gw_h[rows]
-            grads[f"layers.{k}.b_{q}"] = gb[rows]
+        grads[f"layers.{k}.W_x"], grads[f"layers.{k}.W_h"] = gw_x.T, gw_h.T
+        grads[f"layers.{k}.b"] = gb.sum(axis=1)
     grads["head.w"] = caches["h_last"].T @ d_pred
     grads["head.b"] = np.array([d_pred.sum()])
     return grads
@@ -481,8 +470,8 @@ def model_param_items(model: LstmModel) -> list[tuple[str, np.ndarray]]:
     """Every trainable array, in a fixed documented order."""
     items = []
     for k, layer in enumerate(model.layers):
-        for name in _LAYER_FIELDS:
-            items.append((f"layers.{k}.{name}", getattr(layer, name)))
+        for f in fields(layer):
+            items.append((f"layers.{k}.{f.name}", getattr(layer, f.name)))
     items.append(("head.w", model.head_w))
     items.append(("head.b", model.head_b))
     return items
@@ -605,7 +594,7 @@ def model_to_document(model: LstmModel) -> dict:
         "train_config": _config_document(model.train_config),
         "rng_seed": model.rng_seed,
         "layers": [
-            {name: getattr(layer, name) for name in _LAYER_FIELDS} for layer in model.layers
+            {name: gate_view(layer, name) for name in _LAYER_FIELDS} for layer in model.layers
         ],
         "head": {"w": model.head_w, "b": float(model.head_b[0])},
     }
@@ -632,6 +621,8 @@ def _need(container, key: str, path: str, kind: type | tuple):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CorruptModel(f"{path}.{key}", "expected a number")
+        if not abs(value) <= sys.float_info.max:  # also rules out ints float() cannot hold
+            raise CorruptModel(f"{path}.{key}", "not a finite float64")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -662,7 +653,7 @@ def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray
     raw = _need(container, key, path, list)
     try:
         arr = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CorruptModel(f"{path}.{key}", "not a numeric array") from None
     if arr.shape != shape:
         raise CorruptModel(f"{path}.{key}", f"shape {arr.shape}, expected {shape}")
@@ -673,11 +664,15 @@ def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray
 
 def load_model(source) -> LstmModel:
     """Inverse of save_model; structural problems raise CorruptModel with a path."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptModel("$", f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptModel("$", f"not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise CorruptModel("$", "nested too deeply to parse") from None
     version = _need(doc, "format_version", "$", int)
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {version}, supported: {MODEL_FORMAT_VERSION}")
@@ -719,11 +714,11 @@ def load_model(source) -> LstmModel:
     layers = []
     in_size = width
     for k, (layer_doc, hidden) in enumerate(zip(layers_doc, hidden_sizes)):
-        path = f"$.layers[{k}]"
-        layers.append(LstmLayerParams(**{
-            name: _array(layer_doc, name, path, _field_shape(name, in_size, hidden))
-            for name in _LAYER_FIELDS
-        }))
+        layer = LstmLayerParams.zeros(in_size, hidden)
+        for name in _LAYER_FIELDS:
+            view = gate_view(layer, name)
+            view[...] = _array(layer_doc, name, f"$.layers[{k}]", view.shape)
+        layers.append(layer)
         in_size = hidden
 
     head_doc = _need(doc, "head", "$", dict)

@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: files written, stdout, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import stockcast
+from stockcast.charts import render_line_chart
 from stockcast.cli import main
 from stockcast.config import RunConfig
 from stockcast.indicators import IndicatorConfig
@@ -172,6 +178,17 @@ def test_evaluate_report_and_predictions(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_unparseable_model_is_data_error(tmp_path, capsys):
+    data = write_walk(tmp_path)
+    model_path = tmp_path / "model.json"
+    for payload in (b'{"mode": "caf\xe9"}', b"[" * 100000):  # not UTF-8; nested past recursion
+        model_path.write_bytes(payload)
+        rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+                   "--report-out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert "corrupt model document at $:" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- forecast
 
 def test_forecast_output_and_trend(tmp_path, capsys):
@@ -233,6 +250,21 @@ def test_plot_svg_and_merge(tmp_path, capsys):
     assert lines[0] == "index,model,other"
     assert len(lines) == 6
     capsys.readouterr()
+
+
+def test_chart_escapes_title_and_labels():
+    svg = render_line_chart([("a&b <c> \"d\" 'e'", [1.0, 2.0])], title="T&<>\"'")
+    assert ">T&amp;&lt;&gt;\"'</text>" in svg
+    assert ">a&amp;b &lt;c&gt; \"d\" 'e'</text>" in svg
+
+
+def test_cli_import_skips_url_machinery():
+    src = str(Path(stockcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import stockcast.cli, sys; print('urllib.request' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_plot_single_point_and_errors(tmp_path, capsys):

@@ -4,9 +4,12 @@ import io
 import json
 import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockcast.dataset import WindowedDataset
 from stockcast.jsonio import dump_json
@@ -14,7 +17,9 @@ from stockcast.lstm import (
     CacheMismatch,
     CorruptModel,
     EmptyDataset,
+    LstmError,
     LstmLayerParams,
+    LstmModel,
     LstmState,
     NonFiniteInput,
     NonFiniteLoss,
@@ -28,6 +33,7 @@ from stockcast.lstm import (
     clip_gradient_norm,
     forward,
     forward_batch,
+    gate_view,
     init_weights,
     load_model,
     model_param_items,
@@ -38,6 +44,8 @@ from stockcast.lstm import (
 from stockcast.scaling import ScalerParams
 
 FEATURE_POOL = ("Close", "CMA", "SMA10", "RSI", "K%")
+FIXTURES = Path(__file__).parent / "fixtures"
+WEIGHT_FIELDS = ("w_fx", "w_ix", "w_gx", "w_ox", "w_fh", "w_ih", "w_gh", "w_oh")
 
 
 def tiny_model(num_features=1, lookback=5, hidden=(4,), seed=42, variant="standard",
@@ -52,17 +60,6 @@ def tiny_model(num_features=1, lookback=5, hidden=(4,), seed=42, variant="standa
     column_set = "univariate" if mode == "univariate" else "paper_multivariate"
     return new_model(mode, names, lookback, scaler, cfg, cell_variant=variant,
                      column_set=column_set)
-
-
-def zero_layer(num_features, hidden):
-    def z(*shape):
-        return np.zeros(shape)
-
-    return LstmLayerParams(
-        z(hidden, num_features), z(hidden, num_features), z(hidden, num_features),
-        z(hidden, num_features), z(hidden, hidden), z(hidden, hidden),
-        z(hidden, hidden), z(hidden, hidden), z(hidden), z(hidden), z(hidden), z(hidden),
-    )
 
 
 def windows_dataset(inputs, targets, lookback, names=("Close",)):
@@ -117,28 +114,56 @@ def test_init_weights_bounds_and_biases():
     layer = init_weights(3, 9, seed=5)
     bound = 1.0 / 3.0
     for name in ("w_fx", "w_ix", "w_gx", "w_ox"):
-        arr = getattr(layer, name)
+        arr = gate_view(layer, name)
         assert arr.shape == (9, 3)
         assert (np.abs(arr) <= bound).all()
     for name in ("w_fh", "w_ih", "w_gh", "w_oh"):
-        assert getattr(layer, name).shape == (9, 9)
-        assert (np.abs(getattr(layer, name)) <= bound).all()
-    assert (layer.b_f == 1.0).all()
-    assert (layer.b_i == 0.0).all() and (layer.b_g == 0.0).all() and (layer.b_o == 0.0).all()
+        assert gate_view(layer, name).shape == (9, 9)
+        assert (np.abs(gate_view(layer, name)) <= bound).all()
+    assert (gate_view(layer, "b_f") == 1.0).all()
+    assert all((gate_view(layer, name) == 0.0).all() for name in ("b_i", "b_g", "b_o"))
     again = init_weights(3, 9, seed=5)
     assert all(
-        np.array_equal(getattr(layer, n), getattr(again, n))
+        np.array_equal(gate_view(layer, n), gate_view(again, n))
         for n in ("w_fx", "w_ih", "b_f")
     )
-    assert not np.array_equal(layer.w_fx, init_weights(3, 9, seed=6).w_fx)
+    assert not np.array_equal(gate_view(layer, "w_fx"),
+                              gate_view(init_weights(3, 9, seed=6), "w_fx"))
+
+
+def test_init_weights_fill_order_and_view_aliasing():
+    layer = init_weights(3, 9, seed=5)
+    bound = 1.0 / 3.0
+    stream = SplitMix64(5).fill((4 * 9 * 3 + 4 * 9 * 9,), -bound, bound)
+    offset = 0
+    for name in WEIGHT_FIELDS:  # the model file's order, row-major within each array
+        view = gate_view(layer, name)
+        assert np.array_equal(view, stream[offset : offset + view.size].reshape(view.shape)), name
+        offset += view.size
+    assert offset == stream.size
+
+    blocks = {"f": 0, "i": 1, "o": 2, "g": 3}  # packed column blocks
+    for name in WEIGHT_FIELDS + ("b_f", "b_i", "b_g", "b_o"):
+        view = gate_view(layer, name)
+        packed = layer.b if name.startswith("b_") else layer.W_x if name.endswith("x") else layer.W_h
+        expect = packed.copy()
+        row = view.shape[0] - 2
+        column = blocks[name[2]] * 9 + row
+        if view.ndim == 2:
+            expect[view.shape[1] - 1, column] = 42.0
+            view[row, -1] = 42.0
+        else:
+            expect[column] = 42.0
+            view[row] = 42.0
+        assert np.array_equal(packed, expect), name
 
 
 def test_new_model_layer_seed_schedule():
     model = tiny_model(num_features=2, hidden=(4, 3), seed=42, mode="multivariate")
     expect0 = init_weights(2, 4, seed=42)
     expect1 = init_weights(4, 3, seed=43)
-    assert np.array_equal(model.layers[0].w_fx, expect0.w_fx)
-    assert np.array_equal(model.layers[1].w_oh, expect1.w_oh)
+    assert np.array_equal(gate_view(model.layers[0], "w_fx"), gate_view(expect0, "w_fx"))
+    assert np.array_equal(gate_view(model.layers[1], "w_oh"), gate_view(expect1, "w_oh"))
     bound = 1.0 / math.sqrt(3)
     assert np.array_equal(model.head_w, SplitMix64(44).fill((3,), -bound, bound))
     assert model.head_b.tolist() == [0.0]
@@ -148,8 +173,8 @@ def test_new_model_layer_seed_schedule():
 # --------------------------------------------------------------------- cell
 
 def test_cell_zero_weights_standard():
-    layer = zero_layer(2, 3)
-    layer.b_f[:] = 0.0
+    layer = LstmLayerParams.zeros(2, 3)
+    gate_view(layer, "b_f")[:] = 0.0
     state, cache = cell_forward(layer, np.ones((1, 2)), LstmState(np.zeros((1, 3)), np.zeros((1, 3))))
     assert np.allclose(cache["f"], 0.5) and np.allclose(cache["i"], 0.5)
     assert np.allclose(cache["o"], 0.5) and np.allclose(cache["g"], 0.0)
@@ -157,8 +182,8 @@ def test_cell_zero_weights_standard():
 
 
 def test_cell_zero_weights_as_printed():
-    layer = zero_layer(2, 3)
-    layer.b_f[:] = 0.0
+    layer = LstmLayerParams.zeros(2, 3)
+    gate_view(layer, "b_f")[:] = 0.0
     state, _ = cell_forward(
         layer, np.ones((1, 2)), LstmState(np.zeros((1, 3)), np.zeros((1, 3))), "as_printed"
     )
@@ -167,19 +192,19 @@ def test_cell_zero_weights_as_printed():
 
 
 def test_cell_hand_scalar_case():
-    layer = zero_layer(1, 1)
-    layer.w_fx[0, 0] = 0.4
-    layer.w_ix[0, 0] = -0.3
-    layer.w_gx[0, 0] = 0.8
-    layer.w_ox[0, 0] = 0.1
-    layer.w_fh[0, 0] = 0.2
-    layer.w_ih[0, 0] = -0.5
-    layer.w_gh[0, 0] = 0.6
-    layer.w_oh[0, 0] = -0.7
-    layer.b_f[0] = 1.0
-    layer.b_i[0] = 0.05
-    layer.b_g[0] = -0.1
-    layer.b_o[0] = 0.2
+    layer = LstmLayerParams.zeros(1, 1)
+    gate_view(layer, "w_fx")[0, 0] = 0.4
+    gate_view(layer, "w_ix")[0, 0] = -0.3
+    gate_view(layer, "w_gx")[0, 0] = 0.8
+    gate_view(layer, "w_ox")[0, 0] = 0.1
+    gate_view(layer, "w_fh")[0, 0] = 0.2
+    gate_view(layer, "w_ih")[0, 0] = -0.5
+    gate_view(layer, "w_gh")[0, 0] = 0.6
+    gate_view(layer, "w_oh")[0, 0] = -0.7
+    gate_view(layer, "b_f")[0] = 1.0
+    gate_view(layer, "b_i")[0] = 0.05
+    gate_view(layer, "b_g")[0] = -0.1
+    gate_view(layer, "b_o")[0] = 0.2
     x, h_prev, c_prev = 0.3, 0.2, -0.1
 
     f = sigmoid(0.4 * x + 0.2 * h_prev + 1.0)
@@ -201,7 +226,7 @@ def test_cell_hand_scalar_case():
 
 
 def test_cell_rejects_bad_shapes_and_variant():
-    layer = zero_layer(2, 3)
+    layer = LstmLayerParams.zeros(2, 3)
     good = LstmState(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ShapeMismatch):
         cell_forward(layer, np.ones((1, 5)), good)
@@ -214,13 +239,14 @@ def test_cell_rejects_bad_shapes_and_variant():
 @pytest.mark.parametrize("variant", ["standard", "as_printed"])
 def test_cell_matches_per_gate_equations(variant):
     layer = init_weights(3, 5, seed=9)
-    layer.b_i[:], layer.b_g[:], layer.b_o[:] = 0.1, -0.2, 0.3
+    for name, value in (("b_i", 0.1), ("b_g", -0.2), ("b_o", 0.3)):
+        gate_view(layer, name)[:] = value
     rng = np.random.default_rng(3)
     x, h, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
     state, cache = cell_forward(layer, x, LstmState(h, c), variant)
 
     def pre(q):  # the unpacked per-gate pre-activation, as a reference
-        w_x, w_h, b = (getattr(layer, name) for name in (f"w_{q}x", f"w_{q}h", f"b_{q}"))
+        w_x, w_h, b = (gate_view(layer, name) for name in (f"w_{q}x", f"w_{q}h", f"b_{q}"))
         return x @ w_x.T + h @ w_h.T + b
 
     f, i, o = (1.0 / (1.0 + np.exp(-pre(q))) for q in "fio")
@@ -249,9 +275,8 @@ def test_cell_keeps_unbatched_shapes():
 def test_forward_zero_weights_returns_head_bias():
     model = tiny_model(lookback=4, hidden=(3,))
     for layer in model.layers:
-        for name in ("w_fx", "w_ix", "w_gx", "w_ox", "w_fh", "w_ih", "w_gh", "w_oh",
-                     "b_f", "b_i", "b_g", "b_o"):
-            getattr(layer, name)[:] = 0.0
+        for arr in (layer.W_x, layer.W_h, layer.b):
+            arr[:] = 0.0
     model.head_w[:] = 0.0
     model.head_b[0] = 0.7
     value, _ = forward(model, np.random.default_rng(0).normal(size=(4, 1)))
@@ -288,12 +313,10 @@ def test_hidden_unit_permutation_symmetry():
 
     perm = np.array([3, 0, 5, 1, 4, 2])
     layer = model.layers[0]
-    for name in ("w_fx", "w_ix", "w_gx", "w_ox"):
-        getattr(layer, name)[:] = getattr(layer, name)[perm]
+    for name in ("w_fx", "w_ix", "w_gx", "w_ox", "b_f", "b_i", "b_g", "b_o"):
+        gate_view(layer, name)[:] = gate_view(layer, name)[perm]
     for name in ("w_fh", "w_ih", "w_gh", "w_oh"):
-        getattr(layer, name)[:] = getattr(layer, name)[perm][:, perm]
-    for name in ("b_f", "b_i", "b_g", "b_o"):
-        getattr(layer, name)[:] = getattr(layer, name)[perm]
+        gate_view(layer, name)[:] = gate_view(layer, name)[perm][:, perm]
     model.head_w[:] = model.head_w[perm]
 
     assert np.allclose(model.predict_batch(X), base, rtol=0.0, atol=1e-12)
@@ -457,10 +480,10 @@ def test_training_does_not_mutate_input_model():
     ds = memorization_data(n=60)
     cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), seed=5)
     model = tiny_model(lookback=8, hidden=(4,), seed=5)
-    before = model.layers[0].w_fx.copy()
+    before = model.layers[0].W_x.copy()
     trained, _ = train(model, ds, cfg)
-    assert np.array_equal(model.layers[0].w_fx, before)
-    assert not np.array_equal(trained.layers[0].w_fx, before)
+    assert np.array_equal(model.layers[0].W_x, before)
+    assert not np.array_equal(trained.layers[0].W_x, before)
 
 
 def test_single_epoch_history():
@@ -554,6 +577,69 @@ def test_save_refuses_non_finite(tmp_path):
         save_model(trained, tmp_path / "bad.json")
 
 
+def test_golden_v1_model_resaves_and_predicts():
+    # written by the per-gate implementation that preceded packed storage
+    path = FIXTURES / "golden_v1_model.json"
+    model = load_model(path)
+    assert model.hidden_sizes == (4, 3) and model.num_features == 3
+    sink = io.StringIO()
+    save_model(model, sink)
+    assert sink.getvalue() == path.read_text()
+    X = np.random.default_rng(20241).uniform(-1.0, 1.0, size=(32, 5, 3))
+    pinned = json.loads((FIXTURES / "golden_v1_predictions.json").read_text())
+    assert np.allclose(model.predict_batch(X), pinned, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("payload", [b'{"mode": "caf\xe9"}', b"[" * 100000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_load_maps_unparseable_bytes_to_corrupt_model(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_bytes(payload)
+    with pytest.raises(CorruptModel) as err:
+        load_model(path)
+    assert err.value.path == "$"
+
+
+def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
+    _, path = trained_pair(tmp_path)
+    original = path.read_bytes()
+    doc = json.loads(original)
+    fuzzed = tmp_path / "fuzzed.json"
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["truncate", "flip", "shuffle"]))
+        if kind == "truncate":
+            blob = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.integers(0, len(original) - 1))
+            blob = bytearray(original)
+            blob[at] ^= data.draw(st.integers(1, 255))
+            blob = bytes(blob)
+        else:
+            order = data.draw(st.permutations(list(doc)))
+            layer_order = data.draw(st.permutations(list(doc["layers"][0])))
+            shuffled = {key: doc[key] for key in order}
+            shuffled["layers"] = [{key: layer[key] for key in layer_order} for layer in doc["layers"]]
+            blob = json.dumps(shuffled).encode()
+        fuzzed.write_bytes(blob)
+        try:
+            model = load_model(fuzzed)
+        except LstmError:
+            assert kind != "shuffle"
+            return
+        assert isinstance(model, LstmModel)
+        preds = model.predict_batch(np.zeros((2, model.lookback, model.num_features)))
+        assert np.isfinite(preds).all()
+        if kind == "shuffle":
+            sink = io.StringIO()
+            save_model(model, sink)
+            assert sink.getvalue().encode() == original
+
+    check()
+
+
 def test_load_rejects_truncated(tmp_path):
     _, path = trained_pair(tmp_path)
     text = path.read_text()
@@ -595,6 +681,20 @@ def test_load_rejects_bad_shape_and_nan(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel):
         load_model(path)
+
+    doc["layers"][0]["b_f"] = [1.0, 10**400, 0.5, 0.2, 0.1]  # an integer no float64 holds
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(path)
+    assert err.value.path == "$.layers[0].b_f"
+
+    doc["layers"][0]["b_f"] = [1.0, 0.0, 0.5, 0.2, 0.1]
+    for bad in (float("inf"), 10**400):
+        doc["head"]["b"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel) as err:
+            load_model(path)
+        assert err.value.path == "$.head.b"
 
 
 def test_load_rejects_scaler_feature_mismatch(tmp_path):
