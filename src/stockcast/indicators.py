@@ -153,41 +153,45 @@ def ema(closes, alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     x = _as_floats(closes)
-    out = np.empty_like(x)
     if x.size == 0:
-        return out
-    prev = out[0] = x[0]
-    for t in range(1, x.size):
-        prev = out[t] = prev + alpha * (x[t] - prev)
-    return out
+        return x.copy()
+    values = x.tolist()  # Python floats step far faster than numpy scalars
+    prev = values[0]
+    out = [prev]
+    for value in values[1:]:
+        prev = prev + alpha * (value - prev)
+        out.append(prev)
+    return np.array(out, dtype=np.float64)
 
-
-def _rsi_value(avg_gain: float, avg_loss: float) -> float:
-    if avg_loss == 0.0 and avg_gain == 0.0:
-        return 50.0
-    if avg_loss == 0.0:
-        return 100.0
-    if avg_gain == 0.0:
-        return 0.0
-    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 def rsi(closes, n: int) -> np.ndarray:
-    """Relative strength index with Wilder smoothing; first defined at position n."""
+    """Relative strength index with Wilder smoothing; first defined at position n.
+
+    Wilder's averages run as one Python-float loop; the map to RSI values is
+    vectorized with the same elementwise float64 operations, so both zero
+    gives 50, a zero average loss 100 and a zero average gain 0, in that order.
+    """
     _check_period(n)
     x = _as_floats(closes)
     out = np.full(x.shape, np.nan)
     if x.size < n + 1:
         return out
     diffs = np.diff(x)
-    gains = np.maximum(diffs, 0.0)
-    losses = np.maximum(-diffs, 0.0)
-    avg_gain = gains[:n].mean()
-    avg_loss = losses[:n].mean()
-    out[n] = _rsi_value(avg_gain, avg_loss)
-    for t in range(n + 1, x.size):
-        avg_gain = (avg_gain * (n - 1) + gains[t - 1]) / n
-        avg_loss = (avg_loss * (n - 1) + losses[t - 1]) / n
-        out[t] = _rsi_value(avg_gain, avg_loss)
+    averages = []
+    for moves in (np.maximum(diffs, 0.0), np.maximum(-diffs, 0.0)):
+        avg = float(moves[:n].mean())
+        smoothed = [avg]
+        for move in moves[n:].tolist():
+            avg = (avg * (n - 1) + move) / n
+            smoothed.append(avg)
+        averages.append(np.array(smoothed))
+    gain, loss = averages
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[n:] = np.where(
+            loss == 0.0,
+            np.where(gain == 0.0, 50.0, 100.0),
+            np.where(gain == 0.0, 0.0, 100.0 - 100.0 / (1.0 + gain / loss)),
+        )
     return out
 
 

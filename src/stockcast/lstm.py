@@ -302,7 +302,9 @@ def _step(layer: LstmLayerParams, x, h_prev, c_prev, standard: bool):
     # z is allocated before the GEMM temporaries, so freeing them leaves no heap hole under it
     z = np.empty((4 * hidden, max(x.shape[1], h_prev.shape[1])))
     np.add((x.T @ layer.W_x + h_prev.T @ layer.W_h).T, layer.b[:, None], out=z)
-    s = z[: 3 * hidden]  # sigmoid as 1 / (1 + exp(-z)), in place
+    # sigmoid as 1 / (1 + exp(-z)), in place; exp overflows to inf below z = -709 and
+    # gives the right 0, so callers enter np.errstate(over="ignore") once around their steps
+    s = z[: 3 * hidden]
     np.negative(s, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -330,7 +332,8 @@ def cell_forward(params: LstmLayerParams, x_t, prev: LstmState, variant: str = "
         raise ValueError(f"unknown cell variant {variant!r}")
     rows = np.broadcast_shapes(x_t.shape[:-1], prev.h.shape[:-1], prev.c.shape[:-1]) + (-1,)
     columns = (np.atleast_2d(a).T for a in (x_t, prev.h, prev.c))
-    h, c, cache = _step(params, *columns, variant == "standard")
+    with np.errstate(over="ignore"):
+        h, c, cache = _step(params, *columns, variant == "standard")
 
     def as_rows(arr):  # back to C-ordered (..., width) rows, the layout callers pass in
         return np.ascontiguousarray(arr.T).reshape(rows)
@@ -354,14 +357,15 @@ def forward_batch(model: LstmModel, windows: np.ndarray):
     batch = X.shape[0]
     seq = [X[:, t, :].T for t in range(model.lookback)]  # each layer's input, step by step
     layer_caches = []
-    for layer in model.layers:
-        h = c = np.zeros((layer.hidden_size, batch))
-        steps = []
-        for t, x in enumerate(seq):
-            h, c, cache = _step(layer, x, h, c, standard)
-            steps.append(cache)
-            seq[t] = h
-        layer_caches.append(steps)
+    with np.errstate(over="ignore"):
+        for layer in model.layers:
+            h = c = np.zeros((layer.hidden_size, batch))
+            steps = []
+            for t, x in enumerate(seq):
+                h, c, cache = _step(layer, x, h, c, standard)
+                steps.append(cache)
+                seq[t] = h
+            layer_caches.append(steps)
     h_last = np.ascontiguousarray(seq[-1].T)
     preds = h_last @ model.head_w + model.head_b[0]
     return preds, {
@@ -707,6 +711,11 @@ def load_model(source) -> LstmModel:
 
     indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
     train_config = _config_from_document(TrainConfig, doc, "train_config")
+    if train_config.hidden_sizes != tuple(hidden_sizes):
+        raise CorruptModel("$.train_config.hidden_sizes", "differs from $.hidden_sizes")
+    rng_seed = _need(doc, "rng_seed", "$", int)
+    if train_config.seed != rng_seed:
+        raise CorruptModel("$.train_config.seed", "differs from $.rng_seed")
 
     layers_doc = _need(doc, "layers", "$", list)
     if len(layers_doc) != len(hidden_sizes):
@@ -734,7 +743,7 @@ def load_model(source) -> LstmModel:
         feature_names=tuple(feature_names),
         lookback=lookback,
         train_config=train_config,
-        rng_seed=_need(doc, "rng_seed", "$", int),
+        rng_seed=rng_seed,
         cell_variant=cell_variant,
         column_set=column_set,
         indicator_config=indicator_config,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 
 import numpy as np
@@ -109,41 +110,49 @@ class OhlcvSeries:
     fields were "null"; ``flat_zero_volume_bars`` counts retained bars that
     look like exchange-holiday artifacts (zero volume, open=high=low=close).
     Both are zero on series derived by slicing.
+
+    The date tuple is built once, on construction. Each price column is built
+    on first use and then cached read-only, so writing into one raises.
     """
 
     symbol: str
     bars: tuple[Bar, ...]
     dropped_nulls: int = 0
     flat_zero_volume_bars: int = 0
+    _dates: tuple[Date, ...] = field(init=False, repr=False)
+    _columns: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise NonAscendingDates(cur.date)
+        dates = tuple(b.date for b in self.bars)
+        if not all(map(operator.lt, dates, dates[1:])):
+            raise NonAscendingDates(next(c for p, c in zip(dates, dates[1:]) if not p < c))
+        object.__setattr__(self, "_dates", dates)
 
     def __len__(self) -> int:
         return len(self.bars)
 
     def dates(self) -> tuple[Date, ...]:
-        return tuple(b.date for b in self.bars)
+        return self._dates
 
-    def opens(self) -> np.ndarray:
-        return np.array([b.open for b in self.bars], dtype=np.float64)
+    def _column(self, name: str) -> np.ndarray:
+        column = self._columns.get(name)
+        if column is None:
+            column = np.array([getattr(b, name) for b in self.bars], dtype=np.float64)
+            column.flags.writeable = False
+            self._columns[name] = column
+        return column
 
     def highs(self) -> np.ndarray:
-        return np.array([b.high for b in self.bars], dtype=np.float64)
+        return self._column("high")
 
     def lows(self) -> np.ndarray:
-        return np.array([b.low for b in self.bars], dtype=np.float64)
+        return self._column("low")
 
     def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
+        return self._column("close")
 
     def adj_closes(self) -> np.ndarray:
-        return np.array([b.adj_close for b in self.bars], dtype=np.float64)
-
-    def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self.bars], dtype=np.float64)
+        return self._column("adj_close")
 
     def with_close_from_adj(self) -> "OhlcvSeries":
         """Substitute the adjusted close as the modeled price.

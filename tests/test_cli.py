@@ -8,15 +8,17 @@ import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stockcast
 from stockcast.charts import render_line_chart
 from stockcast.cli import main
 from stockcast.config import RunConfig
+from stockcast.evaluation import forecast_recursive
 from stockcast.indicators import IndicatorConfig
-from stockcast.lstm import TrainConfig, load_model
-from stockcast.market_data import serialize_csv
+from stockcast.lstm import TrainConfig, gate_view, load_model
+from stockcast.market_data import parse_csv, serialize_csv
 
 from conftest import SNAPSHOT_CSV, random_walk_series
 
@@ -203,6 +205,33 @@ def test_forecast_output_and_trend(tmp_path, capsys):
     assert len(lines) == 7
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4", "5", "6"]
     assert all(float(row.split(",")[1]) > 0.0 for row in lines[1:])
+
+
+def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys):
+    # b_f = -1000 puts exp(-z) past float64's range; the sigmoid is still exactly 0
+    data, model_path = trained_setup(tmp_path)
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    doc["layers"][0]["b_f"] = [-1000.0] * len(doc["layers"][0]["b_f"])
+    saturated = tmp_path / "saturated.json"
+    saturated.write_text(json.dumps(doc))
+    out = tmp_path / "forecast.csv"
+    src = str(Path(stockcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "from stockcast.cli import entrypoint; entrypoint()", "forecast",
+         "--input", str(data), "--model", str(saturated), "--out", str(out), "--horizon", "4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+    # a forget bias of -inf gives the same exact 0 without overflowing exp
+    model = load_model(saturated)
+    gate_view(model.layers[0], "b_f")[...] = -np.inf
+    result = forecast_recursive(model, parse_csv(data.read_text(), "X"), 4)
+    lines = ["day_index,predicted_close"]
+    lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------------- backtest

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockcast.indicators import (
@@ -317,6 +317,87 @@ def test_channel_ops_scale_invariant_and_bounded(seed, factor):
     finite_d = d[~np.isnan(d)]
     assert ((finite_d >= 0.0) & (finite_d <= 100.0)).all()
     close_nan(cci(scaled_series(series, factor), 20), cci(series, 20), rtol=1e-6)
+
+
+# ------------------------------------------- exactness against per-element loops
+
+def elementwise_ema(closes, alpha):
+    """ema as a loop over numpy scalars, one element at a time."""
+    x = np.asarray(closes, dtype=np.float64)
+    out = np.empty_like(x)
+    if x.size == 0:
+        return out
+    prev = out[0] = x[0]
+    for t in range(1, x.size):
+        prev = out[t] = prev + alpha * (x[t] - prev)
+    return out
+
+
+def elementwise_rsi(closes, n):
+    """rsi as a loop over numpy scalars, mapping each pair of averages by branches."""
+
+    def value(avg_gain, avg_loss):
+        if avg_loss == 0.0 and avg_gain == 0.0:
+            return 50.0
+        if avg_loss == 0.0:
+            return 100.0
+        if avg_gain == 0.0:
+            return 0.0
+        return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+
+    x = np.asarray(closes, dtype=np.float64)
+    out = np.full(x.shape, np.nan)
+    if x.size < n + 1:
+        return out
+    diffs = np.diff(x)
+    gains = np.maximum(diffs, 0.0)
+    losses = np.maximum(-diffs, 0.0)
+    avg_gain = gains[:n].mean()
+    avg_loss = losses[:n].mean()
+    out[n] = value(avg_gain, avg_loss)
+    for t in range(n + 1, x.size):
+        avg_gain = (avg_gain * (n - 1) + gains[t - 1]) / n
+        avg_loss = (avg_loss * (n - 1) + losses[t - 1]) / n
+        out[t] = value(avg_gain, avg_loss)
+    return out
+
+
+@st.composite
+def price_paths(draw):
+    """Concatenated flat, all-gain, all-loss and noisy runs from a random start."""
+    steps = [0.0]
+    for kind, length, size in draw(st.lists(
+        st.tuples(st.sampled_from(["flat", "up", "down", "noise"]), st.integers(1, 30),
+                  st.floats(0.01, 5.0)),
+        min_size=1, max_size=6,
+    )):
+        if kind == "noise":
+            steps += draw(st.lists(st.floats(-size, size), min_size=length, max_size=length))
+        else:
+            steps += [{"flat": 0.0, "up": size, "down": -size}[kind]] * length
+    return draw(st.floats(1.0, 1000.0)) + np.cumsum(steps)
+
+
+exact = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+
+@exact
+@given(price_paths(), st.floats(0.001, 0.999))
+@example(xs=np.full(40, 7.25), alpha=0.1)
+def test_ema_matches_elementwise_loop_exactly(xs, alpha):
+    assert np.array_equal(ema(xs, alpha), elementwise_ema(xs, alpha), equal_nan=True)
+    diff, signal, _ = macd(xs)
+    assert np.array_equal(signal, elementwise_ema(diff, 0.2), equal_nan=True)
+
+
+@exact
+@given(price_paths(), st.integers(1, 20))
+@example(xs=np.full(40, 7.25), n=14)  # both averages zero: 50
+@example(xs=np.arange(1.0, 41.0), n=14)  # losses vanish: 100
+@example(xs=np.arange(41.0, 1.0, -1.0), n=14)  # gains vanish: 0
+@example(xs=np.r_[np.arange(10.0, 26.0), np.full(20, 25.0), np.arange(25.0, 5.0, -1.0)], n=5)
+def test_rsi_matches_elementwise_loop_exactly(xs, n):
+    assert np.array_equal(rsi(xs, n), elementwise_rsi(xs, n), equal_nan=True)
 
 
 # ------------------------------------------------------------- feature assembly

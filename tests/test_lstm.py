@@ -590,6 +590,19 @@ def test_golden_v1_model_resaves_and_predicts():
     assert np.allclose(model.predict_batch(X), pinned, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("key, value", [("hidden_sizes", [7]), ("seed", 99)])
+def test_load_rejects_train_config_contradicting_its_copies(tmp_path, key, value):
+    # v1 repeats hidden_sizes and the seed at the top level; the golden copies agree
+    doc = json.loads((FIXTURES / "golden_v1_model.json").read_text())
+    assert (doc["hidden_sizes"], doc["rng_seed"]) == ([4, 3], 2024)
+    doc["train_config"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(path)
+    assert err.value.path == f"$.train_config.{key}"
+
+
 @pytest.mark.parametrize("payload", [b'{"mode": "caf\xe9"}', b"[" * 100000],
                          ids=["not-utf8", "deeply-nested"])
 def test_load_maps_unparseable_bytes_to_corrupt_model(tmp_path, payload):

@@ -2,7 +2,10 @@
 
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockcast.market_data import (
     CSV_HEADER,
@@ -13,6 +16,7 @@ from stockcast.market_data import (
     InvariantViolation,
     MalformedHeader,
     MalformedRow,
+    MarketDataError,
     NetworkError,
     NonAscendingDates,
     OhlcvSeries,
@@ -174,9 +178,56 @@ def test_slice_by_date(snapshot_series):
 
 
 def test_series_builders_reject_disorder():
-    bars = flat_series([1.0, 2.0, 3.0]).bars
-    with pytest.raises(NonAscendingDates):
-        OhlcvSeries("X", (bars[1], bars[0], bars[2]))
+    bars = flat_series([1.0, 2.0, 3.0, 4.0, 5.0]).bars
+    for order, first_bad in (((1, 0, 2), 0), ((0, 2, 1, 4, 3), 1), ((0, 1, 1, 0), 1)):
+        with pytest.raises(NonAscendingDates) as err:
+            OhlcvSeries("X", tuple(bars[k] for k in order))
+        assert err.value.date == bars[first_bad].date  # the first bar out of order
+
+
+def test_series_columns_are_built_once_and_read_only(snapshot_series):
+    for name in ("high", "low", "close", "adj_close"):
+        column = getattr(OhlcvSeries, f"{name}s")
+        first = column(snapshot_series)
+        assert first.tolist() == [getattr(b, name) for b in snapshot_series.bars]
+        assert column(snapshot_series) is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+    assert snapshot_series.dates() is snapshot_series.dates()
+    assert snapshot_series.dates() == tuple(b.date for b in snapshot_series.bars)
+
+
+def test_parse_fuzzed_csv_gives_series_or_typed_error():
+    lines = SNAPSHOT_CSV.splitlines()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
+        if kind == "truncate":
+            text = SNAPSHOT_CSV[: data.draw(st.integers(0, len(SNAPSHOT_CSV) - 1))]
+        elif kind == "flip":
+            blob = bytearray(SNAPSHOT_CSV.encode())
+            for _ in range(data.draw(st.integers(1, 3))):
+                blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+            text = blob.decode("latin-1")  # every byte becomes one character
+        else:
+            i, j = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+            rows = [line.split(",") for line in lines]
+            first = 0 if data.draw(st.booleans()) else 1  # header too, or data rows only
+            for fields in rows[first:]:
+                fields[i], fields[j] = fields[j], fields[i]
+            text = "\n".join(",".join(fields) for fields in rows) + "\n"
+        try:
+            series = parse_csv(text, "X")
+        except MarketDataError:
+            return
+        assert isinstance(series, OhlcvSeries)
+        dates = series.dates()
+        assert all(a < b for a, b in zip(dates, dates[1:]))
+        assert all(np.isfinite(column()).all() for column in (series.highs, series.lows, series.closes))
+
+    check()
 
 
 def test_fetch_good(data_server):
