@@ -17,7 +17,7 @@ from datetime import date as Date
 from pathlib import Path
 
 from . import charts, evaluation, lstm, pipeline
-from .config import ConfigError, RunConfig, parse_config_text, resolve_config
+from .config import FIELD_CHOICES, ConfigError, RunConfig, parse_config_text, resolve_config
 from .dataset import DatasetError
 from .evaluation import EvalError
 from .indicators import IndicatorError, build_features, write_feature_csv
@@ -47,10 +47,41 @@ def _date_arg(token: str) -> Date:
         raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {token!r}") from None
 
 
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_TRAIN_FLAGS = (
+    "symbol", "mode", "column_set", "lookback", "train_fraction", "epochs", "batch_size",
+    "learning_rate", "hidden_sizes", "validation_fraction", "gradient_clip_norm",
+    "cell_variant", "use_adj_close", "clip_scaled",
+)
+
+
+def _flags(p: argparse.ArgumentParser, *names: str, **help_text: str) -> None:
+    """One ``--dash-name`` flag per RunConfig field, typed from the field's declaration.
+
+    An unset flag stays None, so config-file values and defaults show through.
+    List fields stay strings here, for FIELD_PARSERS to read.
+    """
+    for name in names:
+        f = _FIELDS[name]
+        if f.type.startswith("tuple"):
+            help_text.setdefault(name, "comma-separated, e.g. " + ",".join(map(str, f.default)))
+        typed = {"action": "store_true"} if f.type == "bool" else {
+            "type": {"int": int, "float": float}.get(f.type), "choices": FIELD_CHOICES.get(name)}
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       help=help_text.get(name), **typed)
+
+
 def _globals(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed override")
+    _flags(parser, "seed", seed="PRNG seed override")
     parser.add_argument("--verbose", action="store_true", default=None, help="chatty stderr")
+
+
+def _command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_text)
+    _globals(p)
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -58,101 +89,45 @@ def build_parser() -> _Parser:
     _globals(parser)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("fetch", help="download a daily OHLCV CSV")
-    _globals(p)
-    p.add_argument("--symbol", default=None)
+    p = _command(sub, "fetch", cmd_fetch, "download a daily OHLCV CSV")
+    _flags(p, "symbol")
     p.add_argument("--start", type=_date_arg, required=True)
     p.add_argument("--end", type=_date_arg, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--endpoint", default=None, help="URL template with {symbol}/{start}/{end}")
-    p.add_argument("--timeout", type=float, default=None)
-    p.set_defaults(handler=cmd_fetch)
+    _flags(p, "out", "endpoint", "timeout", endpoint="URL template with {symbol}/{start}/{end}")
 
-    p = sub.add_parser("indicators", help="compute a feature CSV from an OHLCV CSV")
-    _globals(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--column-set", dest="column_set", default=None,
-                   choices=["univariate", "paper_multivariate", "table4_all"])
-    p.add_argument("--use-adj-close", dest="use_adj_close", action="store_true", default=None)
-    p.set_defaults(handler=cmd_indicators)
+    p = _command(sub, "indicators", cmd_indicators, "compute a feature CSV from an OHLCV CSV")
+    _flags(p, "input", "out", "symbol", "column_set", "use_adj_close")
 
-    p = sub.add_parser("train", help="train a model and write it as JSON")
-    _globals(p)
-    p.add_argument("--input", default=None)
+    p = _command(sub, "train", cmd_train, "train a model and write it as JSON")
+    _flags(p, "input")
     p.add_argument("--model-out", dest="model", default=None)
-    p.add_argument("--history-out", dest="history_out", default=None)
-    _train_flags(p)
-    p.set_defaults(handler=cmd_train)
+    _flags(p, "history_out", *_TRAIN_FLAGS)
 
-    p = sub.add_parser("evaluate", help="one-step metrics on the held-out test split")
-    _globals(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--model", default=None)
+    p = _command(sub, "evaluate", cmd_evaluate, "one-step metrics on the held-out test split")
+    _flags(p, "input", "model")
     p.add_argument("--report-out", dest="out", default=None)
-    p.add_argument("--predictions-out", dest="predictions_out", default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--symbol", default=None)
-    p.set_defaults(handler=cmd_evaluate)
+    _flags(p, "predictions_out", "train_fraction", "symbol")
 
-    p = sub.add_parser("forecast", help="recursive multi-day forecast from a trained model")
-    _globals(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--symbol", default=None)
-    p.set_defaults(handler=cmd_forecast)
+    p = _command(sub, "forecast", cmd_forecast, "recursive multi-day forecast from a trained model")
+    _flags(p, "input", "model", "out", "horizon", "symbol")
 
-    p = sub.add_parser("backtest", help="expanding-window walk-forward evaluation")
-    _globals(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--folds", type=int, default=None)
-    _train_flags(p)
-    p.set_defaults(handler=cmd_backtest)
+    p = _command(sub, "backtest", cmd_backtest, "expanding-window walk-forward evaluation")
+    _flags(p, "input", "out_dir", "folds", *_TRAIN_FLAGS)
 
-    p = sub.add_parser("plot", help="render series CSVs as an SVG chart")
-    _globals(p)
+    p = _command(sub, "plot", cmd_plot, "render series CSVs as an SVG chart")
     p.add_argument("--series", action="append", default=None, metavar="LABEL=PATH[:COLUMN]",
                    help="repeatable; COLUMN defaults to the last column")
-    p.add_argument("--out", default=None, help="SVG output path")
-    p.add_argument("--merge-out", dest="merge_out", default=None, help="merged CSV output path")
+    _flags(p, "out", "merge_out", out="SVG output path", merge_out="merged CSV output path")
     p.add_argument("--title", default="")
-    p.set_defaults(handler=cmd_plot)
 
     return parser
-
-
-def _train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--mode", default=None, choices=["univariate", "multivariate"])
-    p.add_argument("--column-set", dest="column_set", default=None,
-                   choices=["univariate", "paper_multivariate", "table4_all"])
-    p.add_argument("--lookback", type=int, default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--hidden-sizes", dest="hidden_sizes", default=None,
-                   help="comma-separated, e.g. 50,50")
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float, default=None)
-    p.add_argument("--gradient-clip-norm", dest="gradient_clip_norm", type=float, default=None)
-    p.add_argument("--cell-variant", dest="cell_variant", default=None,
-                   choices=["standard", "as_printed"])
-    p.add_argument("--use-adj-close", dest="use_adj_close", action="store_true", default=None)
-    p.add_argument("--clip-scaled", dest="clip_scaled", action="store_true", default=None)
 
 
 def _resolve(args) -> RunConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = parse_config_text(Path(args.config).read_text())
-    overrides = {}
-    for f in fields(RunConfig):
-        if hasattr(args, f.name) and getattr(args, f.name) is not None:
-            overrides[f.name] = getattr(args, f.name)
+    overrides = {name: value for name, value in vars(args).items() if name in _FIELDS}
     return resolve_config(file_values, overrides)
 
 

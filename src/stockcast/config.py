@@ -7,7 +7,7 @@ are errors. Command-line flags override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .indicators import COLUMN_SETS, UNIVARIATE, PAPER_MULTIVARIATE, IndicatorConfig
 from .lstm import CELL_VARIANTS, MODES, TrainConfig
@@ -19,30 +19,16 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class _RunSettings:
+    """Run-level settings. RunConfig adds every IndicatorConfig and TrainConfig
+    field to them, flat, with the default declared in the sub-config."""
+
     symbol: str = "STOCK"
     mode: str = "univariate"
     column_set: str = ""  # empty resolves from mode
-    sma_periods: tuple[int, ...] = (10, 50, 200)
-    wma_period: int = 10
-    ema_alpha: float = 0.1
-    rsi_period: int = 14
-    cci_period: int = 20
-    stoch_k_period: int = 14
-    stoch_d_period: int = 10
-    macd_fast: int = 12
-    macd_slow: int = 26
-    macd_signal: int = 9
     lookback: int = 60
     train_fraction: float = 0.80
-    epochs: int = 20
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    hidden_sizes: tuple[int, ...] = (50, 50)
-    validation_fraction: float = 0.1
-    gradient_clip_norm: float = 5.0
     cell_variant: str = "standard"
-    seed: int = 42
     horizon: int = 30
     folds: int = 5
     use_adj_close: bool = False
@@ -69,6 +55,19 @@ class RunConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default))
+     for sub in (IndicatorConfig, TrainConfig) for f in fields(sub)],
+    bases=(_RunSettings,),
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+
+# Values a field may take; the flags offer them as argparse choices.
+FIELD_CHOICES = {"mode": MODES, "column_set": COLUMN_SETS, "cell_variant": CELL_VARIANTS}
+
+
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -93,29 +92,20 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in raw.split(",")]
+    if "" in parts:  # an empty item, as in "50,,50" or "50,", is a typo, not a shorter list
         raise ValueError("expected a comma-separated list of integers")
     return tuple(_parse_int(p) for p in parts)
 
 
-def _build_field_parsers():
-    parsers = {}
-    for f in fields(RunConfig):
-        if f.type.startswith("tuple"):
-            parsers[f.name] = _parse_int_list
-        elif f.type == "int":
-            parsers[f.name] = _parse_int
-        elif f.type == "float":
-            parsers[f.name] = _parse_float
-        elif f.type == "bool":
-            parsers[f.name] = _parse_bool
-        else:
-            parsers[f.name] = lambda raw: raw
-    return parsers
-
-
-FIELD_PARSERS = _build_field_parsers()
+_TYPE_PARSERS = {
+    "tuple[int, ...]": _parse_int_list,
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "str": lambda raw: raw,
+}
+FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict[str, str]:

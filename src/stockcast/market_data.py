@@ -13,6 +13,7 @@ from __future__ import annotations
 import calendar
 import math
 import operator
+import re
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 
@@ -24,6 +25,13 @@ DEFAULT_ENDPOINT = (
     "https://query1.finance.yahoo.com/v7/finance/download/{symbol}"
     "?period1={start_epoch}&period2={end_epoch}&interval=1d&events=history"
 )
+
+
+# A row's six numeric fields, each a plain decimal number as repr() writes one.
+# float() alone would also take padding, digit-group underscores, non-ASCII
+# digits, inf and nan.
+_NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_NUMBER_FIELDS = re.compile(",".join([_NUMBER] * 6))
 
 
 class MarketDataError(Exception):
@@ -188,18 +196,17 @@ def parse_csv(text: str, symbol: str) -> OhlcvSeries:
     dropped = 0
     flat_flagged = 0
     for line_number, raw in enumerate(lines[1:], start=2):
-        fields = raw.rstrip("\r").split(",")
+        line = raw.rstrip("\r")
+        fields = line.split(",")
         if len(fields) != 7:
             raise MalformedRow(line_number, f"expected 7 comma-separated fields, got {len(fields)}")
         if "null" in fields[1:]:
             dropped += 1
             continue
         bar_date = _parse_date(fields[0], line_number)
-        try:
-            numbers = [float(f) for f in fields[1:]]
-        except ValueError:
-            raise MalformedRow(line_number, "non-numeric field") from None
-        bar = Bar(bar_date, *numbers)
+        if not _NUMBER_FIELDS.fullmatch(line, len(fields[0]) + 1):
+            raise MalformedRow(line_number, "non-numeric field")
+        bar = Bar(bar_date, *map(float, fields[1:]))
         check_bar(bar)
         if bar.volume == 0.0 and bar.open == bar.high == bar.low == bar.close:
             flat_flagged += 1

@@ -14,7 +14,7 @@ import pytest
 import stockcast
 from stockcast.charts import render_line_chart
 from stockcast.cli import main
-from stockcast.config import RunConfig
+from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
 from stockcast.evaluation import forecast_recursive
 from stockcast.indicators import IndicatorConfig
 from stockcast.lstm import TrainConfig, gate_view, load_model
@@ -50,6 +50,27 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["fetch", "--start", "2021-13-45", "--end", "2021-12-30",
                  "--out", str(tmp_path / "x.csv")]) == 64
     capsys.readouterr()
+
+
+HELP_COMMANDS = ([], ["fetch"], ["indicators"], ["train"], ["evaluate"], ["forecast"],
+                 ["backtest"], ["plot"])
+
+
+def test_help_text_matches_fixture(monkeypatch, capsys):
+    """Top-level and subcommand --help pages, at 80 columns, byte for byte.
+
+    The fixture was written by Python 3.11's argparse; other minor versions
+    may lay help out differently.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for command in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        pages.append(capsys.readouterr().out)
+    expected = (Path(__file__).parent / "fixtures" / "cli_help.txt").read_text()
+    assert "".join(pages) == expected
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -375,6 +396,46 @@ def test_config_file_rejections(tmp_path, capsys):
                "--out", str(tmp_path / "f.csv"), "--column-set", "univariate"])
     assert rc == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden_sizes", "50,,50"), ("hidden_sizes", "50,"), ("sma_periods", ",10,50"),
+])
+def test_empty_list_item_is_config_error(tmp_path, capsys, key, value):
+    data = write_walk(tmp_path, n=60)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    outputs = ["--model-out", str(tmp_path / "m.json"), "--history-out", str(tmp_path / "h.csv")]
+    error = f"usage error: {key}: expected a comma-separated list of integers\n"
+    assert main(["train", "--config", str(config), "--input", str(data), *outputs]) == 64
+    assert capsys.readouterr().err == error
+    if key == "hidden_sizes":
+        assert main(["train", "--hidden-sizes", value, "--input", str(data), *outputs]) == 64
+        assert capsys.readouterr().err == error
+    assert not (tmp_path / "m.json").exists()
+
+
+def _as_config_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_config_key_reads_its_default_back():
+    defaults = RunConfig()
+    text = "".join(f"{f.name} = {_as_config_text(getattr(defaults, f.name))}\n"
+                   for f in fields(RunConfig))
+    assert resolve_config(parse_config_text(text)) == defaults
+
+
+def test_readme_config_reference_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```ini\n# Every key, set to its default") + len("```ini\n")
+    block = readme[start:readme.index("```", start)]
+    values = parse_config_text(block)
+    assert sorted(values) == sorted(f.name for f in fields(RunConfig))
+    defaults = RunConfig()
+    for key, text in values.items():
+        assert FIELD_PARSERS[key](text) == getattr(defaults, key), key
+    assert resolve_config(values) == defaults
 
 
 def test_global_seed_flag_changes_model(tmp_path, capsys):

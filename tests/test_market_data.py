@@ -77,6 +77,33 @@ def test_non_numeric_field_reports_line_number():
     assert err.value.line_number == 4
 
 
+@pytest.mark.parametrize("fields", [
+    "1_0.0,12.0,9.0,11.0,11.0,100",  # digit-group underscore in the open
+    "10.0, 12.0 ,9.0,11.0,11.0,100",  # padded high
+    "10.0,12.0,9.0,11.0,11.0,1_00",  # digit-group underscore in the volume
+    "10.0,12.,9.0,11.0,11.0,100",
+    "10.0,12.0,.9e1,11.0,11.0,100",
+    "10.0,12.0,9.0,11.0,11.0,inf",
+    "10.0,12.0,9.0,११.0,11.0,100",  # Devanagari digits
+])
+def test_number_that_is_not_plain_decimal_reports_line_number(fields):
+    text = f"{CSV_HEADER}\n2021-12-23,10.0,12.0,9.0,11.0,11.0,100\n2021-12-24,{fields}\n"
+    with pytest.raises(MalformedRow, match="^line 3: non-numeric field$"):
+        parse_csv(text, "X")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=4, max_size=4),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+def test_every_repr_number_parses_back(prices, volume):
+    low, high = min(prices), max(prices)
+    bar = Bar(date(2021, 1, 4), prices[0], high, low, prices[1], prices[2], volume)
+    series = OhlcvSeries("X", (bar,))
+    assert parse_csv(serialize_csv(series), "X").bars == series.bars
+
+
 @pytest.mark.parametrize("token", ["2021/12/24", "20211224", "2021-13-01", "21-12-24"])
 def test_date_must_be_iso(token):
     text = f"{CSV_HEADER}\n{token},1.0,2.0,0.5,1.5,1.5,100\n"
@@ -138,6 +165,10 @@ def test_invariant_violation_inside_parse():
     text = f"{CSV_HEADER}\n2021-12-24,10.0,9.0,8.0,11.0,11.0,100\n"
     with pytest.raises(InvariantViolation):
         parse_csv(text, "X")
+    text = f"{CSV_HEADER}\n2021-12-24,-10.0,12.0,9.0,11.0,11.0,100\n"  # a signed number is a number
+    with pytest.raises(InvariantViolation) as err:
+        parse_csv(text, "X")
+    assert err.value.field == "open"
 
 
 def test_flat_zero_volume_bar_kept_but_counted():
