@@ -1,12 +1,15 @@
 """Run configuration: defaults, flat key=value config files, flag overrides.
 
-Config files are plain text, one ``key = value`` per line, with ``#``
-comments. Every key is validated before any computation starts; unknown keys
-are errors. Command-line flags override file values.
+Config files are plain text, one ``key = value`` per line. A ``#`` at the
+start of a line or after whitespace starts a comment; elsewhere, as in a path
+or a URL fragment, it is part of the value. Every key is validated before any
+computation starts; unknown keys are errors. Command-line flags override file
+values.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from .indicators import COLUMN_SETS, UNIVARIATE, PAPER_MULTIVARIATE, IndicatorConfig
@@ -108,11 +111,14 @@ _TYPE_PARSERS = {
 FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a # that opens a line or follows whitespace
+
+
 def parse_config_text(text: str) -> dict[str, str]:
-    """key = value lines; # starts a comment; duplicate keys are errors."""
+    """key = value lines; _COMMENT starts a comment; duplicate keys are errors."""
     values: dict[str, str] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")

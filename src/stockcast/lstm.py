@@ -16,12 +16,16 @@ state update with c = f * c_prev + i, keeping f, o, and h as above. Neither
 variant uses peephole connections.
 
 Each layer is stored packed, as in Appleyard, Kocisky and Blunsom (2016):
-W_x (I, 4H), W_h (H, 4H) and b (4H,), with the gate blocks in the order
-f, i, o, g. Forward is two GEMMs into one (B, 4H) pre-activation; adding the
-bias turns it into a (4H, B) array, so the batch runs along columns and each
-gate is one contiguous block, and one sigmoid covers the first 3H rows and one
-tanh the last H. Backward builds one (4H, B) dZ per step and takes four GEMMs
-from it, and its gradients have the shapes of W_x, W_h and b.
+W_x (I, 4H), W_h (H, 4H) and b (4H,), in gate blocks f, i, o, g, and is
+unrolled time-major into preallocated (T, width, B) buffers of the gates, c,
+tanh(c) and h. A step is two GEMMs into two reused (B, 4H) scratch arrays,
+whose sum plus the bias lands in the step's (4H, B) gate slot, where one
+sigmoid covers the first 3H rows and one tanh the last H. Backward needs every
+step, so only forward_batch keeps all T slots, in the ForwardCache it hands to
+backward. Prediction (predict_batch, forward, train's validation pass) keeps
+one gate slot and two c slots and drops a layer's buffers once the next layer
+has read its h. Backward builds one (4H, B) dZ per step, takes four GEMMs
+from it and returns gradients in the shapes of W_x, W_h and b.
 
 The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
 in the model file. gate_view maps each one to a writable view of the packed
@@ -161,12 +165,6 @@ def gate_view(layer: LstmLayerParams, name: str) -> np.ndarray:
     return (layer.W_x if name.endswith("x") else layer.W_h)[:, block].T
 
 
-@dataclass(eq=False)
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -218,12 +216,11 @@ class LstmModel:
         return len(self.feature_names)
 
     def predict(self, window) -> float:
-        value, _ = forward(self, window)
-        return value
+        return forward(self, window)
 
     def predict_batch(self, windows) -> np.ndarray:
-        preds, _ = forward_batch(self, np.asarray(windows, dtype=np.float64))
-        return preds
+        """Predictions for (batch, lookback, features) windows; keeps no backward caches."""
+        return _predict(self, windows)
 
 
 def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParams:
@@ -291,61 +288,79 @@ def new_model(
     )
 
 
-def _step(layer: LstmLayerParams, x, h_prev, c_prev, standard: bool):
-    """One time step on column batches: x is (I, B), h_prev and c_prev (H, B).
+@dataclass(eq=False)
+class LayerBuffers:
+    """One layer's time-major buffers; step t writes slot t % slots, but h keeps all T."""
+
+    h: np.ndarray  # (T, H, B), the next layer's input
+    c: np.ndarray  # (slots, H, B); one more slot than the rest when slots < T, for c_prev
+    tc: np.ndarray  # tanh(c), (slots, H, B)
+    gates: np.ndarray  # (slots, 4H, B): sigmoid f, i, o, then tanh g
+
+
+@dataclass(eq=False)
+class ForwardCache:
+    """What backward reads: forward_batch's windows and each layer's all-T buffers."""
+
+    windows: np.ndarray  # (B, T, I), layer 0's input
+    variant: str
+    layers: list[LayerBuffers]
+    h_last: np.ndarray  # (B, H), the head's input
+
+
+def _buffers(hidden_sizes, length: int, batch: int, slots: int) -> list[LayerBuffers]:
+    """Each layer's buffers as views of one block. glibc's malloc keeps one block on the
+    heap from one training batch to the next; one array per buffer is handed back to the
+    system on free and faults its pages in again (2.6k faults per batch-32 step)."""
+    block = np.empty((length + min(slots + 1, length) + 5 * slots) * sum(hidden_sizes) * batch)
+    layers, start = [], 0
+    for hidden in hidden_sizes:
+        views = []
+        for rows, width in ((length, hidden), (min(slots + 1, length), hidden),
+                            (slots, hidden), (slots, 4 * hidden)):
+            views.append(block[start : start + rows * width * batch].reshape(rows, width, batch))
+            start += rows * width * batch
+        layers.append(LayerBuffers(*views))
+    return layers
+
+
+def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard: bool) -> None:
+    """Run one layer from zero h and c over the (T, I, B) input columns seq into buf.
 
     The GEMMs take (B, *) rows, as the per-gate products did, which keeps the
     outputs bit-identical to those wherever BLAS picks the same kernel for
     both (batch >= 25 with OpenBLAS 0.3.31 on AVX-512).
     """
-    hidden = c_prev.shape[0]
-    # z is allocated before the GEMM temporaries, so freeing them leaves no heap hole under it
-    z = np.empty((4 * hidden, max(x.shape[1], h_prev.shape[1])))
-    np.add((x.T @ layer.W_x + h_prev.T @ layer.W_h).T, layer.b[:, None], out=z)
-    # sigmoid as 1 / (1 + exp(-z)), in place; exp overflows to inf below z = -709 and
-    # gives the right 0, so callers enter np.errstate(over="ignore") once around their steps
-    s = z[: 3 * hidden]
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    np.divide(1.0, s, out=s)
-    np.tanh(z[3 * hidden :], out=z[3 * hidden :])
-    f, i, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
-    c = f * c_prev
-    c += i * g if standard else i + g
-    tc = np.tanh(c)
-    cache = {
-        "x": x, "h_prev": h_prev, "c_prev": c_prev, "gates": z,
-        "f": f, "i": i, "g": g, "o": o, "tc": tc,
-    }
-    return o * tc, c, cache
-
-
-def cell_forward(params: LstmLayerParams, x_t, prev: LstmState, variant: str = "standard"):
-    """One time step. Returns the new state and the cache backward needs."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape[-1] != params.input_size:
-        raise ShapeMismatch(f"input width {x_t.shape[-1]}, layer expects {params.input_size}")
-    if prev.h.shape[-1] != params.hidden_size or prev.c.shape[-1] != params.hidden_size:
-        raise ShapeMismatch("state width does not match layer hidden size")
-    if variant not in CELL_VARIANTS:
-        raise ValueError(f"unknown cell variant {variant!r}")
-    rows = np.broadcast_shapes(x_t.shape[:-1], prev.h.shape[:-1], prev.c.shape[:-1]) + (-1,)
-    columns = (np.atleast_2d(a).T for a in (x_t, prev.h, prev.c))
+    length, _, batch = seq.shape
+    hidden, slots, c_slots = layer.hidden_size, len(buf.gates), len(buf.c)
+    zeros = np.zeros((hidden, batch))  # h and c before the first step
+    xw, hw = np.empty((batch, 4 * hidden)), np.empty((batch, 4 * hidden))
+    x_rows, h_rows = seq.transpose(0, 2, 1), buf.h.transpose(0, 2, 1)  # (T, B, width) views
+    W_x, W_h, bias = layer.W_x, layer.W_h, layer.b[:, None]
+    # sigmoid as 1 / (1 + exp(-z)) in place; exp overflows to inf below z = -709, giving the right 0
     with np.errstate(over="ignore"):
-        h, c, cache = _step(params, *columns, variant == "standard")
+        for t in range(length):
+            c_prev = buf.c[(t - 1) % c_slots] if t else zeros
+            z, c, tc = buf.gates[t % slots], buf.c[t % c_slots], buf.tc[t % slots]
+            np.matmul(x_rows[t], W_x, out=xw)
+            np.matmul(h_rows[t - 1] if t else zeros.T, W_h, out=hw)
+            xw += hw
+            np.add(xw.T, bias, out=z)
+            s, g = z[: 3 * hidden], z[3 * hidden :]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(g, out=g)
+            np.multiply(s[:hidden], c_prev, out=c)  # s holds f, i, o
+            i = s[hidden : 2 * hidden]
+            c += i * g if standard else i + g
+            np.tanh(c, out=tc)
+            np.multiply(s[2 * hidden :], tc, out=buf.h[t])
 
-    def as_rows(arr):  # back to C-ordered (..., width) rows, the layout callers pass in
-        return np.ascontiguousarray(arr.T).reshape(rows)
 
-    return LstmState(as_rows(h), as_rows(c)), {name: as_rows(arr) for name, arr in cache.items()}
-
-
-def forward_batch(model: LstmModel, windows: np.ndarray):
-    """Unrolled forward pass over (batch, lookback, features) windows.
-
-    The per-step caches hold (width, batch) columns, as _step uses them.
-    """
+def _windows(model: LstmModel, windows) -> np.ndarray:
+    """(batch, lookback, features) float64 windows, checked against the model."""
     X = np.asarray(windows, dtype=np.float64)
     if X.ndim != 3 or X.shape[1] != model.lookback or X.shape[2] != model.num_features:
         raise ShapeMismatch(
@@ -353,73 +368,56 @@ def forward_batch(model: LstmModel, windows: np.ndarray):
         )
     if model.cell_variant not in CELL_VARIANTS:
         raise ValueError(f"unknown cell variant {model.cell_variant!r}")
-    standard = model.cell_variant == "standard"
-    batch = X.shape[0]
-    seq = [X[:, t, :].T for t in range(model.lookback)]  # each layer's input, step by step
-    layer_caches = []
-    with np.errstate(over="ignore"):
-        for layer in model.layers:
-            h = c = np.zeros((layer.hidden_size, batch))
-            steps = []
-            for t, x in enumerate(seq):
-                h, c, cache = _step(layer, x, h, c, standard)
-                steps.append(cache)
-                seq[t] = h
-            layer_caches.append(steps)
+    return X
+
+
+def forward_batch(model: LstmModel, windows: np.ndarray):
+    """Unrolled forward pass over (batch, lookback, features) windows.
+
+    Returns the predictions and a ForwardCache for backward, which keeps
+    every layer's buffers for all lookback steps. Calls that only predict
+    should use predict_batch, which computes the same values and keeps none.
+    """
+    X = _windows(model, windows)
+    layers = _buffers(model.hidden_sizes, model.lookback, len(X), model.lookback)
+    seq = X.transpose(1, 2, 0)  # (T, I, B) view: step t's input columns
+    for layer, buf in zip(model.layers, layers):
+        _unroll(layer, seq, buf, model.cell_variant == "standard")
+        seq = buf.h
     h_last = np.ascontiguousarray(seq[-1].T)
-    preds = h_last @ model.head_w + model.head_b[0]
-    return preds, {
-        "shape": X.shape,
-        "variant": model.cell_variant,
-        "layers": layer_caches,
-        "h_last": h_last,
-    }
+    return h_last @ model.head_w + model.head_b[0], ForwardCache(X, model.cell_variant, layers, h_last)
 
 
-def forward(model: LstmModel, window):
-    """Scalar prediction for one (lookback, features) window, plus caches."""
-    W = np.asarray(window, dtype=np.float64)
-    if W.shape != (model.lookback, model.num_features):
-        raise ShapeMismatch(
-            f"window shaped {W.shape}, model expects ({model.lookback}, {model.num_features})"
-        )
-    if not np.isfinite(W).all():
+def _predict(model: LstmModel, windows) -> np.ndarray:
+    X = _windows(model, windows)
+    seq = X.transpose(1, 2, 0)
+    for layer in model.layers:
+        (buf,) = _buffers((layer.hidden_size,), model.lookback, len(X), 1)
+        _unroll(layer, seq, buf, model.cell_variant == "standard")
+        seq = buf.h  # and the previous layer's buffers are dropped
+    return np.ascontiguousarray(seq[-1].T) @ model.head_w + model.head_b[0]
+
+
+def forward(model: LstmModel, window) -> float:
+    """Scalar prediction for one (lookback, features) window."""
+    X = _windows(model, np.asarray(window, dtype=np.float64)[None])
+    if not np.isfinite(X).all():
         raise NonFiniteInput("window contains non-finite values")
-    preds, caches = forward_batch(model, W[None, :, :])
-    return float(preds[0]), caches
+    return float(_predict(model, X)[0])
 
 
-def _check_caches(model: LstmModel, caches) -> tuple[int, int]:
-    try:
-        batch, length, width = caches["shape"]
-        layer_caches = caches["layers"]
-        variant = caches["variant"]
-        h_last = caches["h_last"]
-    except (KeyError, TypeError, ValueError):
-        raise CacheMismatch("caches missing required entries") from None
-    if variant != model.cell_variant:
-        raise CacheMismatch(f"caches built for variant {variant!r}, model is {model.cell_variant!r}")
-    if len(layer_caches) != len(model.layers):
-        raise CacheMismatch("cache layer count does not match model")
-    if width != model.num_features or length != model.lookback:
-        raise CacheMismatch("cache window shape does not match model")
-    if h_last.shape != (batch, model.layers[-1].hidden_size):
-        raise CacheMismatch("cached h_last shape does not match model")
-    for layer, steps in zip(model.layers, layer_caches):
-        if len(steps) != length:
-            raise CacheMismatch("cache step count does not match window length")
-        if steps[0]["x"].shape[0] != layer.input_size:
-            raise CacheMismatch("cache input width does not match layer")
-    return batch, length
-
-
-def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
+def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, np.ndarray]:
     """Exact gradients of sum(d_prediction * prediction) for every parameter.
 
-    d_prediction carries the loss derivative per batch element; gradients are
-    summed over the batch. Keys follow model_param_items naming.
+    caches is forward_batch's ForwardCache. d_prediction carries the loss
+    derivative per batch element; gradients are summed over the batch. Keys
+    follow model_param_items naming.
     """
-    batch, length = _check_caches(model, caches)
+    if not isinstance(caches, ForwardCache):
+        raise CacheMismatch("caches were not made by forward_batch")
+    if caches.variant != model.cell_variant:
+        raise CacheMismatch(f"caches built for {caches.variant!r}, model is {model.cell_variant!r}")
+    batch, length = caches.windows.shape[:2]
     d_pred = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if d_pred.shape != (batch,):
         raise CacheMismatch(f"d_prediction shaped {d_pred.shape}, cache batch is {batch}")
@@ -430,22 +428,23 @@ def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
     # gradients w.r.t. each step's layer output, (H, B); the head sees only the top layer's last
     d_out = [None] * (length - 1) + [model.head_w[:, None] * d_pred[None, :]]
     for k in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[k]
+        layer, buf = model.layers[k], caches.layers[k]
+        seq = caches.layers[k - 1].h if k else caches.windows.transpose(1, 2, 0)
         hidden = layer.hidden_size
         gw_x = np.zeros((4 * hidden, layer.input_size))  # W_x and W_h gradients, transposed
         gw_h = np.zeros((4 * hidden, hidden))
         gb = np.zeros((4 * hidden, batch))  # summed over the batch after the loop
         dZ = np.empty((4 * hidden, batch))
         dz_f, dz_i, dz_o, dz_g = (dZ[j * hidden : (j + 1) * hidden] for j in range(4))
-        dh_carry = dc_carry = np.zeros((hidden, batch))
+        dh_carry = dc_carry = zeros = np.zeros((hidden, batch))  # zeros: h and c before step 0
         for t in range(length - 1, -1, -1):
-            cache = caches["layers"][k][t]
-            gates, f, i, g, o, tc = (cache[n] for n in ("gates", "f", "i", "g", "o", "tc"))
+            gates, tc = buf.gates[t], buf.tc[t]
+            f, i, o, g = (gates[j * hidden : (j + 1) * hidden] for j in range(4))
             dh = dh_carry if d_out[t] is None else d_out[t] + dh_carry
             dc = dh * o
             dc *= 1.0 - tc * tc
             dc += dc_carry
-            np.multiply(dc, cache["c_prev"], out=dz_f)
+            np.multiply(dc, buf.c[t - 1] if t else zeros, out=dz_f)
             np.multiply(dh, tc, out=dz_o)
             if standard:
                 np.multiply(dc, g, out=dz_i)
@@ -458,14 +457,14 @@ def backward(model: LstmModel, caches, d_prediction) -> dict[str, np.ndarray]:
             dZ[: 3 * hidden] *= 1.0 - gates[: 3 * hidden]
             dz_g *= 1.0 - g * g
             gb += dZ
-            gw_x += dZ @ cache["x"].T
-            gw_h += dZ @ cache["h_prev"].T
+            gw_x += dZ @ seq[t].T
+            gw_h += dZ @ (buf.h[t - 1] if t else zeros).T
             d_out[t] = layer.W_x @ dZ if k > 0 else None
             dh_carry = layer.W_h @ dZ
             dc_carry = dc * f
         grads[f"layers.{k}.W_x"], grads[f"layers.{k}.W_h"] = gw_x.T, gw_h.T
         grads[f"layers.{k}.b"] = gb.sum(axis=1)
-    grads["head.w"] = caches["h_last"].T @ d_pred
+    grads["head.w"] = caches.h_last.T @ d_pred
     grads["head.b"] = np.array([d_pred.sum()])
     return grads
 
@@ -521,7 +520,7 @@ class Adam:
 def _mse_forward(model: LstmModel, inputs: np.ndarray, targets: np.ndarray, batch_size: int) -> float:
     sq = 0.0
     for start in range(0, len(targets), batch_size):
-        preds, _ = forward_batch(model, inputs[start : start + batch_size])
+        preds = _predict(model, inputs[start : start + batch_size])
         err = preds - targets[start : start + batch_size]
         sq += float(np.sum(err * err))
     return sq / len(targets)

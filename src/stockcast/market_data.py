@@ -14,7 +14,7 @@ import calendar
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date as Date
 
 import numpy as np
@@ -167,9 +167,15 @@ class OhlcvSeries:
 
         High/low/open keep their raw values, so derived bars may break the
         usual low <= close <= high ordering; indicator math does not care.
+        The new series starts with this series' adj-close column cached as
+        both its close and adj-close columns.
         """
-        bars = tuple(replace(b, close=b.adj_close) for b in self.bars)
-        return OhlcvSeries(self.symbol, bars, self.dropped_nulls, self.flat_zero_volume_bars)
+        bars = tuple(Bar(b.date, b.open, b.high, b.low, b.adj_close, b.adj_close, b.volume)
+                     for b in self.bars)
+        swapped = OhlcvSeries(self.symbol, bars, self.dropped_nulls, self.flat_zero_volume_bars)
+        adj = self.adj_closes()
+        swapped._columns.update(close=adj, adj_close=adj)
+        return swapped
 
 
 def _parse_date(token: str, line_number: int) -> Date:

@@ -415,6 +415,26 @@ def test_empty_list_item_is_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
+    values = parse_config_text(
+        "# a whole-line comment\n"
+        "   # an indented one\n"
+        "input = runs/#3/data.csv\n"
+        "endpoint = https://quotes.example/{symbol}.csv#frag\n"
+        "lookback = 9   # note\n"
+        "seed = 4\t# after a tab\n"
+    )
+    assert values == {
+        "input": "runs/#3/data.csv",
+        "endpoint": "https://quotes.example/{symbol}.csv#frag",
+        "lookback": "9",
+        "seed": "4",
+    }
+    cfg = resolve_config(values)
+    assert (cfg.input, cfg.lookback, cfg.seed) == ("runs/#3/data.csv", 9, 4)
+    assert cfg.endpoint.endswith("#frag")
+
+
 def _as_config_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 

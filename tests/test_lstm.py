@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from stockcast.lstm import (
     LstmError,
     LstmLayerParams,
     LstmModel,
-    LstmState,
     NonFiniteInput,
     NonFiniteLoss,
     ShapeMismatch,
@@ -29,7 +29,6 @@ from stockcast.lstm import (
     UnsupportedVersion,
     Adam,
     backward,
-    cell_forward,
     clip_gradient_norm,
     forward,
     forward_batch,
@@ -171,24 +170,40 @@ def test_new_model_layer_seed_schedule():
 
 
 # --------------------------------------------------------------------- cell
+# The cell is checked through forward_batch's buffers: lookback 1 for a single
+# step from the zero state, lookback 2 where a step needs a non-zero h and c.
+
+def model_with_layer(layer, lookback, variant="standard"):
+    model = tiny_model(num_features=layer.input_size, lookback=lookback,
+                       hidden=(layer.hidden_size,), variant=variant,
+                       mode="univariate" if layer.input_size == 1 else "multivariate")
+    model.layers[0] = layer
+    return model
+
+
+def step_buffers(model, X, t):
+    """Step t of forward_batch's first layer: gates, c, tanh(c) and h as (batch, width) rows."""
+    _, caches = forward_batch(model, X)
+    buf = caches.layers[0]
+    gates = dict(zip("fiog", (block.T for block in np.split(buf.gates[t], 4))))
+    return gates, buf.c[t].T, buf.tc[t].T, buf.h[t].T
+
 
 def test_cell_zero_weights_standard():
     layer = LstmLayerParams.zeros(2, 3)
     gate_view(layer, "b_f")[:] = 0.0
-    state, cache = cell_forward(layer, np.ones((1, 2)), LstmState(np.zeros((1, 3)), np.zeros((1, 3))))
-    assert np.allclose(cache["f"], 0.5) and np.allclose(cache["i"], 0.5)
-    assert np.allclose(cache["o"], 0.5) and np.allclose(cache["g"], 0.0)
-    assert np.allclose(state.c, 0.0) and np.allclose(state.h, 0.0)
+    gates, c, _, h = step_buffers(model_with_layer(layer, 1), np.ones((1, 1, 2)), 0)
+    assert np.allclose(gates["f"], 0.5) and np.allclose(gates["i"], 0.5)
+    assert np.allclose(gates["o"], 0.5) and np.allclose(gates["g"], 0.0)
+    assert np.allclose(c, 0.0) and np.allclose(h, 0.0)
 
 
 def test_cell_zero_weights_as_printed():
     layer = LstmLayerParams.zeros(2, 3)
     gate_view(layer, "b_f")[:] = 0.0
-    state, _ = cell_forward(
-        layer, np.ones((1, 2)), LstmState(np.zeros((1, 3)), np.zeros((1, 3))), "as_printed"
-    )
-    assert np.allclose(state.c, 0.5)
-    assert np.allclose(state.h, 0.5 * math.tanh(0.5))
+    _, c, _, h = step_buffers(model_with_layer(layer, 1, "as_printed"), np.ones((1, 1, 2)), 0)
+    assert np.allclose(c, 0.5)
+    assert np.allclose(h, 0.5 * math.tanh(0.5))
 
 
 def test_cell_hand_scalar_case():
@@ -205,35 +220,34 @@ def test_cell_hand_scalar_case():
     gate_view(layer, "b_i")[0] = 0.05
     gate_view(layer, "b_g")[0] = -0.1
     gate_view(layer, "b_o")[0] = 0.2
-    x, h_prev, c_prev = 0.3, 0.2, -0.1
+    X = np.array([[[-0.6], [0.3]]])  # step 0 leaves a non-zero h and c for step 1
 
-    f = sigmoid(0.4 * x + 0.2 * h_prev + 1.0)
-    i = sigmoid(-0.3 * x + -0.5 * h_prev + 0.05)
-    g = math.tanh(0.8 * x + 0.6 * h_prev + -0.1)
-    o = sigmoid(0.1 * x + -0.7 * h_prev + 0.2)
-
-    prev = LstmState(np.array([[h_prev]]), np.array([[c_prev]]))
-    state, cache = cell_forward(layer, np.array([[x]]), prev, "standard")
-    c = f * c_prev + i * g
-    assert state.c[0, 0] == pytest.approx(c, abs=1e-15)
-    assert state.h[0, 0] == pytest.approx(o * math.tanh(c), abs=1e-15)
-    assert cache["f"][0, 0] == pytest.approx(f, abs=1e-15)
-
-    state2, _ = cell_forward(layer, np.array([[x]]), prev, "as_printed")
-    c2 = f * c_prev + (i + g)
-    assert state2.c[0, 0] == pytest.approx(c2, abs=1e-15)
-    assert state2.h[0, 0] == pytest.approx(o * math.tanh(c2), abs=1e-15)
+    for variant in ("standard", "as_printed"):
+        model = model_with_layer(layer, 2, variant)
+        h_prev = c_prev = 0.0
+        for t, x in enumerate(X[0, :, 0]):
+            f = sigmoid(0.4 * x + 0.2 * h_prev + 1.0)
+            i = sigmoid(-0.3 * x + -0.5 * h_prev + 0.05)
+            g = math.tanh(0.8 * x + 0.6 * h_prev + -0.1)
+            o = sigmoid(0.1 * x + -0.7 * h_prev + 0.2)
+            c = f * c_prev + (i * g if variant == "standard" else i + g)
+            gates, c_got, _, h_got = step_buffers(model, X, t)
+            assert c_got[0, 0] == pytest.approx(c, abs=1e-15)
+            assert h_got[0, 0] == pytest.approx(o * math.tanh(c), abs=1e-15)
+            assert gates["f"][0, 0] == pytest.approx(f, abs=1e-15)
+            h_prev, c_prev = o * math.tanh(c), c
 
 
 def test_cell_rejects_bad_shapes_and_variant():
-    layer = LstmLayerParams.zeros(2, 3)
-    good = LstmState(np.zeros((1, 3)), np.zeros((1, 3)))
+    model = model_with_layer(LstmLayerParams.zeros(2, 3), 1)
     with pytest.raises(ShapeMismatch):
-        cell_forward(layer, np.ones((1, 5)), good)
+        forward_batch(model, np.ones((1, 1, 5)))
     with pytest.raises(ShapeMismatch):
-        cell_forward(layer, np.ones((1, 2)), LstmState(np.zeros((1, 2)), np.zeros((1, 2))))
-    with pytest.raises(ValueError):
-        cell_forward(layer, np.ones((1, 2)), good, "fancy")
+        forward_batch(model, np.ones((1, 2, 2)))
+    model.cell_variant = "fancy"
+    for run in (forward_batch, LstmModel.predict_batch):
+        with pytest.raises(ValueError):
+            run(model, np.ones((1, 1, 2)))
 
 
 @pytest.mark.parametrize("variant", ["standard", "as_printed"])
@@ -241,33 +255,25 @@ def test_cell_matches_per_gate_equations(variant):
     layer = init_weights(3, 5, seed=9)
     for name, value in (("b_i", 0.1), ("b_g", -0.2), ("b_o", 0.3)):
         gate_view(layer, name)[:] = value
-    rng = np.random.default_rng(3)
-    x, h, c = rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-    state, cache = cell_forward(layer, x, LstmState(h, c), variant)
+    model = model_with_layer(layer, 2, variant)
+    X = np.random.default_rng(3).normal(size=(4, 2, 3))
+    h = c = np.zeros((4, 5))
+    for t in range(2):  # step 1 starts from step 0's h and c, read back from the buffers
+        x = X[:, t, :]
 
-    def pre(q):  # the unpacked per-gate pre-activation, as a reference
-        w_x, w_h, b = (gate_view(layer, name) for name in (f"w_{q}x", f"w_{q}h", f"b_{q}"))
-        return x @ w_x.T + h @ w_h.T + b
+        def pre(q):  # the unpacked per-gate pre-activation, as a reference
+            w_x, w_h, b = (gate_view(layer, name) for name in (f"w_{q}x", f"w_{q}h", f"b_{q}"))
+            return x @ w_x.T + h @ w_h.T + b
 
-    f, i, o = (1.0 / (1.0 + np.exp(-pre(q))) for q in "fio")
-    g = np.tanh(pre("g"))
-    c_new = f * c + (i * g if variant == "standard" else i + g)
-    tol = 8 * np.finfo(np.float64).eps
-    for got, want in ((cache["f"], f), (cache["i"], i), (cache["o"], o), (cache["g"], g),
-                      (state.c, c_new), (state.h, o * np.tanh(c_new))):
-        assert np.allclose(got, want, rtol=tol, atol=tol)
-
-
-def test_cell_keeps_unbatched_shapes():
-    layer = init_weights(2, 3, seed=5)
-    x, h, c = np.array([0.3, -0.2]), np.array([0.1, 0.0, -0.4]), np.array([0.2, -0.1, 0.5])
-    state, cache = cell_forward(layer, x, LstmState(h, c))
-    batched, batched_cache = cell_forward(layer, x[None], LstmState(h[None], c[None]))
-    assert state.h.shape == state.c.shape == (3,) and cache["x"].shape == (2,)
-    assert np.array_equal(state.h, batched.h[0]) and np.array_equal(state.c, batched.c[0])
-    for name in ("f", "i", "g", "o", "tc"):
-        assert cache[name].shape == (3,)
-        assert np.array_equal(cache[name], batched_cache[name][0])
+        f, i, o = (1.0 / (1.0 + np.exp(-pre(q))) for q in "fio")
+        g = np.tanh(pre("g"))
+        c_new = f * c + (i * g if variant == "standard" else i + g)
+        gates, c_got, tc_got, h_got = step_buffers(model, X, t)
+        tol = 8 * np.finfo(np.float64).eps
+        for got, want in ((gates["f"], f), (gates["i"], i), (gates["o"], o), (gates["g"], g),
+                          (c_got, c_new), (tc_got, np.tanh(c_new)), (h_got, o * np.tanh(c_new))):
+            assert np.allclose(got, want, rtol=tol, atol=tol)
+        h, c = h_got, c_got
 
 
 # ------------------------------------------------------------------- forward
@@ -279,7 +285,7 @@ def test_forward_zero_weights_returns_head_bias():
             arr[:] = 0.0
     model.head_w[:] = 0.0
     model.head_b[0] = 0.7
-    value, _ = forward(model, np.random.default_rng(0).normal(size=(4, 1)))
+    value = forward(model, np.random.default_rng(0).normal(size=(4, 1)))
     assert value == pytest.approx(0.7, abs=1e-15)
 
 
@@ -326,29 +332,76 @@ def test_gate_ranges_on_random_model():
     model = tiny_model(num_features=3, lookback=8, hidden=(5,), seed=2, mode="multivariate")
     X = np.random.default_rng(8).normal(size=(6, 8, 3))
     _, caches = forward_batch(model, X)
-    for step in caches["layers"][0]:
-        for gate in ("f", "i", "o"):
-            assert (step[gate] > 0.0).all() and (step[gate] < 1.0).all()
-        assert (np.abs(step["g"]) <= 1.0).all()
-        assert (np.abs(step["tc"]) <= 1.0).all()
+    buf = caches.layers[0]
+    assert buf.gates.shape == (8, 20, 6) and buf.tc.shape == (8, 5, 6)
+    sigmoids, g = buf.gates[:, :15], buf.gates[:, 15:]  # f, i, o, then g
+    assert (sigmoids > 0.0).all() and (sigmoids < 1.0).all()
+    assert (np.abs(g) <= 1.0).all()
+    assert (np.abs(buf.tc) <= 1.0).all()
+
+
+def reference_step(layer, x, h, c, standard):
+    """One step on (width, batch) columns: forward_batch's arithmetic, in its order."""
+    hidden = layer.hidden_size
+    z = (x.T @ layer.W_x + h.T @ layer.W_h).T + layer.b[:, None]
+    f, i, o = (1.0 / (1.0 + np.exp(-z[k * hidden : (k + 1) * hidden])) for k in range(3))
+    g = np.tanh(z[3 * hidden :])
+    c = f * c + (i * g if standard else i + g)
+    tc = np.tanh(c)
+    return {"f": f, "i": i, "o": o, "g": g, "c": c, "tc": tc, "h": o * tc}
 
 
 @pytest.mark.parametrize("variant", ["standard", "as_printed"])
-def test_forward_batch_matches_cell_forward_chain(variant):
+def test_forward_batch_matches_reference_step_chain(variant):
     model = tiny_model(num_features=3, lookback=6, hidden=(5, 4), seed=4, variant=variant,
                        mode="multivariate")
     X = np.random.default_rng(12).normal(size=(7, 6, 3))
     preds, caches = forward_batch(model, X)
-    inputs = [X[:, t, :] for t in range(6)]
-    for layer, steps in zip(model.layers, caches["layers"]):
-        state = LstmState(np.zeros((7, layer.hidden_size)), np.zeros((7, layer.hidden_size)))
-        for t, step in enumerate(steps):
-            state, cache = cell_forward(layer, inputs[t], state, variant)
-            inputs[t] = state.h
-            # forward_batch keeps its caches as (width, batch) columns
-            for name in ("f", "i", "g", "o", "tc"):
-                assert np.array_equal(step[name], cache[name].T), (t, name)
-    assert np.array_equal(preds, state.h @ model.head_w + model.head_b[0])
+    inputs = [X[:, t, :].T for t in range(6)]  # each layer's input columns, step by step
+    for layer, buf in zip(model.layers, caches.layers):
+        h = c = np.zeros((layer.hidden_size, 7))
+        for t in range(6):
+            step = reference_step(layer, inputs[t], h, c, variant == "standard")
+            h, c = step["h"], step["c"]
+            inputs[t] = h
+            for name, got in zip("fiog", np.split(buf.gates[t], 4)):
+                assert np.array_equal(got, step[name]), (t, name)
+            for name in ("c", "tc", "h"):
+                assert np.array_equal(getattr(buf, name)[t], step[name]), (t, name)
+    assert np.array_equal(preds, np.ascontiguousarray(h.T) @ model.head_w + model.head_b[0])
+
+
+@pytest.mark.parametrize("num_features", [1, 3])
+@pytest.mark.parametrize("variant", ["standard", "as_printed"])
+@pytest.mark.parametrize("batch", [1, 7, 32, 255])
+def test_predict_path_matches_forward_batch(batch, variant, num_features):
+    model = tiny_model(num_features=num_features, lookback=6, hidden=(5, 3), seed=8,
+                       variant=variant, mode="univariate" if num_features == 1 else "multivariate")
+    X = np.random.default_rng(batch).normal(size=(batch, 6, num_features))
+    preds, _ = forward_batch(model, X)
+    assert np.array_equal(model.predict_batch(X), preds)
+    assert forward(model, X[-1]) == forward_batch(model, X[-1:])[0][0]
+
+
+def test_predict_batch_keeps_no_backward_caches():
+    names = tuple(f"x{j}" for j in range(13))
+    scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
+    model = new_model("multivariate", names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
+                      column_set="paper_multivariate")
+    X = np.random.default_rng(6).uniform(-1.0, 1.0, size=(256, 60, 13))
+
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    predict_peak = peak_bytes(lambda: model.predict_batch(X))
+    forward_peak = peak_bytes(lambda: forward_batch(model, X))
+    assert predict_peak < forward_peak / 4, (predict_peak, forward_peak)
 
 
 # ------------------------------------------------------------------ gradients

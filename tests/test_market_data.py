@@ -1,5 +1,6 @@
 """CSV parsing, bar validation, serialization, slicing, and fetching."""
 
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, build_features
 from stockcast.market_data import (
     CSV_HEADER,
     Bar,
@@ -28,7 +30,7 @@ from stockcast.market_data import (
     slice_by_date,
 )
 
-from conftest import NARROW_CSV, SNAPSHOT_CSV, flat_series
+from conftest import NARROW_CSV, SNAPSHOT_CSV, flat_series, random_walk_series
 
 
 def test_parse_snapshot_values(snapshot_series):
@@ -197,6 +199,27 @@ def test_adj_close_substitution(snapshot_series):
     assert swapped.bars[0].close == 1186.400024
     assert swapped.bars[0].high == 2392.0
     assert swapped.bars[1].close == snapshot_series.bars[1].adj_close
+
+
+def test_adj_close_swap_builds_the_replaced_bars_and_shares_the_column():
+    series = random_walk_series(300, 4)
+    swapped = series.with_close_from_adj()
+    replaced = tuple(dataclasses.replace(b, close=b.adj_close) for b in series.bars)
+    assert swapped.bars == replaced
+    assert swapped.dates() == series.dates()
+    assert np.array_equal(swapped.closes(), series.adj_closes())
+    assert np.array_equal(swapped.adj_closes(), series.adj_closes())
+    for column in (swapped.closes(), swapped.adj_closes()):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    # features read from the shared column match those of a series built from the replaced bars
+    rebuilt = OhlcvSeries(series.symbol, replaced)
+    for column_set in (UNIVARIATE, PAPER_MULTIVARIATE):
+        got = build_features(series, IndicatorConfig(), column_set, use_adj_close=True)
+        want = build_features(rebuilt, IndicatorConfig(), column_set)
+        assert got.column_names == want.column_names and got.dates == want.dates
+        assert np.array_equal(got.values, want.values)
 
 
 def test_slice_by_date(snapshot_series):
