@@ -82,7 +82,7 @@ def compute_metrics(real, predict) -> MetricsReport:
     )
 
 
-def _predict_batches(model, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def _predict_batches(model, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
     parts = [
         np.asarray(model.predict_batch(inputs[start : start + batch_size]), dtype=np.float64)
         for start in range(0, len(inputs), batch_size)

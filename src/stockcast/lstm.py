@@ -15,22 +15,27 @@ Two cell variants exist. "standard" is the usual formulation:
 state update with c = f * c_prev + i, keeping f, o, and h as above. Neither
 variant uses peephole connections.
 
-Each layer is stored packed, as in Appleyard, Kocisky and Blunsom (2016):
-W_x (I, 4H), W_h (H, 4H) and b (4H,), in gate blocks f, i, o, g, and is
-unrolled time-major into preallocated (T, width, B) buffers of the gates, c,
-tanh(c) and h. A step is two GEMMs into two reused (B, 4H) scratch arrays,
-whose sum plus the bias lands in the step's (4H, B) gate slot, where one
-sigmoid covers the first 3H rows and one tanh the last H. Backward needs every
-step, so only forward_batch keeps all T slots, in the ForwardCache it hands to
-backward. Prediction (predict_batch, forward, train's validation pass) keeps
-one gate slot and two c slots and drops a layer's buffers once the next layer
-has read its h. Backward builds one (4H, B) dZ per step, takes four GEMMs
-from it and returns gradients in the shapes of W_x, W_h and b.
+Each layer is one C-contiguous W (I+H+1, 4H), as in Appleyard, Kocisky and
+Blunsom (2016): rows [:I] take the input, rows [I:I+H] the previous h, the
+last row is the bias, and the columns are gate blocks f, i, o, g. A layer
+unrolls time-major into one XH (T+1, I+H+1, B) buffer whose slot t holds
+[x_t; h_{t-1}; 1]. Step t is one GEMM, W.T @ XH[t], into the step's (4H, B)
+gate slot (one sigmoid over the first 3H rows, one tanh over the last H), and
+it writes h_t to slot t+1, from where the next layer copies its inputs. Only
+forward_batch keeps all T steps' gates, c and tanh(c), in the ForwardCache
+that backward reads; prediction (predict_batch, forward, train's validation
+pass) keeps one gate slot and two c slots. A backward step is two GEMMs:
+dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
+W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
+owns one ForwardCache per batch size and overwrites it batch after batch.
+
+Summing x, h and bias terms inside one GEMM rounds differently from summing
+them apart, and a window's last bits can depend on the batch size it is
+predicted in. Repeat calls at the same shapes are byte-identical.
 
 The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
-in the model file. gate_view maps each one to a writable view of the packed
-arrays, which is how the file is written and read and how init_weights fills
-a layer in the file's order.
+in the model file; gate_view maps each to a writable view of W, through which
+the file is written and read and init_weights fills a layer in file order.
 """
 
 from __future__ import annotations
@@ -135,29 +140,23 @@ class SplitMix64:
 
 @dataclass(eq=False)
 class LstmLayerParams:
-    """One layer's packed, C-contiguous weights, in gate blocks f, i, o, g."""
+    """One layer's weights: one C-contiguous W (I+H+1, 4H), laid out as the module docstring says."""
 
-    W_x: np.ndarray  # (I, 4H)
-    W_h: np.ndarray  # (H, 4H)
-    b: np.ndarray  # (4H,)
+    W: np.ndarray
+    hidden_size = property(lambda self: self.W.shape[1] // 4)
+    input_size = property(lambda self: self.W.shape[0] - self.hidden_size - 1)
+    W_x = property(lambda self: self.W[: self.input_size], doc="(I, 4H) view: the input rows")
+    W_h = property(lambda self: self.W[self.input_size : -1], doc="(H, 4H) view: the recurrent rows")
+    b = property(lambda self: self.W[-1], doc="(4H,) view: the bias row")
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> LstmLayerParams:
-        return cls(np.zeros((input_size, 4 * hidden_size)),
-                   np.zeros((hidden_size, 4 * hidden_size)), np.zeros(4 * hidden_size))
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_h.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.W_x.shape[0]
+        return cls(np.zeros((input_size + hidden_size + 1, 4 * hidden_size)))
 
 
 def gate_view(layer: LstmLayerParams, name: str) -> np.ndarray:
     """The model file's per-gate array name (w_qx (H, I), w_qh (H, H) or b_q (H,))
-    as a writable view of the layer's packed arrays."""
+    as a writable view of the layer's W."""
     start = _GATES.index(name[2]) * layer.hidden_size
     block = slice(start, start + layer.hidden_size)
     if name.startswith("b_"):
@@ -290,9 +289,9 @@ def new_model(
 
 @dataclass(eq=False)
 class LayerBuffers:
-    """One layer's time-major buffers; step t writes slot t % slots, but h keeps all T."""
+    """One layer's time-major buffers; step t writes slot t % slots, but xh keeps all T + 1."""
 
-    h: np.ndarray  # (T, H, B), the next layer's input
+    xh: np.ndarray  # (T+1, I+H+1, B): slot t holds [x_t; h_{t-1}; 1], slot T only h_{T-1}
     c: np.ndarray  # (slots, H, B); one more slot than the rest when slots < T, for c_prev
     tc: np.ndarray  # tanh(c), (slots, H, B)
     gates: np.ndarray  # (slots, 4H, B): sigmoid f, i, o, then tanh g
@@ -300,52 +299,45 @@ class LayerBuffers:
 
 @dataclass(eq=False)
 class ForwardCache:
-    """What backward reads: forward_batch's windows and each layer's all-T buffers."""
+    """What backward reads: each layer's all-T buffers from forward_batch."""
 
-    windows: np.ndarray  # (B, T, I), layer 0's input
     variant: str
     layers: list[LayerBuffers]
-    h_last: np.ndarray  # (B, H), the head's input
+    h_last: np.ndarray | None = None  # (B, H), the head's input
 
 
-def _buffers(hidden_sizes, length: int, batch: int, slots: int) -> list[LayerBuffers]:
+def _buffers(layers, length: int, batch: int, slots: int) -> list[LayerBuffers]:
     """Each layer's buffers as views of one block. glibc's malloc keeps one block on the
     heap from one training batch to the next; one array per buffer is handed back to the
     system on free and faults its pages in again (2.6k faults per batch-32 step)."""
-    block = np.empty((length + min(slots + 1, length) + 5 * slots) * sum(hidden_sizes) * batch)
-    layers, start = [], 0
-    for hidden in hidden_sizes:
+    shapes = [((length + 1, layer.W.shape[0]), (min(slots + 1, length), layer.hidden_size),
+               (slots, layer.hidden_size), (slots, 4 * layer.hidden_size)) for layer in layers]
+    block = np.empty(sum(rows * width for layer in shapes for rows, width in layer) * batch)
+    buffers, start = [], 0
+    for layer, layer_shapes in zip(layers, shapes):
         views = []
-        for rows, width in ((length, hidden), (min(slots + 1, length), hidden),
-                            (slots, hidden), (slots, 4 * hidden)):
+        for rows, width in layer_shapes:
             views.append(block[start : start + rows * width * batch].reshape(rows, width, batch))
             start += rows * width * batch
-        layers.append(LayerBuffers(*views))
-    return layers
+        views[0][0, layer.input_size :] = 0.0  # h before the first step
+        views[0][:, -1] = 1.0  # multiplies W's bias row
+        buffers.append(LayerBuffers(*views))
+    return buffers
 
 
-def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard: bool) -> None:
-    """Run one layer from zero h and c over the (T, I, B) input columns seq into buf.
-
-    The GEMMs take (B, *) rows, as the per-gate products did, which keeps the
-    outputs bit-identical to those wherever BLAS picks the same kernel for
-    both (batch >= 25 with OpenBLAS 0.3.31 on AVX-512).
-    """
-    length, _, batch = seq.shape
+def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard: bool) -> np.ndarray:
+    """Run one layer from zero h and c over the (T, I, B) input columns seq into buf;
+    returns the (T, H, B) view of its outputs h_t, the next layer's seq."""
+    length, inputs, _ = seq.shape
     hidden, slots, c_slots = layer.hidden_size, len(buf.gates), len(buf.c)
-    zeros = np.zeros((hidden, batch))  # h and c before the first step
-    xw, hw = np.empty((batch, 4 * hidden)), np.empty((batch, 4 * hidden))
-    x_rows, h_rows = seq.transpose(0, 2, 1), buf.h.transpose(0, 2, 1)  # (T, B, width) views
-    W_x, W_h, bias = layer.W_x, layer.W_h, layer.b[:, None]
+    xh, WT = buf.xh, layer.W.T
+    xh[:-1, :inputs] = seq
     # sigmoid as 1 / (1 + exp(-z)) in place; exp overflows to inf below z = -709, giving the right 0
     with np.errstate(over="ignore"):
         for t in range(length):
-            c_prev = buf.c[(t - 1) % c_slots] if t else zeros
+            c_prev = buf.c[(t - 1) % c_slots] if t else 0.0
             z, c, tc = buf.gates[t % slots], buf.c[t % c_slots], buf.tc[t % slots]
-            np.matmul(x_rows[t], W_x, out=xw)
-            np.matmul(h_rows[t - 1] if t else zeros.T, W_h, out=hw)
-            xw += hw
-            np.add(xw.T, bias, out=z)
+            np.matmul(WT, xh[t], out=z)
             s, g = z[: 3 * hidden], z[3 * hidden :]
             np.negative(s, out=s)
             np.exp(s, out=s)
@@ -356,7 +348,8 @@ def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard
             i = s[hidden : 2 * hidden]
             c += i * g if standard else i + g
             np.tanh(c, out=tc)
-            np.multiply(s[2 * hidden :], tc, out=buf.h[t])
+            np.multiply(s[2 * hidden :], tc, out=xh[t + 1, inputs:-1])
+    return xh[1:, inputs:-1]
 
 
 def _windows(model: LstmModel, windows) -> np.ndarray:
@@ -371,30 +364,46 @@ def _windows(model: LstmModel, windows) -> np.ndarray:
     return X
 
 
-def forward_batch(model: LstmModel, windows: np.ndarray):
+def _cache_batch(model: LstmModel, caches) -> int:
+    """The batch size of a ForwardCache made for this model; CacheMismatch for any other."""
+    if not isinstance(caches, ForwardCache):
+        raise CacheMismatch("caches were not made by forward_batch")
+    if caches.variant != model.cell_variant:
+        raise CacheMismatch(f"caches built for {caches.variant!r}, model is {model.cell_variant!r}")
+    shapes = [buf.xh.shape for buf in caches.layers]  # each (T+1, I+H+1, B)
+    batch = shapes[0][2] if shapes else 0
+    if shapes != (want := [(model.lookback + 1, layer.W.shape[0], batch) for layer in model.layers]):
+        raise CacheMismatch(f"caches shaped {shapes}, model needs {want}")
+    return batch
+
+
+def forward_batch(model: LstmModel, windows: np.ndarray, out: ForwardCache | None = None):
     """Unrolled forward pass over (batch, lookback, features) windows.
 
     Returns the predictions and a ForwardCache for backward, which keeps
-    every layer's buffers for all lookback steps. Calls that only predict
-    should use predict_batch, which computes the same values and keeps none.
+    every layer's buffers for all lookback steps; out, an earlier call's
+    ForwardCache at this batch size, is overwritten and returned instead.
+    Calls that only predict should use predict_batch: same values, no caches.
     """
     X = _windows(model, windows)
-    layers = _buffers(model.hidden_sizes, model.lookback, len(X), model.lookback)
+    if out is None:
+        out = ForwardCache(model.cell_variant,
+                           _buffers(model.layers, model.lookback, len(X), model.lookback))
+    if (batch := _cache_batch(model, out)) != len(X):
+        raise CacheMismatch(f"out holds batch {batch}, windows have {len(X)}")
     seq = X.transpose(1, 2, 0)  # (T, I, B) view: step t's input columns
-    for layer, buf in zip(model.layers, layers):
-        _unroll(layer, seq, buf, model.cell_variant == "standard")
-        seq = buf.h
-    h_last = np.ascontiguousarray(seq[-1].T)
-    return h_last @ model.head_w + model.head_b[0], ForwardCache(X, model.cell_variant, layers, h_last)
+    for layer, buf in zip(model.layers, out.layers):
+        seq = _unroll(layer, seq, buf, model.cell_variant == "standard")
+    out.h_last = np.ascontiguousarray(seq[-1].T)
+    return out.h_last @ model.head_w + model.head_b[0], out
 
 
 def _predict(model: LstmModel, windows) -> np.ndarray:
     X = _windows(model, windows)
     seq = X.transpose(1, 2, 0)
     for layer in model.layers:
-        (buf,) = _buffers((layer.hidden_size,), model.lookback, len(X), 1)
-        _unroll(layer, seq, buf, model.cell_variant == "standard")
-        seq = buf.h  # and the previous layer's buffers are dropped
+        (buf,) = _buffers((layer,), model.lookback, len(X), 1)
+        seq = _unroll(layer, seq, buf, model.cell_variant == "standard")  # frees the layer below
     return np.ascontiguousarray(seq[-1].T) @ model.head_w + model.head_b[0]
 
 
@@ -409,42 +418,38 @@ def forward(model: LstmModel, window) -> float:
 def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, np.ndarray]:
     """Exact gradients of sum(d_prediction * prediction) for every parameter.
 
-    caches is forward_batch's ForwardCache. d_prediction carries the loss
-    derivative per batch element; gradients are summed over the batch. Keys
-    follow model_param_items naming.
+    caches is forward_batch's ForwardCache for this model. d_prediction
+    carries the loss derivative per batch element; gradients are summed over
+    the batch. Keys follow model_param_items naming.
     """
-    if not isinstance(caches, ForwardCache):
-        raise CacheMismatch("caches were not made by forward_batch")
-    if caches.variant != model.cell_variant:
-        raise CacheMismatch(f"caches built for {caches.variant!r}, model is {model.cell_variant!r}")
-    batch, length = caches.windows.shape[:2]
+    batch = _cache_batch(model, caches)
     d_pred = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if d_pred.shape != (batch,):
         raise CacheMismatch(f"d_prediction shaped {d_pred.shape}, cache batch is {batch}")
     standard = model.cell_variant == "standard"
 
-    # keyed up front so the dict keeps model_param_items order; filled top layer first
-    grads = {key: None for key, _ in model_param_items(model)}
-    # gradients w.r.t. each step's layer output, (H, B); the head sees only the top layer's last
-    d_out = [None] * (length - 1) + [model.head_w[:, None] * d_pred[None, :]]
+    layers, sums = [], {}  # from the top: what one step reads and its scratch; k -> W gradient.T
     for k in range(len(model.layers) - 1, -1, -1):
         layer, buf = model.layers[k], caches.layers[k]
-        seq = caches.layers[k - 1].h if k else caches.windows.transpose(1, 2, 0)
-        hidden = layer.hidden_size
-        gw_x = np.zeros((4 * hidden, layer.input_size))  # W_x and W_h gradients, transposed
-        gw_h = np.zeros((4 * hidden, hidden))
-        gb = np.zeros((4 * hidden, batch))  # summed over the batch after the loop
-        dZ = np.empty((4 * hidden, batch))
-        dz_f, dz_i, dz_o, dz_g = (dZ[j * hidden : (j + 1) * hidden] for j in range(4))
-        dh_carry = dc_carry = zeros = np.zeros((hidden, batch))  # zeros: h and c before step 0
-        for t in range(length - 1, -1, -1):
+        hidden, low = layer.hidden_size, layer.input_size if k == 0 else 0  # layer 0 needs no dx
+        gW = sums[k] = np.zeros(layer.W.T.shape)  # dZ @ XH[t].T outruns XH[t] @ dZ.T here
+        # dxh, [dx_t; dh_{t-1}], is one GEMM's output per step; its dh rows start as the zero carry
+        layers.append((layer.W[low:-1], buf, hidden, gW, np.empty_like(gW), np.empty((4 * hidden, batch)),
+                       np.zeros((layer.input_size + hidden - low, batch)), np.zeros((hidden, batch))))
+    d_top = model.head_w[:, None] * d_pred[None, :]  # the head sees only the top layer's last h
+    for t in range(model.lookback - 1, -1, -1):
+        d_above = d_top if t == model.lookback - 1 else None
+        for W_rows, buf, hidden, gW, gW_t, dZ, dxh, dc_carry in layers:
             gates, tc = buf.gates[t], buf.tc[t]
             f, i, o, g = (gates[j * hidden : (j + 1) * hidden] for j in range(4))
-            dh = dh_carry if d_out[t] is None else d_out[t] + dh_carry
+            dz_f, dz_i, dz_o, dz_g = (dZ[j * hidden : (j + 1) * hidden] for j in range(4))
+            dh = dxh[-hidden:]
+            if d_above is not None:
+                dh += d_above
             dc = dh * o
             dc *= 1.0 - tc * tc
             dc += dc_carry
-            np.multiply(dc, buf.c[t - 1] if t else zeros, out=dz_f)
+            np.multiply(dc, buf.c[t - 1] if t else 0.0, out=dz_f)  # c before step 0 is zero
             np.multiply(dh, tc, out=dz_o)
             if standard:
                 np.multiply(dc, g, out=dz_i)
@@ -456,14 +461,12 @@ def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, 
             dZ[: 3 * hidden] *= gates[: 3 * hidden]  # sigmoid' = s * (1 - s)
             dZ[: 3 * hidden] *= 1.0 - gates[: 3 * hidden]
             dz_g *= 1.0 - g * g
-            gb += dZ
-            gw_x += dZ @ seq[t].T
-            gw_h += dZ @ (buf.h[t - 1] if t else zeros).T
-            d_out[t] = layer.W_x @ dZ if k > 0 else None
-            dh_carry = layer.W_h @ dZ
-            dc_carry = dc * f
-        grads[f"layers.{k}.W_x"], grads[f"layers.{k}.W_h"] = gw_x.T, gw_h.T
-        grads[f"layers.{k}.b"] = gb.sum(axis=1)
+            np.matmul(dZ, buf.xh[t].T, out=gW_t)  # input, recurrent and bias columns at once
+            gW += gW_t
+            np.matmul(W_rows, dZ, out=dxh)
+            np.multiply(dc, f, out=dc_carry)
+            d_above = dxh[:-hidden]
+    grads = {f"layers.{k}.W": np.ascontiguousarray(sums[k].T) for k in range(len(sums))}
     grads["head.w"] = caches.h_last.T @ d_pred
     grads["head.b"] = np.array([d_pred.sum()])
     return grads
@@ -471,13 +474,8 @@ def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, 
 
 def model_param_items(model: LstmModel) -> list[tuple[str, np.ndarray]]:
     """Every trainable array, in a fixed documented order."""
-    items = []
-    for k, layer in enumerate(model.layers):
-        for f in fields(layer):
-            items.append((f"layers.{k}.{f.name}", getattr(layer, f.name)))
-    items.append(("head.w", model.head_w))
-    items.append(("head.b", model.head_b))
-    return items
+    items = [(f"layers.{k}.W", layer.W) for k, layer in enumerate(model.layers)]
+    return items + [("head.w", model.head_w), ("head.b", model.head_b)]
 
 
 def clip_gradient_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -551,12 +549,14 @@ def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     params = model_param_items(model)
     optimizer = Adam(params, cfg.learning_rate)
     history = {"train_mse": [], "val_mse": []}
+    workspace = {}  # batch size -> the ForwardCache the next batch of that size overwrites
     for epoch in range(1, cfg.epochs + 1):
         sq_err = 0.0
         for batch_no, start in enumerate(range(0, len(fit_y), cfg.batch_size), start=1):
             xb = fit_x[start : start + cfg.batch_size]
             yb = fit_y[start : start + cfg.batch_size]
-            preds, caches = forward_batch(model, xb)
+            preds, caches = forward_batch(model, xb, workspace.get(len(xb)))
+            workspace[len(xb)] = caches
             err = preds - yb
             batch_sq = float(np.sum(err * err))
             if not math.isfinite(batch_sq):

@@ -1,6 +1,7 @@
 """Metrics, one-step evaluation, recursive forecasts, walk-forward backtest."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,9 @@ from stockcast.evaluation import (
     walk_forward,
 )
 from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
+from stockcast.lstm import TrainConfig, new_model
 from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
-from stockcast.scaling import fit, inverse_close, transform, transform_close
+from stockcast.scaling import ScalerParams, fit, inverse_close, transform, transform_close
 
 from conftest import flat_series, random_walk_series
 from test_lstm import windows_dataset
@@ -167,6 +169,27 @@ def test_lookback_mismatch_and_empty():
     empty = windows_dataset(np.zeros((0, test_ds.lookback, 1)), np.zeros(0), test_ds.lookback)
     with pytest.raises(LengthMismatch):
         evaluate_one_step(model, empty)
+
+
+def test_evaluate_one_step_memory_peak_at_paper_scale():
+    # predict_batch holds two layers' (lookback + 1, input + hidden + 1, batch) buffers at
+    # once, so evaluate predicts in chunks: 255 windows in one chunk peak near 22 MB
+    names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
+    scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
+    model = new_model("multivariate", names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
+                      column_set=PAPER_MULTIVARIATE)
+    rng = np.random.default_rng(255)
+    test_ds = windows_dataset(rng.uniform(-1.0, 1.0, size=(255, 60, 13)),
+                              rng.uniform(0.0, 1.0, size=255), 60, names)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report, _ = evaluate_one_step(model, test_ds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.n == 255
+    assert peak < 14.7e6, peak
 
 
 # ------------------------------------------------------------------ forecasts

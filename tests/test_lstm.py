@@ -141,20 +141,35 @@ def test_init_weights_fill_order_and_view_aliasing():
         offset += view.size
     assert offset == stream.size
 
-    blocks = {"f": 0, "i": 1, "o": 2, "g": 3}  # packed column blocks
+    assert layer.W.flags.c_contiguous
+    assert layer.W.shape == (3 + 9 + 1, 4 * 9)
+    blocks = {"f": 0, "i": 1, "o": 2, "g": 3}  # column blocks of W
     for name in WEIGHT_FIELDS + ("b_f", "b_i", "b_g", "b_o"):
         view = gate_view(layer, name)
-        packed = layer.b if name.startswith("b_") else layer.W_x if name.endswith("x") else layer.W_h
-        expect = packed.copy()
+        expect = layer.W.copy()
         row = view.shape[0] - 2
         column = blocks[name[2]] * 9 + row
-        if view.ndim == 2:
-            expect[view.shape[1] - 1, column] = 42.0
-            view[row, -1] = 42.0
-        else:
-            expect[column] = 42.0
+        if name.startswith("b_"):  # the bias is W's last row
+            expect[-1, column] = 42.0
             view[row] = 42.0
-        assert np.array_equal(packed, expect), name
+        else:  # input rows [:3], recurrent rows [3:12]
+            expect[(0 if name.endswith("x") else 3) + view.shape[1] - 1, column] = 42.0
+            view[row, -1] = 42.0
+        assert np.array_equal(layer.W, expect), name
+    for name, first_row in (("W_x", 0), ("W_h", 3), ("b", 12)):
+        view = getattr(layer, name)
+        expect = layer.W.copy()
+        expect[first_row, 5] = -7.0
+        view[(0, 5) if view.ndim == 2 else 5] = -7.0
+        assert np.array_equal(layer.W, expect), name
+
+
+def test_model_param_items_lists_one_W_per_layer_and_the_head():
+    model = tiny_model(num_features=2, hidden=(4, 3), mode="multivariate")
+    items = model_param_items(model)
+    assert [key for key, _ in items] == ["layers.0.W", "layers.1.W", "head.w", "head.b"]
+    assert [arr.shape for _, arr in items] == [(2 + 4 + 1, 16), (4 + 3 + 1, 12), (3,), (1,)]
+    assert items[0][1] is model.layers[0].W and items[1][1] is model.layers[1].W
 
 
 def test_new_model_layer_seed_schedule():
@@ -186,7 +201,12 @@ def step_buffers(model, X, t):
     _, caches = forward_batch(model, X)
     buf = caches.layers[0]
     gates = dict(zip("fiog", (block.T for block in np.split(buf.gates[t], 4))))
-    return gates, buf.c[t].T, buf.tc[t].T, buf.h[t].T
+    return gates, buf.c[t].T, buf.tc[t].T, layer_h(model.layers[0], buf)[t].T
+
+
+def layer_h(layer, buf):
+    """A layer's outputs h_t, (T, H, B): the h rows of its xh slots 1..T."""
+    return buf.xh[1:, layer.input_size : -1]
 
 
 def test_cell_zero_weights_standard():
@@ -341,7 +361,8 @@ def test_gate_ranges_on_random_model():
 
 
 def reference_step(layer, x, h, c, standard):
-    """One step on (width, batch) columns: forward_batch's arithmetic, in its order."""
+    """One step on (width, batch) columns, with the input, recurrent and bias terms
+    summed separately, as the per-gate equations read."""
     hidden = layer.hidden_size
     z = (x.T @ layer.W_x + h.T @ layer.W_h).T + layer.b[:, None]
     f, i, o = (1.0 / (1.0 + np.exp(-z[k * hidden : (k + 1) * hidden])) for k in range(3))
@@ -349,6 +370,11 @@ def reference_step(layer, x, h, c, standard):
     c = f * c + (i * g if standard else i + g)
     tc = np.tanh(c)
     return {"f": f, "i": i, "o": o, "g": g, "c": c, "tc": tc, "h": o * tc}
+
+
+# forward_batch sums x W_x, h W_h and the bias inside one GEMM, so it may differ from the
+# reference's order in the last bits; gates, c and h are of order 1
+STEP_CHAIN_TOL = 16 * np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize("variant", ["standard", "as_printed"])
@@ -364,11 +390,11 @@ def test_forward_batch_matches_reference_step_chain(variant):
             step = reference_step(layer, inputs[t], h, c, variant == "standard")
             h, c = step["h"], step["c"]
             inputs[t] = h
-            for name, got in zip("fiog", np.split(buf.gates[t], 4)):
-                assert np.array_equal(got, step[name]), (t, name)
-            for name in ("c", "tc", "h"):
-                assert np.array_equal(getattr(buf, name)[t], step[name]), (t, name)
-    assert np.array_equal(preds, np.ascontiguousarray(h.T) @ model.head_w + model.head_b[0])
+            got = dict(zip("fiog", np.split(buf.gates[t], 4)), c=buf.c[t], tc=buf.tc[t],
+                       h=layer_h(layer, buf)[t])
+            for name, value in got.items():
+                assert np.allclose(value, step[name], rtol=0.0, atol=STEP_CHAIN_TOL), (t, name)
+    assert np.allclose(preds, h.T @ model.head_w + model.head_b[0], rtol=0.0, atol=STEP_CHAIN_TOL)
 
 
 @pytest.mark.parametrize("num_features", [1, 3])
@@ -411,13 +437,17 @@ def loss_and_grads(model, X, d_pred):
     return float(np.dot(d_pred, preds)), backward(model, caches, d_pred)
 
 
-@pytest.mark.parametrize("variant", ["standard", "as_printed"])
-def test_gradients_match_finite_differences(variant):
-    model = tiny_model(num_features=2, lookback=4, hidden=(3, 2), seed=11,
+@pytest.mark.parametrize("variant, hidden, batch", [
+    pytest.param(variant, hidden, batch, id=variant + tag)
+    for hidden, batch, tag in (((3, 2), 3, ""), ((2, 3, 2), 2, "-3-layer"), ((3, 2), 1, "-batch-1"))
+    for variant in ("standard", "as_printed")
+])
+def test_gradients_match_finite_differences(variant, hidden, batch):
+    model = tiny_model(num_features=2, lookback=4, hidden=hidden, seed=11,
                        variant=variant, mode="multivariate")
     rng = np.random.default_rng(17)
-    X = rng.normal(scale=0.8, size=(3, 4, 2))
-    d_pred = rng.normal(size=3)
+    X = rng.normal(scale=0.8, size=(batch, 4, 2))
+    d_pred = rng.normal(size=batch)
     _, grads = loss_and_grads(model, X, d_pred)
 
     h = 1e-5
@@ -458,6 +488,44 @@ def test_backward_rejects_mismatched_caches():
         backward(other, caches, np.zeros(2))
     with pytest.raises(CacheMismatch):
         backward(model, {"shape": (2, 4, 1)}, np.zeros(2))
+    with pytest.raises(CacheMismatch):  # forward_batch's out must hold the windows' batch size
+        forward_batch(model, np.zeros((3, 4, 1)), out=caches)
+
+
+@pytest.mark.parametrize("hidden, lookback", [((5, 3, 2), 4), ((4, 3), 4), ((3,), 4), ((5, 3), 6)])
+def test_backward_rejects_a_cache_from_another_model_shape(hidden, lookback):
+    _, caches = forward_batch(tiny_model(lookback=4, hidden=(5, 3)),
+                              np.random.default_rng(0).normal(size=(2, 4, 1)))
+    other = tiny_model(lookback=lookback, hidden=hidden)
+    with pytest.raises(CacheMismatch):
+        backward(other, caches, np.zeros(2))
+    with pytest.raises(CacheMismatch):  # nor may forward_batch overwrite it for that model
+        forward_batch(other, np.zeros((2, lookback, 1)), out=caches)
+
+
+def test_live_and_reused_caches_give_fresh_gradients():
+    model = tiny_model(num_features=2, lookback=5, hidden=(4, 3), seed=7, mode="multivariate")
+    rng = np.random.default_rng(23)
+    batches = [(rng.normal(size=(6, 5, 2)), rng.normal(size=6)) for _ in range(2)]
+
+    def fresh(X, d_pred):
+        preds, caches = forward_batch(model, X)
+        return preds, backward(model, caches, d_pred)
+
+    def assert_same(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert list(got[1]) == list(want[1])
+        assert all(np.array_equal(got[1][key], want[1][key]) for key in want[1])
+
+    want = [fresh(X, d_pred) for X, d_pred in batches]
+    live = [forward_batch(model, X) for X, _ in batches]  # both caches alive at once
+    for (preds, caches), (_, d_pred), expect in zip(live, batches, want):
+        assert_same((preds, backward(model, caches, d_pred)), expect)
+        assert_same((preds, backward(model, caches, d_pred)), expect)  # backward reads only
+    reused = live[0][1]
+    preds, caches = forward_batch(model, batches[1][0], out=reused)
+    assert caches is reused
+    assert_same((preds, backward(model, caches, batches[1][1])), want[1])
 
 
 # ------------------------------------------------------------------ optimizer
@@ -513,6 +581,43 @@ def test_training_learns_last_input_memorization():
     probe = np.random.default_rng(9).uniform(-1.0, 1.0, size=(50, 8, 1))
     err = np.abs(trained.predict_batch(probe) - probe[:, -1, 0])
     assert float(err.mean()) < 0.25
+
+
+def test_train_matches_a_loop_over_the_public_steps():
+    # 68 fitting windows at batch 16 leave a tail batch of 4, which gets its own workspace;
+    # the clip norm of 0.5 scales 2 of the 15 batches' gradients
+    ds = memorization_data(n=75)
+    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, hidden_sizes=(5, 3), seed=6,
+                      gradient_clip_norm=0.5)
+    model = tiny_model(lookback=8, hidden=(5, 3), seed=6)
+    trained, history = train(model, ds, cfg)
+
+    fit_n = len(ds) - int(len(ds) * cfg.validation_fraction)
+    ref = tiny_model(lookback=8, hidden=(5, 3), seed=6)
+    params = model_param_items(ref)
+    optimizer = Adam(params, cfg.learning_rate)
+    ref_history = {"train_mse": [], "val_mse": []}
+    for _ in range(cfg.epochs):
+        sq_err = 0.0
+        for start in range(0, fit_n, cfg.batch_size):
+            stop = min(start + cfg.batch_size, fit_n)
+            preds, caches = forward_batch(ref, ds.inputs[start:stop])
+            err = preds - ds.targets[start:stop]
+            sq_err += float(np.sum(err * err))
+            grads = backward(ref, caches, 2.0 * err / len(err))
+            clip_gradient_norm(grads, cfg.gradient_clip_norm)
+            optimizer.step(params, grads)
+        val_sq = 0.0
+        for start in range(fit_n, len(ds), cfg.batch_size):
+            chunk = slice(start, start + cfg.batch_size)
+            err = ref.predict_batch(ds.inputs[chunk]) - ds.targets[chunk]
+            val_sq += float(np.sum(err * err))
+        ref_history["train_mse"].append(sq_err / fit_n)
+        ref_history["val_mse"].append(val_sq / (len(ds) - fit_n))
+
+    assert history == ref_history
+    for (key, got), (_, want) in zip(model_param_items(trained), params, strict=True):
+        assert np.array_equal(got, want), key
 
 
 def test_training_is_bit_reproducible():
