@@ -24,6 +24,9 @@ class TooFewRows(DatasetError):
         self.needed = needed
         self.have = have
 
+    def __reduce__(self):
+        return type(self), (self.needed, self.have)
+
 
 class DegenerateSplit(DatasetError):
     pass

@@ -1,10 +1,11 @@
 """Error metrics, one-step test evaluation, recursive forecasting, walk-forward.
 
 All metrics compare prices in the original scale, never scaled values. The
-recursive forecaster feeds each prediction back as the next synthetic bar
-(open = high = low = close = prediction, volume carried forward), recomputes
-every feature column over the extended history, and rescales with the
-scaler parameters frozen at train time.
+recursive forecaster runs one loop for every mode: it feeds each prediction
+back as the next synthetic bar (open = high = low = close = adj close =
+prediction, volume carried forward), recomputes the model's feature columns
+over the extended history, and rescales with the scaler parameters frozen at
+train time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from . import pipeline, scaling
 from .config import RunConfig
 from .dataset import TooFewRows, WindowedDataset
-from .indicators import UNIVARIATE, SeriesTooShort, build_features
-from .market_data import Bar, OhlcvSeries
+from .indicators import SeriesTooShort, build_features
+from .market_data import BAR_FIELDS, OhlcvSeries
 
 FLAT_TREND_BAND = 0.001  # |last - first| within 0.1% of first counts as flat
 
@@ -36,6 +37,9 @@ class ZeroActual(EvalError):
     def __init__(self, index: int):
         super().__init__(f"actual value at index {index} is zero; MAPE undefined")
         self.index = index
+
+    def __reduce__(self):
+        return type(self), (self.index,)
 
 
 class SchemaMismatch(EvalError):
@@ -131,56 +135,32 @@ def _classify_trend(values: list[float]) -> str:
     return "up" if delta > 0 else "down"
 
 
-def _forecast_univariate(model, series: OhlcvSeries, horizon: int) -> list[float]:
-    matrix = build_features(
-        series, model.indicator_config, column_set=UNIVARIATE, use_adj_close=model.use_adj_close
-    )
-    scaled = scaling.transform(model.scaler, matrix)
-    if scaled.rows < model.lookback:
-        raise SeriesTooShort(model.lookback, scaled.rows)
-    window = scaled.values[-model.lookback :, :].copy()
-    out: list[float] = []
-    for _ in range(horizon):
-        pred_scaled = model.predict(window)
-        price = float(scaling.inverse_close(model.scaler, pred_scaled))
-        out.append(price)
-        next_scaled = scaling.transform_close(model.scaler, price)
-        window = np.vstack([window[1:], [[next_scaled]]])
-    return out
+def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResult:
+    """Feed predictions back as inputs for `horizon` steps beyond the series.
 
-
-def _forecast_multivariate(model, series: OhlcvSeries, horizon: int) -> list[float]:
-    bars = list(series.bars)
-    last_volume = bars[-1].volume
-    out: list[float] = []
-    for _ in range(horizon):
-        extended = OhlcvSeries(series.symbol, tuple(bars))
-        matrix = build_features(
-            extended,
-            model.indicator_config,
-            column_set=model.column_set,
-            use_adj_close=model.use_adj_close,
-        )
+    Step k builds features on the first n + k bars, predicts, and writes the
+    synthetic bar into column n + k of one preallocated block.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n = len(series)
+    block = np.empty((len(BAR_FIELDS), n + horizon))
+    block[:, :n] = series.block
+    dates = list(series.dates())
+    values: list[float] = []
+    for k in range(horizon):
+        extended = OhlcvSeries.from_columns(series.symbol, tuple(dates), block[:, : n + k])
+        matrix = build_features(extended, model.indicator_config, model.column_set,
+                                model.use_adj_close)
         scaled = scaling.transform(model.scaler, matrix)
         if scaled.rows < model.lookback:
             raise SeriesTooShort(model.lookback, scaled.rows)
         window = scaled.values[-model.lookback :, :]
         price = float(scaling.inverse_close(model.scaler, model.predict(window)))
-        out.append(price)
-        # synthetic next bar: the prediction stands in for every price field
-        next_date = bars[-1].date + timedelta(days=1)
-        bars.append(Bar(next_date, price, price, price, price, price, last_volume))
-    return out
-
-
-def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResult:
-    """Feed predictions back as inputs for `horizon` steps beyond the series."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if model.mode == "univariate":
-        values = _forecast_univariate(model, series, horizon)
-    else:
-        values = _forecast_multivariate(model, series, horizon)
+        values.append(price)
+        block[:, n + k] = price  # synthetic next bar: the prediction in every price field
+        block[-1, n + k] = block[-1, n + k - 1]  # and the volume carried forward
+        dates.append(dates[-1] + timedelta(days=1))
     return ForecastResult(horizon=horizon, values=tuple(values), trend=_classify_trend(values))
 
 

@@ -37,6 +37,9 @@ class SeriesTooShort(IndicatorError):
         self.needed = needed
         self.have = have
 
+    def __reduce__(self):
+        return type(self), (self.needed, self.have)
+
 
 @dataclass(frozen=True)
 class IndicatorConfig:

@@ -91,6 +91,9 @@ class NonFiniteLoss(LstmError):
         self.epoch = epoch
         self.batch = batch
 
+    def __reduce__(self):
+        return type(self), (self.epoch, self.batch)
+
 
 class UnsupportedVersion(LstmError):
     pass
@@ -101,6 +104,10 @@ class CorruptModel(LstmError):
         detail = f": {reason}" if reason else ""
         super().__init__(f"corrupt model document at {path}{detail}")
         self.path = path
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.path, self.reason)
 
 
 _MASK64 = (1 << 64) - 1

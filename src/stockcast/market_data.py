@@ -4,17 +4,19 @@ The on-disk format is the seven-column CSV that finance.yahoo.com serves for
 daily history: ``Date,Open,High,Low,Close,Adj Close,Volume`` with ISO dates
 and plain decimal numbers. Rows whose numeric fields hold the literal token
 ``null`` (the site's marker for an empty trading day) are dropped and
-counted, never interpolated. Dates are carried as opaque labels; nothing in
-the pipeline does calendar arithmetic on them.
+counted, never interpolated. A series holds a tuple of dates and one
+read-only (6, n) price block; ``Bar`` objects are built only by ``parse_csv``
+(to validate each row) and by ``OhlcvSeries.bars``.
 """
 
 from __future__ import annotations
 
+import bisect
 import calendar
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
@@ -46,6 +48,10 @@ class MalformedRow(MarketDataError):
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"line {line_number}: {reason}")
         self.line_number = line_number
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.reason)
 
 
 class EmptySeries(MarketDataError):
@@ -57,12 +63,19 @@ class NonAscendingDates(MarketDataError):
         super().__init__(f"dates not strictly ascending at {offending.isoformat()}")
         self.date = offending
 
+    def __reduce__(self):
+        return type(self), (self.date,)
+
 
 class InvariantViolation(MarketDataError):
     def __init__(self, bar_date: Date, field: str, reason: str):
         super().__init__(f"{bar_date.isoformat()}: {field}: {reason}")
         self.date = bar_date
         self.field = field
+        self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.date, self.field, self.reason)
 
 
 class InvalidRange(MarketDataError):
@@ -77,6 +90,9 @@ class HttpStatus(MarketDataError):
     def __init__(self, code: int):
         super().__init__(f"unexpected HTTP status {code}")
         self.code = code
+
+    def __reduce__(self):
+        return type(self), (self.code,)
 
 
 class UnexpectedSchema(MarketDataError):
@@ -96,6 +112,9 @@ class Bar:
     volume: float
 
 
+BAR_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")  # Bar's fields after date
+
+
 def check_bar(bar: Bar) -> None:
     """Raise InvariantViolation if the bar's fields are out of range."""
     for name in ("open", "high", "low", "close", "adj_close"):
@@ -110,72 +129,76 @@ def check_bar(bar: Bar) -> None:
         raise InvariantViolation(bar.date, "high", "high below open or close")
 
 
-@dataclass(frozen=True, eq=False)
 class OhlcvSeries:
     """Date-ascending sequence of daily bars for one symbol.
+
+    Stored as a tuple of dates and one read-only (6, n) float64 ``block``
+    with one contiguous row per Bar field in field order (open, high, low,
+    close, adj_close, volume). The column accessors return row views of it.
 
     ``dropped_nulls`` counts rows removed at parse time because their numeric
     fields were "null"; ``flat_zero_volume_bars`` counts retained bars that
     look like exchange-holiday artifacts (zero volume, open=high=low=close).
     Both are zero on series derived by slicing.
-
-    The date tuple is built once, on construction. Each price column is built
-    on first use and then cached read-only, so writing into one raises.
     """
 
-    symbol: str
-    bars: tuple[Bar, ...]
-    dropped_nulls: int = 0
-    flat_zero_volume_bars: int = 0
-    _dates: tuple[Date, ...] = field(init=False, repr=False)
-    _columns: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    def __init__(self, symbol: str, bars, dropped_nulls: int = 0, flat_zero_volume_bars: int = 0):
+        values = list(map(operator.attrgetter(*BAR_FIELDS), bars))
+        rows = np.array(values, dtype=np.float64).reshape(-1, len(BAR_FIELDS))
+        self._assign(symbol, tuple(b.date for b in bars), np.ascontiguousarray(rows.T),
+                     dropped_nulls, flat_zero_volume_bars)
 
-    def __post_init__(self):
-        dates = tuple(b.date for b in self.bars)
+    @classmethod
+    def from_columns(cls, symbol: str, dates: tuple[Date, ...], block: np.ndarray,
+                     dropped_nulls: int = 0, flat_zero_volume_bars: int = 0) -> "OhlcvSeries":
+        """Series over `dates` and a (6, len(dates)) float64 block in BAR_FIELDS
+        row order, each row contiguous. The block is kept as a read-only view,
+        not copied, so the caller must not write to it afterwards."""
+        series = cls.__new__(cls)
+        series._assign(symbol, dates, block, dropped_nulls, flat_zero_volume_bars)
+        return series
+
+    def _assign(self, symbol, dates, block, dropped_nulls, flat_zero_volume_bars):
         if not all(map(operator.lt, dates, dates[1:])):
             raise NonAscendingDates(next(c for p, c in zip(dates, dates[1:]) if not p < c))
-        object.__setattr__(self, "_dates", dates)
+        self.block = block.view()
+        self.block.flags.writeable = False
+        self.symbol, self._dates = symbol, dates
+        self.dropped_nulls, self.flat_zero_volume_bars = dropped_nulls, flat_zero_volume_bars
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self._dates)
 
     def dates(self) -> tuple[Date, ...]:
         return self._dates
 
-    def _column(self, name: str) -> np.ndarray:
-        column = self._columns.get(name)
-        if column is None:
-            column = np.array([getattr(b, name) for b in self.bars], dtype=np.float64)
-            column.flags.writeable = False
-            self._columns[name] = column
-        return column
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """The bars rebuilt from the block; built anew on every access."""
+        return tuple(map(Bar, self._dates, *self.block.tolist()))
 
     def highs(self) -> np.ndarray:
-        return self._column("high")
+        return self.block[1]
 
     def lows(self) -> np.ndarray:
-        return self._column("low")
+        return self.block[2]
 
     def closes(self) -> np.ndarray:
-        return self._column("close")
+        return self.block[3]
 
     def adj_closes(self) -> np.ndarray:
-        return self._column("adj_close")
+        return self.block[4]
 
     def with_close_from_adj(self) -> "OhlcvSeries":
         """Substitute the adjusted close as the modeled price.
 
         High/low/open keep their raw values, so derived bars may break the
         usual low <= close <= high ordering; indicator math does not care.
-        The new series starts with this series' adj-close column cached as
-        both its close and adj-close columns.
         """
-        bars = tuple(Bar(b.date, b.open, b.high, b.low, b.adj_close, b.adj_close, b.volume)
-                     for b in self.bars)
-        swapped = OhlcvSeries(self.symbol, bars, self.dropped_nulls, self.flat_zero_volume_bars)
-        adj = self.adj_closes()
-        swapped._columns.update(close=adj, adj_close=adj)
-        return swapped
+        block = self.block.copy()
+        block[3] = block[4]
+        return OhlcvSeries.from_columns(self.symbol, self._dates, block, self.dropped_nulls,
+                                        self.flat_zero_volume_bars)
 
 
 def _parse_date(token: str, line_number: int) -> Date:
@@ -225,11 +248,8 @@ def parse_csv(text: str, symbol: str) -> OhlcvSeries:
 def serialize_csv(series: OhlcvSeries) -> str:
     """Inverse of parse_csv; float fields use shortest round-trip repr."""
     lines = [CSV_HEADER]
-    for b in series.bars:
-        lines.append(
-            f"{b.date.isoformat()},{b.open!r},{b.high!r},{b.low!r},"
-            f"{b.close!r},{b.adj_close!r},{b.volume!r}"
-        )
+    for day, values in zip(series.dates(), series.block.T.tolist()):
+        lines.append(day.isoformat() + "," + ",".join(map(repr, values)))
     return "\n".join(lines) + "\n"
 
 
@@ -237,8 +257,9 @@ def slice_by_date(series: OhlcvSeries, start: Date, end: Date) -> OhlcvSeries:
     """Bars with start <= date <= end. May be empty; raises InvalidRange if start > end."""
     if start > end:
         raise InvalidRange(f"start {start.isoformat()} after end {end.isoformat()}")
-    kept = tuple(b for b in series.bars if start <= b.date <= end)
-    return OhlcvSeries(series.symbol, kept)
+    dates = series.dates()
+    lo, hi = bisect.bisect_left(dates, start), bisect.bisect_right(dates, end)
+    return OhlcvSeries.from_columns(series.symbol, dates[lo:hi], series.block[:, lo:hi])
 
 
 def _epoch(day: Date) -> int:

@@ -77,28 +77,13 @@ def transform(params: ScalerParams, matrix: FeatureMatrix, clip: bool = False) -
     )
 
 
-def _close_bounds(params: ScalerParams) -> tuple[float, float]:
+def inverse_close(params: ScalerParams, scaled):
+    """Exact inverse of the Close column transform; accepts scalars or arrays."""
     try:
         idx = params.column_names.index("Close")
     except ValueError:
         raise MissingCloseColumn("scaler was fitted without a Close column") from None
-    return float(params.mins[idx]), float(params.maxs[idx])
-
-
-def transform_close(params: ScalerParams, price):
-    """Forward-scale a close price with the fitted Close column parameters."""
-    lo, hi = _close_bounds(params)
-    values = np.asarray(price, dtype=np.float64)
-    if hi > lo:
-        out = 2.0 * (values - lo) / (hi - lo) - 1.0
-    else:
-        out = np.zeros_like(values)
-    return float(out) if out.ndim == 0 else out
-
-
-def inverse_close(params: ScalerParams, scaled):
-    """Exact inverse of the Close column transform; accepts scalars or arrays."""
-    lo, hi = _close_bounds(params)
+    lo, hi = float(params.mins[idx]), float(params.maxs[idx])
     values = np.asarray(scaled, dtype=np.float64)
     out = (values + 1.0) * 0.5 * (hi - lo) + lo
     return float(out) if out.ndim == 0 else out

@@ -1,7 +1,9 @@
 """Metrics, one-step evaluation, recursive forecasts, walk-forward backtest."""
 
 import math
+import pickle
 import tracemalloc
+from datetime import date
 from dataclasses import replace
 
 import numpy as np
@@ -23,9 +25,16 @@ from stockcast.evaluation import (
     walk_forward,
 )
 from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
-from stockcast.lstm import TrainConfig, new_model
+from stockcast.lstm import CorruptModel, NonFiniteLoss, TrainConfig, new_model
+from stockcast.market_data import (
+    HttpStatus,
+    InvariantViolation,
+    MalformedRow,
+    NonAscendingDates,
+    OhlcvSeries,
+)
 from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
-from stockcast.scaling import ScalerParams, fit, inverse_close, transform, transform_close
+from stockcast.scaling import ScalerParams, fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
 from test_lstm import windows_dataset
@@ -138,7 +147,7 @@ def test_persistence_evaluation_matches_direct_baseline():
     assert report.mae == pytest.approx(direct.mae, rel=1e-9)
     assert report.rmse == pytest.approx(direct.rmse, rel=1e-9)
     for (day, act, pred), row_idx in zip(rows, target_rows):
-        assert day == series.bars[row_idx].date
+        assert day == series.dates()[row_idx]
         assert act == pytest.approx(closes[row_idx], rel=1e-12)
         assert pred == pytest.approx(closes[row_idx - 1], rel=1e-12)
 
@@ -208,7 +217,8 @@ def test_scripted_trends():
     series, scaler, _, _, _ = persistence_setup()
 
     def scripted(prices):
-        outputs = [transform_close(scaler, p) for p in prices]
+        lo, hi = float(scaler.mins[0]), float(scaler.maxs[0])
+        outputs = [2.0 * (p - lo) / (hi - lo) - 1.0 for p in prices]
         return ScriptedModel(("Close",), 10, scaler, outputs)
 
     up = forecast_recursive(scripted([100.0, 101.0, 102.0]), series, 3)
@@ -248,6 +258,40 @@ def test_forecast_horizon_one_equals_direct_predict():
     window = scaled.values[-model.lookback :, :]
     direct = float(inverse_close(model.scaler, model.predict(window)))
     assert forecast.values[0] == direct
+
+
+def sliding_window_forecast(model, series, horizon):
+    """Reference univariate recursion: slide a window of scaled closes and
+    append each prediction, forward-scaled with the Close column's bounds."""
+    matrix = build_features(series, model.indicator_config, UNIVARIATE, model.use_adj_close)
+    window = transform(model.scaler, matrix).values[-model.lookback :, :].copy()
+    lo, hi = float(model.scaler.mins[0]), float(model.scaler.maxs[0])
+    out = []
+    for _ in range(horizon):
+        price = float(inverse_close(model.scaler, model.predict(window)))
+        out.append(price)
+        next_scaled = 2.0 * (price - lo) / (hi - lo) - 1.0 if hi > lo else 0.0
+        window = np.vstack([window[1:], [[next_scaled]]])
+    return out
+
+
+@pytest.mark.parametrize("use_adj_close", [False, True])
+def test_univariate_forecast_matches_sliding_window_reference(use_adj_close):
+    walk = random_walk_series(140, seed=19)
+    # an adjusted close that drifts away from the close, as after dividends
+    series = OhlcvSeries(walk.symbol, tuple(
+        replace(b, adj_close=b.close * (0.8 + 0.001 * i)) for i, b in enumerate(walk.bars)
+    ))
+    cfg = resolve_config({}, {
+        "mode": "univariate", "lookback": 8, "epochs": 2, "hidden_sizes": "6", "seed": 19,
+        "use_adj_close": str(use_adj_close).lower(),
+    })
+    model = train_from_series(series, cfg).model
+    assert model.use_adj_close is use_adj_close
+    dates, block = series.dates(), series.block.copy()
+    forecast = forecast_recursive(model, series, 12)
+    assert list(forecast.values) == sliding_window_forecast(model, series, 12)
+    assert series.dates() == dates and np.array_equal(series.block, block)
 
 
 def test_forecast_prefix_is_stable():
@@ -345,3 +389,25 @@ def test_walk_forward_guards():
         walk_forward(series, walk_cfg(), 1)
     with pytest.raises(TooFewRows):
         walk_forward(random_walk_series(12, seed=3), walk_cfg(), 3)
+
+
+# ------------------------------------------------------ errors across processes
+
+@pytest.mark.parametrize("error", [
+    MalformedRow(7, "bad date '2021-13-01'"),
+    NonAscendingDates(date(2021, 1, 4)),
+    InvariantViolation(date(2021, 1, 4), "low", "low exceeds high, open, or close"),
+    HttpStatus(404),
+    NonFiniteLoss(3, 5),
+    CorruptModel("$.layers[0].W"),
+    CorruptModel("$.scaler", "column names differ"),
+    ZeroActual(3),
+    SeriesTooShort(200, 12),
+    TooFewRows(30, 4),
+], ids=lambda e: type(e).__name__)
+def test_typed_errors_survive_pickling(error):
+    # a worker process hands its errors back pickled
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error)
+    assert str(clone) == str(error) and clone.args == error.args
+    assert vars(clone) == vars(error)

@@ -125,12 +125,13 @@ def naive_ad(series):
 
 
 def naive_k(series, n):
-    out = [nan] * len(series)
-    for t in range(n - 1, len(series)):
-        window = series.bars[t - n + 1 : t + 1]
+    bars = series.bars
+    out = [nan] * len(bars)
+    for t in range(n - 1, len(bars)):
+        window = bars[t - n + 1 : t + 1]
         hh = max(b.high for b in window)
         ll = min(b.low for b in window)
-        out[t] = 50.0 if hh == ll else (series.bars[t].close - ll) * 100.0 / (hh - ll)
+        out[t] = 50.0 if hh == ll else (bars[t].close - ll) * 100.0 / (hh - ll)
     return out
 
 

@@ -1,7 +1,7 @@
 """CSV parsing, bar validation, serialization, slicing, and fetching."""
 
 import dataclasses
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -213,7 +213,7 @@ def test_adj_close_swap_builds_the_replaced_bars_and_shares_the_column():
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 1.0
-    # features read from the shared column match those of a series built from the replaced bars
+    # features read from the swapped block match those of a series built from the replaced bars
     rebuilt = OhlcvSeries(series.symbol, replaced)
     for column_set in (UNIVARIATE, PAPER_MULTIVARIATE):
         got = build_features(series, IndicatorConfig(), column_set, use_adj_close=True)
@@ -239,16 +239,49 @@ def test_series_builders_reject_disorder():
         assert err.value.date == bars[first_bad].date  # the first bar out of order
 
 
-def test_series_columns_are_built_once_and_read_only(snapshot_series):
-    for name in ("high", "low", "close", "adj_close"):
-        column = getattr(OhlcvSeries, f"{name}s")
-        first = column(snapshot_series)
-        assert first.tolist() == [getattr(b, name) for b in snapshot_series.bars]
-        assert column(snapshot_series) is first
+def test_series_columns_are_read_only_views_of_one_block(snapshot_series):
+    block = snapshot_series.block
+    assert block.shape == (6, 5) and not block.flags.writeable
+    for row, name in enumerate(("open", "high", "low", "close", "adj_close", "volume")):
+        assert block[row].tolist() == [getattr(b, name) for b in snapshot_series.bars]
+    columns = (snapshot_series.highs(), snapshot_series.lows(), snapshot_series.closes(),
+               snapshot_series.adj_closes())
+    for row, column in zip((1, 2, 3, 4), columns):
+        assert np.shares_memory(column, block) and np.array_equal(column, block[row])
+        assert column.flags.c_contiguous
         with pytest.raises(ValueError):
-            first[0] = 1.0
+            column[0] = 1.0
     assert snapshot_series.dates() is snapshot_series.dates()
     assert snapshot_series.dates() == tuple(b.date for b in snapshot_series.bars)
+
+
+def test_with_close_from_adj_leaves_its_source_unchanged():
+    walk = random_walk_series(50, 8)
+    series = OhlcvSeries(walk.symbol, tuple(
+        dataclasses.replace(b, adj_close=b.close / 2.0) for b in walk.bars
+    ))
+    dates, block = series.dates(), series.block.copy()
+    swapped = series.with_close_from_adj()
+    assert series.dates() == dates and np.array_equal(series.block, block)
+    assert not np.shares_memory(swapped.block, series.block)
+    assert np.array_equal(swapped.closes(), block[4]) and np.array_equal(series.closes(), block[3])
+
+
+def test_slice_by_date_matches_the_bar_filter():
+    series = random_walk_series(80, 9)
+    first, last = series.dates()[0], series.dates()[-1]
+    days = st.dates(first - timedelta(days=5), last + timedelta(days=5))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(days, days)
+    def check(a, b):
+        start, end = min(a, b), max(a, b)
+        sliced = slice_by_date(series, start, end)
+        assert sliced.bars == tuple(bar for bar in series.bars if start <= bar.date <= end)
+        assert sliced.dates() == tuple(bar.date for bar in sliced.bars)
+        assert not sliced.block.flags.writeable
+
+    check()
 
 
 def test_parse_fuzzed_csv_gives_series_or_typed_error():

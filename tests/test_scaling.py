@@ -15,7 +15,6 @@ from stockcast.scaling import (
     fit,
     inverse_close,
     transform,
-    transform_close,
 )
 
 
@@ -36,8 +35,6 @@ def test_endpoints_map_exactly():
     assert col[0] == -1.0
     assert col[2] == 1.0
     assert (col >= -1.0).all() and (col <= 1.0).all()
-    assert transform_close(params, 3.0) == -1.0
-    assert transform_close(params, 12.0) == 1.0
 
 
 def test_round_trip_close():
@@ -48,19 +45,15 @@ def test_round_trip_close():
     back = inverse_close(params, scaled)
     assert np.allclose(back, values, rtol=1e-12, atol=1e-12)
     assert inverse_close(params, -1.0) == 17.0
-    assert inverse_close(params, transform_close(params, 123.456)) == pytest.approx(
-        123.456, rel=1e-12
-    )
 
 
 def test_scalar_and_array_forms():
     params = fit(matrix_of([10.0, 20.0]), (0, 2))
-    assert isinstance(transform_close(params, 15.0), float)
-    assert transform_close(params, 15.0) == 0.0
-    out = transform_close(params, np.array([10.0, 20.0]))
-    assert isinstance(out, np.ndarray)
-    assert out.tolist() == [-1.0, 1.0]
     assert isinstance(inverse_close(params, 0.0), float)
+    assert inverse_close(params, 0.0) == 15.0
+    out = inverse_close(params, np.array([-1.0, 1.0]))
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [10.0, 20.0]
 
 
 def test_constant_column_maps_to_zero():
@@ -99,8 +92,6 @@ def test_column_mismatch_names_offender():
 
 def test_missing_close_column():
     params = fit(matrix_of([1.0, 2.0], ("RSI",)), (0, 2))
-    with pytest.raises(MissingCloseColumn):
-        transform_close(params, 1.5)
     with pytest.raises(MissingCloseColumn):
         inverse_close(params, 0.0)
 
