@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from .indicators import COLUMN_SETS, UNIVARIATE, PAPER_MULTIVARIATE, IndicatorConfig
-from .lstm import CELL_VARIANTS, MODES, TrainConfig
+from .lstm import CELL_VARIANTS, MODES, TrainConfig, mode_for
 from .market_data import DEFAULT_ENDPOINT
 
 
@@ -181,7 +181,7 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
         else:
             kwargs[key] = raw
     if "column_set" in kwargs and "mode" not in kwargs:
-        kwargs["mode"] = "univariate" if kwargs["column_set"] == "univariate" else "multivariate"
+        kwargs["mode"] = mode_for(kwargs["column_set"])
     try:
         cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:

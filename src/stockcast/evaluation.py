@@ -86,14 +86,6 @@ def compute_metrics(real, predict) -> MetricsReport:
     )
 
 
-def _predict_batches(model, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
-    parts = [
-        np.asarray(model.predict_batch(inputs[start : start + batch_size]), dtype=np.float64)
-        for start in range(0, len(inputs), batch_size)
-    ]
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
 def evaluate_one_step(model, test_ds: WindowedDataset):
     """Metrics plus per-date (actual, predicted) prices on held-out samples.
 
@@ -116,7 +108,7 @@ def evaluate_one_step(model, test_ds: WindowedDataset):
         )
     if len(test_ds) == 0:
         raise LengthMismatch("test dataset is empty")
-    preds_scaled = _predict_batches(model, test_ds.inputs)
+    preds_scaled = model.predict(test_ds.inputs)
     predicted = np.asarray(scaling.inverse_close(model.scaler, preds_scaled), dtype=np.float64)
     actual = np.asarray(scaling.inverse_close(model.scaler, test_ds.targets), dtype=np.float64)
     report = compute_metrics(actual, predicted)
@@ -156,7 +148,7 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
         if scaled.rows < model.lookback:
             raise SeriesTooShort(model.lookback, scaled.rows)
         window = scaled.values[-model.lookback :, :]
-        price = float(scaling.inverse_close(model.scaler, model.predict(window)))
+        price = float(scaling.inverse_close(model.scaler, model.predict(window[None], 1)[0]))
         values.append(price)
         block[:, n + k] = price  # synthetic next bar: the prediction in every price field
         block[-1, n + k] = block[-1, n + k - 1]  # and the volume carried forward

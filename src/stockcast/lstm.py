@@ -23,15 +23,16 @@ unrolls time-major into one XH (T+1, I+H+1, B) buffer whose slot t holds
 gate slot (one sigmoid over the first 3H rows, one tanh over the last H), and
 it writes h_t to slot t+1, from where the next layer copies its inputs. Only
 forward_batch keeps all T steps' gates, c and tanh(c), in the ForwardCache
-that backward reads; prediction (predict_batch, forward, train's validation
-pass) keeps one gate slot and two c slots. A backward step is two GEMMs:
+that backward reads; LstmModel.predict, the one prediction path, keeps one
+gate slot and two c slots. A backward step is two GEMMs:
 dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
 W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
 owns one ForwardCache per batch size and overwrites it batch after batch.
 
 Summing x, h and bias terms inside one GEMM rounds differently from summing
 them apart, and a window's last bits can depend on the batch size it is
-predicted in. Repeat calls at the same shapes are byte-identical.
+predicted in, so each caller of predict fixes its chunk. Repeat calls at the
+same shapes are byte-identical.
 
 The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
 in the model file; gate_view maps each to a writable view of W, through which
@@ -49,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .indicators import IndicatorConfig
+from .indicators import UNIVARIATE, IndicatorConfig
 from .jsonio import dump_json
 from .scaling import ScalerParams
 
@@ -197,9 +198,13 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive")
 
 
+def mode_for(column_set: str) -> str:
+    """The mode a column set implies: univariate exactly for the univariate set."""
+    return "univariate" if column_set == UNIVARIATE else "multivariate"
+
+
 @dataclass(eq=False)
 class LstmModel:
-    mode: str
     layers: list[LstmLayerParams]
     head_w: np.ndarray  # (last_hidden,)
     head_b: np.ndarray  # shape (1,)
@@ -207,7 +212,6 @@ class LstmModel:
     feature_names: tuple[str, ...]
     lookback: int
     train_config: TrainConfig
-    rng_seed: int
     cell_variant: str = "standard"
     column_set: str = "univariate"
     indicator_config: IndicatorConfig = field(default_factory=IndicatorConfig)
@@ -221,12 +225,28 @@ class LstmModel:
     def num_features(self) -> int:
         return len(self.feature_names)
 
-    def predict(self, window) -> float:
-        return forward(self, window)
+    @property
+    def mode(self) -> str:
+        return mode_for(self.column_set)
 
-    def predict_batch(self, windows) -> np.ndarray:
-        """Predictions for (batch, lookback, features) windows; keeps no backward caches."""
-        return _predict(self, windows)
+    # A pass holds two layers' (lookback + 1, input + hidden + 1, chunk) buffers at once:
+    # about 11 MB at chunk 128 for a paper-scale model (lookback 60, 13 features, hidden
+    # 50,50), however many windows there are, against about 22 MB for 255 in one pass.
+    def predict(self, windows, chunk: int = 128) -> np.ndarray:
+        """Float64 (n,) predictions for (n, lookback, features) windows, chunk windows per
+        pass; keeps no backward caches. A window's last bits can depend on its chunk."""
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
+        X = _windows(self, windows)
+        if not np.isfinite(X).all():
+            raise NonFiniteInput("windows contain non-finite values")
+        out, standard = np.empty(len(X)), self.cell_variant == "standard"
+        for start in range(0, len(X), chunk):
+            seq = X[start : start + chunk].transpose(1, 2, 0)  # (T, I, B); drops the last chunk's
+            for layer in self.layers:  # only seq holds a layer's buffers: each frees the one below
+                seq = _unroll(layer, seq, _buffers((layer,), self.lookback, seq.shape[2], 1)[0], standard)
+            out[start : start + chunk] = np.ascontiguousarray(seq[-1].T) @ self.head_w + self.head_b[0]
+        return out
 
 
 def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParams:
@@ -250,7 +270,6 @@ def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParam
 
 
 def new_model(
-    mode: str,
     feature_names,
     lookback: int,
     scaler: ScalerParams,
@@ -261,8 +280,6 @@ def new_model(
     use_adj_close: bool = False,
 ) -> LstmModel:
     """Freshly initialized stacked model; layer k seeds from cfg.seed + k."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     if cell_variant not in CELL_VARIANTS:
         raise ValueError(f"cell_variant must be one of {CELL_VARIANTS}")
     if lookback < 1:
@@ -278,7 +295,6 @@ def new_model(
     head_rng = SplitMix64(cfg.seed + len(cfg.hidden_sizes))
     bound = 1.0 / math.sqrt(in_size)
     return LstmModel(
-        mode=mode,
         layers=layers,
         head_w=head_rng.fill((in_size,), -bound, bound),
         head_b=np.zeros(1),
@@ -286,7 +302,6 @@ def new_model(
         feature_names=feature_names,
         lookback=lookback,
         train_config=cfg,
-        rng_seed=cfg.seed,
         cell_variant=cell_variant,
         column_set=column_set,
         indicator_config=indicator_config if indicator_config is not None else IndicatorConfig(),
@@ -390,7 +405,7 @@ def forward_batch(model: LstmModel, windows: np.ndarray, out: ForwardCache | Non
     Returns the predictions and a ForwardCache for backward, which keeps
     every layer's buffers for all lookback steps; out, an earlier call's
     ForwardCache at this batch size, is overwritten and returned instead.
-    Calls that only predict should use predict_batch: same values, no caches.
+    Calls that only predict should use LstmModel.predict: same values, no caches.
     """
     X = _windows(model, windows)
     if out is None:
@@ -403,23 +418,6 @@ def forward_batch(model: LstmModel, windows: np.ndarray, out: ForwardCache | Non
         seq = _unroll(layer, seq, buf, model.cell_variant == "standard")
     out.h_last = np.ascontiguousarray(seq[-1].T)
     return out.h_last @ model.head_w + model.head_b[0], out
-
-
-def _predict(model: LstmModel, windows) -> np.ndarray:
-    X = _windows(model, windows)
-    seq = X.transpose(1, 2, 0)
-    for layer in model.layers:
-        (buf,) = _buffers((layer,), model.lookback, len(X), 1)
-        seq = _unroll(layer, seq, buf, model.cell_variant == "standard")  # frees the layer below
-    return np.ascontiguousarray(seq[-1].T) @ model.head_w + model.head_b[0]
-
-
-def forward(model: LstmModel, window) -> float:
-    """Scalar prediction for one (lookback, features) window."""
-    X = _windows(model, np.asarray(window, dtype=np.float64)[None])
-    if not np.isfinite(X).all():
-        raise NonFiniteInput("window contains non-finite values")
-    return float(_predict(model, X)[0])
 
 
 def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, np.ndarray]:
@@ -522,15 +520,6 @@ class Adam:
             arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _mse_forward(model: LstmModel, inputs: np.ndarray, targets: np.ndarray, batch_size: int) -> float:
-    sq = 0.0
-    for start in range(0, len(targets), batch_size):
-        preds = _predict(model, inputs[start : start + batch_size])
-        err = preds - targets[start : start + batch_size]
-        sq += float(np.sum(err * err))
-    return sq / len(targets)
-
-
 def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     """Mini-batch Adam over chronological batches; no shuffling anywhere.
 
@@ -572,7 +561,11 @@ def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
             grads = backward(model, caches, 2.0 * err / len(yb))
             clip_gradient_norm(grads, cfg.gradient_clip_norm)
             optimizer.step(params, grads)
-        val_mse = _mse_forward(model, val_x, val_y, cfg.batch_size)
+        val_pred, val_sq = model.predict(val_x, cfg.batch_size), 0.0
+        for start in range(0, val_n, cfg.batch_size):  # one np.sum over all of err rounds differently
+            err = val_pred[start : start + cfg.batch_size] - val_y[start : start + cfg.batch_size]
+            val_sq += float(np.sum(err * err))
+        val_mse = val_sq / val_n
         if not math.isfinite(val_mse):
             raise NonFiniteLoss(epoch, 0)
         history["train_mse"].append(sq_err / len(fit_y))
@@ -602,7 +595,7 @@ def model_to_document(model: LstmModel) -> dict:
         },
         "indicator_config": _config_document(model.indicator_config),
         "train_config": _config_document(model.train_config),
-        "rng_seed": model.rng_seed,
+        "rng_seed": model.train_config.seed,
         "layers": [
             {name: gate_view(layer, name) for name in _LAYER_FIELDS} for layer in model.layers
         ],
@@ -687,12 +680,12 @@ def load_model(source) -> LstmModel:
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedVersion(f"format_version {version}, supported: {MODEL_FORMAT_VERSION}")
     mode = _need(doc, "mode", "$", str)
-    if mode not in MODES:
-        raise CorruptModel("$.mode", f"unknown mode {mode!r}")
     cell_variant = _need(doc, "cell_variant", "$", str)
     if cell_variant not in CELL_VARIANTS:
         raise CorruptModel("$.cell_variant", f"unknown variant {cell_variant!r}")
     column_set = _need(doc, "column_set", "$", str)
+    if mode != mode_for(column_set):  # v1 writes the mode that column_set implies
+        raise CorruptModel("$.mode", f"{mode!r}, but column set {column_set!r} is {mode_for(column_set)}")
     use_adj_close = _need(doc, "use_adj_close", "$", bool)
     feature_names = _need(doc, "feature_names", "$", list)
     if not feature_names or not all(isinstance(n, str) for n in feature_names):
@@ -741,7 +734,6 @@ def load_model(source) -> LstmModel:
     head_b = _need(head_doc, "b", "$.head", float)
 
     return LstmModel(
-        mode=mode,
         layers=layers,
         head_w=head_w,
         head_b=np.array([head_b]),
@@ -749,7 +741,6 @@ def load_model(source) -> LstmModel:
         feature_names=tuple(feature_names),
         lookback=lookback,
         train_config=train_config,
-        rng_seed=rng_seed,
         cell_variant=cell_variant,
         column_set=column_set,
         indicator_config=indicator_config,

@@ -71,7 +71,6 @@ def fit_model(cfg: RunConfig, train_ds: WindowedDataset, scaler: ScalerParams, s
     """A fresh model for cfg, initialised from seed and trained on train_ds."""
     tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(
-        cfg.mode,
         train_ds.feature_names,
         cfg.lookback,
         scaler,

@@ -281,7 +281,7 @@ def test_model_round_trip_predictions(tmp_path):
         save_model(trained, path)
         loaded = load_model(path)
         probes = rng.uniform(-1.0, 1.0, size=(100, 6, 1))
-        diff = np.abs(loaded.predict_batch(probes) - trained.predict_batch(probes))
+        diff = np.abs(loaded.predict(probes, len(probes)) - trained.predict(probes, len(probes)))
         assert float(diff.max()) <= 1e-12
 
 

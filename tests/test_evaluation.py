@@ -43,7 +43,6 @@ from test_lstm import windows_dataset
 class PersistenceModel:
     """Duck-typed stand-in: predicts the last seen scaled close."""
 
-    mode = "univariate"
     column_set = UNIVARIATE
     use_adj_close = False
     indicator_config = IndicatorConfig()
@@ -54,22 +53,19 @@ class PersistenceModel:
         self.scaler = scaler
         self._close = self.feature_names.index("Close")
 
-    def predict(self, window):
-        return float(np.asarray(window, dtype=np.float64)[-1, self._close])
-
-    def predict_batch(self, windows):
+    def predict(self, windows, chunk=128):
         return np.asarray(windows, dtype=np.float64)[:, -1, self._close]
 
 
 class ScriptedModel(PersistenceModel):
-    """Returns a fixed sequence of scaled predictions, one per call."""
+    """Returns a fixed sequence of scaled predictions, one per window."""
 
     def __init__(self, feature_names, lookback, scaler, outputs):
         super().__init__(feature_names, lookback, scaler)
         self.outputs = list(outputs)
 
-    def predict(self, window):
-        return self.outputs.pop(0)
+    def predict(self, windows, chunk=128):
+        return np.array([self.outputs.pop(0) for _ in windows])
 
 
 # -------------------------------------------------------------------- metrics
@@ -181,11 +177,11 @@ def test_lookback_mismatch_and_empty():
 
 
 def test_evaluate_one_step_memory_peak_at_paper_scale():
-    # predict_batch holds two layers' (lookback + 1, input + hidden + 1, batch) buffers at
-    # once, so evaluate predicts in chunks: 255 windows in one chunk peak near 22 MB
+    # predict holds two layers' (lookback + 1, input + hidden + 1, chunk) buffers at once,
+    # so evaluate predicts in chunks of 128: 255 windows in one chunk peak near 22 MB
     names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
-    model = new_model("multivariate", names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
+    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
                       column_set=PAPER_MULTIVARIATE)
     rng = np.random.default_rng(255)
     test_ds = windows_dataset(rng.uniform(-1.0, 1.0, size=(255, 60, 13)),
@@ -256,7 +252,7 @@ def test_forecast_horizon_one_equals_direct_predict():
     matrix = build_features(series, model.indicator_config, UNIVARIATE)
     scaled = transform(model.scaler, matrix)
     window = scaled.values[-model.lookback :, :]
-    direct = float(inverse_close(model.scaler, model.predict(window)))
+    direct = float(inverse_close(model.scaler, model.predict(window[None], 1)[0]))
     assert forecast.values[0] == direct
 
 
@@ -268,7 +264,7 @@ def sliding_window_forecast(model, series, horizon):
     lo, hi = float(model.scaler.mins[0]), float(model.scaler.maxs[0])
     out = []
     for _ in range(horizon):
-        price = float(inverse_close(model.scaler, model.predict(window)))
+        price = float(inverse_close(model.scaler, model.predict(window[None], 1)[0]))
         out.append(price)
         next_scaled = 2.0 * (price - lo) / (hi - lo) - 1.0 if hi > lo else 0.0
         window = np.vstack([window[1:], [[next_scaled]]])
@@ -310,13 +306,12 @@ def test_multivariate_forecast_rebuilds_features():
     scaler = fit(matrix, (0, matrix.rows))
 
     class ConstantModel(PersistenceModel):
-        mode = "multivariate"
         column_set = PAPER_MULTIVARIATE
         indicator_config = icfg
 
-        def predict(self, window):
-            assert np.asarray(window).shape == (self.lookback, len(names))
-            return 0.25
+        def predict(self, windows, chunk=128):
+            assert np.asarray(windows).shape == (1, self.lookback, len(names))
+            return np.full(len(windows), 0.25)
 
     model = ConstantModel(names, 12, scaler)
     result = forecast_recursive(model, series, 4)

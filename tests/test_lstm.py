@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockcast import lstm
 from stockcast.dataset import WindowedDataset
 from stockcast.jsonio import dump_json
 from stockcast.lstm import (
@@ -30,7 +31,6 @@ from stockcast.lstm import (
     Adam,
     backward,
     clip_gradient_norm,
-    forward,
     forward_batch,
     gate_view,
     init_weights,
@@ -57,8 +57,7 @@ def tiny_model(num_features=1, lookback=5, hidden=(4,), seed=42, variant="standa
     )
     cfg = TrainConfig(hidden_sizes=hidden, seed=seed, **cfg_kwargs)
     column_set = "univariate" if mode == "univariate" else "paper_multivariate"
-    return new_model(mode, names, lookback, scaler, cfg, cell_variant=variant,
-                     column_set=column_set)
+    return new_model(names, lookback, scaler, cfg, cell_variant=variant, column_set=column_set)
 
 
 def windows_dataset(inputs, targets, lookback, names=("Close",)):
@@ -265,7 +264,7 @@ def test_cell_rejects_bad_shapes_and_variant():
     with pytest.raises(ShapeMismatch):
         forward_batch(model, np.ones((1, 2, 2)))
     model.cell_variant = "fancy"
-    for run in (forward_batch, LstmModel.predict_batch):
+    for run in (forward_batch, LstmModel.predict):
         with pytest.raises(ValueError):
             run(model, np.ones((1, 1, 2)))
 
@@ -305,18 +304,18 @@ def test_forward_zero_weights_returns_head_bias():
             arr[:] = 0.0
     model.head_w[:] = 0.0
     model.head_b[0] = 0.7
-    value = forward(model, np.random.default_rng(0).normal(size=(4, 1)))
+    value = model.predict(np.random.default_rng(0).normal(size=(4, 1))[None], 1)[0]
     assert value == pytest.approx(0.7, abs=1e-15)
 
 
 def test_forward_guards():
     model = tiny_model(lookback=4)
     with pytest.raises(ShapeMismatch):
-        forward(model, np.zeros((5, 1)))
+        model.predict(np.zeros((5, 1))[None], 1)
     bad = np.zeros((4, 1))
     bad[2, 0] = np.nan
     with pytest.raises(NonFiniteInput):
-        forward(model, bad)
+        model.predict(bad[None], 1)
     with pytest.raises(ShapeMismatch):
         forward_batch(model, np.zeros((4, 1)))
 
@@ -324,18 +323,38 @@ def test_forward_guards():
 def test_predict_batch_matches_predict():
     model = tiny_model(num_features=2, lookback=6, hidden=(5, 3), mode="multivariate")
     X = np.random.default_rng(3).normal(size=(9, 6, 2))
-    batch = model.predict_batch(X)
-    single = np.array([model.predict(w) for w in X])
+    batch = model.predict(X, len(X))
+    single = np.array([model.predict(w[None], 1)[0] for w in X])
     # batched and one-row matmuls may take different BLAS paths; only
     # repeat calls at the same shape are bit-identical
     assert np.allclose(batch, single, rtol=0.0, atol=1e-12)
-    assert np.array_equal(model.predict_batch(X), batch)
+    assert np.array_equal(model.predict(X, len(X)), batch)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_predict_runs_chunk_windows_per_pass(chunk, monkeypatch):
+    model = tiny_model(num_features=2, lookback=6, hidden=(5, 3), seed=5, mode="multivariate")
+    X = np.random.default_rng(chunk).normal(size=(255, 6, 2))
+    got = model.predict(X, chunk)
+    assert got.dtype == np.float64 and got.shape == (255,)
+    parts = [model.predict(X[start : start + chunk], chunk) for start in range(0, 255, chunk)]
+    assert np.array_equal(got, np.concatenate(parts))
+
+    passes = []
+    unroll = lstm._unroll
+    monkeypatch.setattr(lstm, "_unroll", lambda *args: passes.append(1) or unroll(*args))
+    X[-1, 3, 1] = np.nan  # in the last chunk at every chunk size
+    with pytest.raises(NonFiniteInput):
+        model.predict(X, chunk)
+    assert passes == []
+    with pytest.raises(ValueError):
+        model.predict(X[:2], 0)
 
 
 def test_hidden_unit_permutation_symmetry():
     model = tiny_model(lookback=7, hidden=(6,), seed=9)
     X = np.random.default_rng(1).normal(size=(4, 7, 1))
-    base = model.predict_batch(X)
+    base = model.predict(X, len(X))
 
     perm = np.array([3, 0, 5, 1, 4, 2])
     layer = model.layers[0]
@@ -345,7 +364,7 @@ def test_hidden_unit_permutation_symmetry():
         gate_view(layer, name)[:] = gate_view(layer, name)[perm][:, perm]
     model.head_w[:] = model.head_w[perm]
 
-    assert np.allclose(model.predict_batch(X), base, rtol=0.0, atol=1e-12)
+    assert np.allclose(model.predict(X, len(X)), base, rtol=0.0, atol=1e-12)
 
 
 def test_gate_ranges_on_random_model():
@@ -405,14 +424,14 @@ def test_predict_path_matches_forward_batch(batch, variant, num_features):
                        variant=variant, mode="univariate" if num_features == 1 else "multivariate")
     X = np.random.default_rng(batch).normal(size=(batch, 6, num_features))
     preds, _ = forward_batch(model, X)
-    assert np.array_equal(model.predict_batch(X), preds)
-    assert forward(model, X[-1]) == forward_batch(model, X[-1:])[0][0]
+    assert np.array_equal(model.predict(X, len(X)), preds)
+    assert model.predict(X[-1][None], 1)[0] == forward_batch(model, X[-1:])[0][0]
 
 
 def test_predict_batch_keeps_no_backward_caches():
     names = tuple(f"x{j}" for j in range(13))
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
-    model = new_model("multivariate", names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
+    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
                       column_set="paper_multivariate")
     X = np.random.default_rng(6).uniform(-1.0, 1.0, size=(256, 60, 13))
 
@@ -425,7 +444,7 @@ def test_predict_batch_keeps_no_backward_caches():
         finally:
             tracemalloc.stop()
 
-    predict_peak = peak_bytes(lambda: model.predict_batch(X))
+    predict_peak = peak_bytes(lambda: model.predict(X, len(X)))
     forward_peak = peak_bytes(lambda: forward_batch(model, X))
     assert predict_peak < forward_peak / 4, (predict_peak, forward_peak)
 
@@ -579,7 +598,7 @@ def test_training_learns_last_input_memorization():
     assert history["val_mse"][-1] < history["val_mse"][0]
     # the trained model actually tracks the last input, the fresh one does not
     probe = np.random.default_rng(9).uniform(-1.0, 1.0, size=(50, 8, 1))
-    err = np.abs(trained.predict_batch(probe) - probe[:, -1, 0])
+    err = np.abs(trained.predict(probe, len(probe)) - probe[:, -1, 0])
     assert float(err.mean()) < 0.25
 
 
@@ -610,7 +629,7 @@ def test_train_matches_a_loop_over_the_public_steps():
         val_sq = 0.0
         for start in range(fit_n, len(ds), cfg.batch_size):
             chunk = slice(start, start + cfg.batch_size)
-            err = ref.predict_batch(ds.inputs[chunk]) - ds.targets[chunk]
+            err = ref.predict(ds.inputs[chunk], cfg.batch_size) - ds.targets[chunk]
             val_sq += float(np.sum(err * err))
         ref_history["train_mse"].append(sq_err / fit_n)
         ref_history["val_mse"].append(val_sq / (len(ds) - fit_n))
@@ -618,6 +637,21 @@ def test_train_matches_a_loop_over_the_public_steps():
     assert history == ref_history
     for (key, got), (_, want) in zip(model_param_items(trained), params, strict=True):
         assert np.array_equal(got, want), key
+
+
+def test_last_val_mse_is_the_returned_models_chunked_validation_error():
+    # 22 validation windows at batch 16: a full chunk and a tail of 6, each summed apart
+    ds = memorization_data(n=220)
+    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, hidden_sizes=(5,), seed=8)
+    trained, history = train(tiny_model(lookback=8, hidden=(5,), seed=8), ds, cfg)
+    val_n = int(len(ds) * cfg.validation_fraction)
+    val_x, val_y = ds.inputs[-val_n:], ds.targets[-val_n:]
+    preds = trained.predict(val_x, cfg.batch_size)
+    sq = 0.0
+    for start in range(0, val_n, cfg.batch_size):
+        err = preds[start : start + cfg.batch_size] - val_y[start : start + cfg.batch_size]
+        sq += float(np.sum(err * err))
+    assert history["val_mse"][-1] == sq / val_n
 
 
 def test_training_is_bit_reproducible():
@@ -700,7 +734,7 @@ def test_save_load_round_trip(tmp_path):
     trained, path = trained_pair(tmp_path)
     loaded = load_model(path)
     X = np.random.default_rng(30).uniform(-1.0, 1.0, size=(100, 8, 1))
-    assert np.array_equal(loaded.predict_batch(X), trained.predict_batch(X))
+    assert np.array_equal(loaded.predict(X, len(X)), trained.predict(X, len(X)))
     assert loaded.feature_names == trained.feature_names
     assert loaded.train_config == trained.train_config
     assert loaded.cell_variant == trained.cell_variant
@@ -745,7 +779,7 @@ def test_golden_v1_model_resaves_and_predicts():
     assert sink.getvalue() == path.read_text()
     X = np.random.default_rng(20241).uniform(-1.0, 1.0, size=(32, 5, 3))
     pinned = json.loads((FIXTURES / "golden_v1_predictions.json").read_text())
-    assert np.allclose(model.predict_batch(X), pinned, rtol=0.0, atol=1e-12)
+    assert np.allclose(model.predict(X, len(X)), pinned, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("key, value", [("hidden_sizes", [7]), ("seed", 99)])
@@ -759,6 +793,21 @@ def test_load_rejects_train_config_contradicting_its_copies(tmp_path, key, value
     with pytest.raises(CorruptModel) as err:
         load_model(path)
     assert err.value.path == f"$.train_config.{key}"
+
+
+@pytest.mark.parametrize("key, value", [("mode", "univariate"), ("mode", "sideways"),
+                                        ("column_set", "univariate")])
+def test_load_rejects_mode_contradicting_column_set(tmp_path, key, value):
+    # v1 writes the mode its column set implies; the golden copy is multivariate throughout
+    doc = json.loads((FIXTURES / "golden_v1_model.json").read_text())
+    assert (doc["mode"], doc["column_set"]) == ("multivariate", "paper_multivariate")
+    assert load_model(FIXTURES / "golden_v1_model.json").mode == "multivariate"
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(path)
+    assert err.value.path == "$.mode"
 
 
 @pytest.mark.parametrize("payload", [b'{"mode": "caf\xe9"}', b"[" * 100000],
@@ -801,7 +850,7 @@ def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
             assert kind != "shuffle"
             return
         assert isinstance(model, LstmModel)
-        preds = model.predict_batch(np.zeros((2, model.lookback, model.num_features)))
+        preds = model.predict(np.zeros((2, model.lookback, model.num_features)), 2)
         assert np.isfinite(preds).all()
         if kind == "shuffle":
             sink = io.StringIO()
