@@ -1,4 +1,4 @@
-"""Sliding-window sample construction and sample slicing.
+"""Sliding-window sample construction.
 
 Sample s covers matrix rows [s, s + lookback) and its target is the Close
 value at row s + lookback, so inputs never touch the target row or anything
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import FeatureMatrix
 
@@ -56,18 +57,9 @@ def make_windows(matrix: FeatureMatrix, lookback: int) -> WindowedDataset:
     except ValueError:
         raise DatasetError("feature matrix has no Close column to target") from None
     values = matrix.values
-    inputs = np.stack([values[t - lookback : t] for t in range(lookback, rows)])
+    # the view is (samples, features, lookback): one C-contiguous copy, lookback before features
+    inputs = sliding_window_view(values[:-1], lookback, axis=0).transpose(0, 2, 1).copy()
     targets = values[lookback:, close_idx].copy()
     dates = tuple(matrix.dates[lookback:])
     return WindowedDataset(inputs, targets, dates, lookback, tuple(matrix.column_names))
-
-
-def slice_samples(ds: WindowedDataset, start: int, stop: int) -> WindowedDataset:
-    return WindowedDataset(
-        inputs=ds.inputs[start:stop].copy(),
-        targets=ds.targets[start:stop].copy(),
-        dates=ds.dates[start:stop],
-        lookback=ds.lookback,
-        feature_names=ds.feature_names,
-    )
 

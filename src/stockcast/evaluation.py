@@ -11,7 +11,7 @@ train time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import pipeline, scaling
 from .config import RunConfig
 from .dataset import TooFewRows, WindowedDataset
-from .indicators import SeriesTooShort, build_features
+from .indicators import SeriesTooShort, _min_rows_needed, build_features
 from .market_data import BAR_FIELDS, OhlcvSeries
 
 FLAT_TREND_BAND = 0.001  # |last - first| within 0.1% of first counts as flat
@@ -136,6 +136,10 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = len(series)
+    # one full window after the warmup rows that build_features drops
+    needed = model.lookback + _min_rows_needed(model.indicator_config, model.column_set) - 1
+    if n < needed:
+        raise SeriesTooShort(needed, n)
     block = np.empty((len(BAR_FIELDS), n + horizon))
     block[:, :n] = series.block
     dates = list(series.dates())
@@ -145,8 +149,6 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
         matrix = build_features(extended, model.indicator_config, model.column_set,
                                 model.use_adj_close)
         scaled = scaling.transform(model.scaler, matrix)
-        if scaled.rows < model.lookback:
-            raise SeriesTooShort(model.lookback, scaled.rows)
         window = scaled.values[-model.lookback :, :]
         price = float(scaling.inverse_close(model.scaler, model.predict(window[None], 1)[0]))
         values.append(price)
@@ -171,14 +173,7 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[Metric
         test_end = rows * (j + 1) // (folds + 1)
         if train_end - lookback < 1 or test_end - train_end < 1:
             raise TooFewRows((folds + 1) * (lookback + 2), rows)
-        fold_matrix = replace(
-            matrix, dates=matrix.dates[:test_end], values=matrix.values[:test_end]
-        )
-        scaler = scaling.fit(fold_matrix, (0, train_end))
-        train_part, test_part = pipeline.prepare_datasets(
-            fold_matrix, scaler, lookback, train_end, cfg.clip_scaled
-        )
-        model, _ = pipeline.fit_model(cfg, train_part, scaler, cfg.seed + j)
-        report, _ = evaluate_one_step(model, test_part)
+        fold = pipeline.fit_split(matrix.row_slice(0, test_end), cfg, train_end, cfg.seed + j)
+        report, _ = evaluate_one_step(fold.model, fold.test_ds)
         reports.append(report)
     return reports

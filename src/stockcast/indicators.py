@@ -14,7 +14,7 @@ ratio is 0 when high equals low.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -102,6 +102,10 @@ class FeatureMatrix:
         except ValueError:
             raise KeyError(name) from None
         return self.values[:, idx]
+
+    def row_slice(self, start: int, stop: int) -> "FeatureMatrix":
+        """Rows [start, stop), sharing this matrix's values."""
+        return replace(self, dates=self.dates[start:stop], values=self.values[start:stop])
 
 
 def _as_floats(values) -> np.ndarray:

@@ -3,8 +3,10 @@
 One split rule serves train, evaluate and backtest: a sample trains when its
 target row lies before ``split_row`` and tests otherwise, so with lookback L
 the first split_row - L samples train. ``prepare_datasets`` applies it to a
-matrix scaled by a given scaler; whoever fits that scaler fits it on rows
-[0, split_row) only. ``fit_model`` is the only model factory.
+matrix scaled by a given scaler, windowing each side from its own rows:
+[0, split_row) and [split_row - L, rows). ``fit_split`` is the only model
+factory, for train and every walk-forward fold; it fits the scaler on rows
+[0, split_row) only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .scaling import ScalerParams
 class PipelineResult:
     model: lstm.LstmModel
     history: dict
-    scaler: ScalerParams
     train_ds: WindowedDataset
     test_ds: WindowedDataset
     matrix: FeatureMatrix
@@ -58,17 +59,20 @@ def prepare_datasets(
     split_row: int,
     clip: bool = False,
 ) -> tuple[WindowedDataset, WindowedDataset]:
-    """Scale, window, and split into samples with target row < split_row and the rest."""
-    windows = dataset.make_windows(scaling.transform(scaler, matrix, clip=clip), lookback)
-    split = split_row - lookback
+    """Scale, then window the samples with target row < split_row and the rest."""
+    if not lookback < split_row < matrix.rows:
+        raise dataset.DegenerateSplit(f"split row {split_row} of {matrix.rows} empties a side")
+    scaled = scaling.transform(scaler, matrix, clip=clip)
     return (
-        dataset.slice_samples(windows, 0, split),
-        dataset.slice_samples(windows, split, len(windows)),
+        dataset.make_windows(scaled.row_slice(0, split_row), lookback),
+        dataset.make_windows(scaled.row_slice(split_row - lookback, scaled.rows), lookback),
     )
 
 
-def fit_model(cfg: RunConfig, train_ds: WindowedDataset, scaler: ScalerParams, seed: int):
-    """A fresh model for cfg, initialised from seed and trained on train_ds."""
+def fit_split(matrix: FeatureMatrix, cfg: RunConfig, split_row: int, seed: int) -> PipelineResult:
+    """Fit the scaler on rows [0, split_row), window both sides, train a fresh model from seed."""
+    scaler = scaling.fit(matrix, (0, split_row))
+    train_ds, test_ds = prepare_datasets(matrix, scaler, cfg.lookback, split_row, cfg.clip_scaled)
     tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(
         train_ds.feature_names,
@@ -80,14 +84,12 @@ def fit_model(cfg: RunConfig, train_ds: WindowedDataset, scaler: ScalerParams, s
         indicator_config=cfg.indicator_config(),
         use_adj_close=cfg.use_adj_close,
     )
-    return lstm.train(model_init, train_ds, tcfg)
+    model, history = lstm.train(model_init, train_ds, tcfg)
+    return PipelineResult(model, history, train_ds, test_ds, matrix)
 
 
 def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> PipelineResult:
     """The full training pipeline as the train command runs it."""
     matrix = build_matrix(series, cfg)
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-    scaler = scaling.fit(matrix, (0, split_row))
-    train_ds, test_ds = prepare_datasets(matrix, scaler, cfg.lookback, split_row, cfg.clip_scaled)
-    model, history = fit_model(cfg, train_ds, scaler, cfg.seed)
-    return PipelineResult(model, history, scaler, train_ds, test_ds, matrix)
+    return fit_split(matrix, cfg, split_row, cfg.seed)

@@ -1,16 +1,15 @@
 """Windowing and the chronological train/test split by row."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stockcast import scaling
 from stockcast.config import ConfigError, resolve_config
-from stockcast.dataset import (
-    DatasetError,
-    DegenerateSplit,
-    TooFewRows,
-    make_windows,
-    slice_samples,
-)
+from stockcast.dataset import DatasetError, DegenerateSplit, TooFewRows, make_windows
 from stockcast.pipeline import prepare_datasets, split_row_for
 from stockcast.scaling import ScalerParams
 
@@ -92,10 +91,70 @@ def test_degenerate_split():
             resolve_config(overrides={"train_fraction": fraction})
 
 
-def test_slice_samples_copies():
-    ds = make_windows(matrix_of(np.arange(10.0)), lookback=2)
-    part = slice_samples(ds, 1, 4)
-    assert len(part) == 3
-    part.inputs[0, 0, 0] = 99.0
-    assert ds.inputs[1, 0, 0] != 99.0
-    assert part.lookback == ds.lookback
+def test_prepare_datasets_rejects_a_split_row_that_empties_a_side():
+    matrix = matrix_of(np.arange(10.0))
+    ones = np.ones(1)
+    unit = ScalerParams(("Close",), -ones, ones)
+    for split_row in (-1, 0, 2, 3, 10, 11):  # lookback 3, 10 rows: only 4..9 leave both sides
+        with pytest.raises(DegenerateSplit, match=f"split row {split_row}"):
+            prepare_datasets(matrix, unit, 3, split_row)
+    for split_row, sizes in ((4, (1, 6)), (9, (6, 1))):
+        train, test = prepare_datasets(matrix, unit, 3, split_row)
+        assert (len(train), len(test)) == sizes
+
+
+def stack_and_slice(scaled, lookback, split_row):
+    """Reference: window every row with a per-window stack, then copy each side out."""
+    values = scaled.values
+    close = scaled.column_names.index("Close")
+    inputs = np.stack([values[t - lookback : t] for t in range(lookback, scaled.rows)])
+    targets = values[lookback:, close].copy()
+    dates = tuple(scaled.dates[lookback:])
+    cut = split_row - lookback
+    return (
+        (inputs[:cut].copy(), targets[:cut].copy(), dates[:cut]),
+        (inputs[cut:].copy(), targets[cut:].copy(), dates[cut:]),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    rows=st.integers(3, 40),
+    lookback=st.integers(1, 12),
+    columns=st.integers(1, 4),
+    split_pick=st.integers(0, 10**6),
+    clip=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prepare_datasets_matches_stack_and_slice(rows, lookback, columns, split_pick, clip, seed):
+    lookback = min(lookback, rows - 2)
+    split_row = lookback + 1 + split_pick % (rows - lookback - 1)
+    values = np.random.default_rng(seed).normal(size=(rows, columns))
+    matrix = matrix_of(values, ("Close",) + tuple(f"F{i}" for i in range(1, columns)))
+    scaler = scaling.fit(matrix, (0, split_row))
+    scaled_out = []
+    transform = scaling.transform
+
+    def capture(*args, **kwargs):
+        scaled_out.append(transform(*args, **kwargs))
+        return scaled_out[-1]
+
+    with mock.patch.object(scaling, "transform", capture):
+        train, test = prepare_datasets(matrix, scaler, lookback, split_row, clip)
+    (scaled,) = scaled_out
+    assert np.array_equal(scaled.values, transform(scaler, matrix, clip=clip).values)
+    for side, (inputs, targets, dates) in zip(
+        (train, test), stack_and_slice(scaled, lookback, split_row)
+    ):
+        assert np.array_equal(side.inputs, inputs)
+        assert side.inputs.tobytes() == inputs.tobytes()
+        assert np.array_equal(side.targets, targets)
+        assert side.targets.tobytes() == targets.tobytes()
+        assert side.dates == dates
+        assert side.inputs.flags.c_contiguous
+        assert side.lookback == lookback
+        assert side.feature_names == matrix.column_names
+    arrays = (train.inputs, test.inputs, scaled.values, matrix.values)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)

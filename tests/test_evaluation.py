@@ -235,6 +235,20 @@ def test_forecast_horizon_validation_and_short_series():
         forecast_recursive(model, short, 3)
 
 
+def test_forecast_too_short_counts_bars_plus_warmup():
+    # lookback 60 over paper_multivariate: the 200-bar SMA drops 199 warmup rows
+    names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
+    ones = np.ones(len(names))
+    model = PersistenceModel(names, 60, ScalerParams(names, -ones, ones))
+    model.column_set = PAPER_MULTIVARIATE
+    for bars in (150, 250, 258):
+        with pytest.raises(SeriesTooShort) as err:
+            forecast_recursive(model, random_walk_series(bars, seed=4), 1)
+        assert (err.value.needed, err.value.have) == (259, bars)
+    result = forecast_recursive(model, random_walk_series(259, seed=4), 2)
+    assert len(result.values) == 2 and all(math.isfinite(v) for v in result.values)
+
+
 def trained_univariate(n=140, lookback=8, epochs=2, seed=19):
     series = random_walk_series(n, seed=seed)
     cfg = resolve_config({}, {
@@ -332,8 +346,8 @@ def test_single_path_keeps_test_rows_out_of_training():
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
     assert result.test_ds.dates[0] == matrix.dates[split_row]
     assert all(day < result.test_ds.dates[0] for day in result.train_ds.dates)
-    assert np.array_equal(result.scaler.mins, matrix.values[:split_row].min(axis=0))
-    assert np.array_equal(result.scaler.maxs, matrix.values[:split_row].max(axis=0))
+    assert np.array_equal(result.model.scaler.mins, matrix.values[:split_row].min(axis=0))
+    assert np.array_equal(result.model.scaler.maxs, matrix.values[:split_row].max(axis=0))
     assert np.all(result.test_ds.targets == 1.0)  # clipped at the training maximum
 
     train_end, test_end = 60, 100
