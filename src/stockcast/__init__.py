@@ -37,7 +37,7 @@ from .lstm import (
     train,
 )
 from .market_data import Bar, OhlcvSeries, fetch_quotes, parse_csv, serialize_csv
-from .pipeline import PipelineResult, prepare_datasets, train_from_series
+from .pipeline import train_from_series
 from .scaling import ScalerParams, fit, inverse_close, transform
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "MetricsReport",
     "OhlcvSeries",
     "PAPER_MULTIVARIATE",
-    "PipelineResult",
     "RunConfig",
     "ScalerParams",
     "SplitMix64",
@@ -73,7 +72,6 @@ __all__ = [
     "new_model",
     "parse_config_text",
     "parse_csv",
-    "prepare_datasets",
     "resolve_config",
     "rmse_from_mse",
     "save_model",

@@ -164,16 +164,16 @@ def cmd_train(args, cfg: RunConfig) -> int:
     model_out = _require(cfg.model, "--model-out")
     history_out = _require(cfg.history_out, "--history-out")
     series = _load_series(cfg, input_path)
-    result = pipeline.train_from_series(series, cfg)
-    lstm.save_model(result.model, model_out)
+    model, history = pipeline.train_from_series(series, cfg)
+    lstm.save_model(model, model_out)
     lines = ["epoch,train_mse,val_mse"]
     for epoch, (train_mse, val_mse) in enumerate(
-        zip(result.history["train_mse"], result.history["val_mse"]), start=1
+        zip(history["train_mse"], history["val_mse"]), start=1
     ):
         lines.append(f"{epoch},{train_mse:.17g},{val_mse:.17g}")
     Path(history_out).write_text("\n".join(lines) + "\n")
     if args.verbose:
-        final = result.history["train_mse"][-1]
+        final = history["train_mse"][-1]
         print(f"trained {cfg.epochs} epochs, final train mse {final:.6g}", file=sys.stderr)
     return EXIT_OK
 
@@ -186,7 +186,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     model = lstm.load_model(model_path)
     matrix = build_features(series, model.indicator_config, model.column_set, model.use_adj_close)
     split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
-    _, test_ds = pipeline.prepare_datasets(matrix, model.scaler, model.lookback, split_row)
+    test_ds = pipeline.held_out_windows(matrix, model.scaler, model.lookback, split_row)
     report, rows = evaluation.evaluate_one_step(model, test_ds)
     document = {
         **asdict(report),

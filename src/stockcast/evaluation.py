@@ -16,7 +16,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from . import pipeline, scaling
+from . import lstm, pipeline, scaling
 from .config import RunConfig
 from .dataset import TooFewRows, WindowedDataset
 from .indicators import SeriesTooShort, _min_rows_needed, build_features
@@ -166,14 +166,18 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[Metric
         raise ValueError("folds must be >= 2")
     matrix = pipeline.build_matrix(series, cfg)
     rows = matrix.rows
-    lookback = cfg.lookback
+    # fold 1 trains on rows // (folds + 1) rows, the fewest of any fold
+    needed = (folds + 1) * (cfg.lookback + lstm.min_train_windows(cfg.validation_fraction))
+    if rows < needed:
+        raise TooFewRows(needed, rows)
     reports: list[MetricsReport] = []
     for j in range(1, folds + 1):
         train_end = rows * j // (folds + 1)
         test_end = rows * (j + 1) // (folds + 1)
-        if train_end - lookback < 1 or test_end - train_end < 1:
-            raise TooFewRows((folds + 1) * (lookback + 2), rows)
-        fold = pipeline.fit_split(matrix.row_slice(0, test_end), cfg, train_end, cfg.seed + j)
-        report, _ = evaluate_one_step(fold.model, fold.test_ds)
+        model, _ = pipeline.fit_rows(matrix.row_slice(0, train_end), cfg, cfg.seed + j)
+        test_ds = pipeline.held_out_windows(
+            matrix.row_slice(0, test_end), model.scaler, cfg.lookback, train_end, cfg.clip_scaled
+        )
+        report, _ = evaluate_one_step(model, test_ds)
         reports.append(report)
     return reports

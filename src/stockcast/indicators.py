@@ -96,13 +96,6 @@ class FeatureMatrix:
     def rows(self) -> int:
         return self.values.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.column_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return self.values[:, idx]
-
     def row_slice(self, start: int, stop: int) -> "FeatureMatrix":
         """Rows [start, stop), sharing this matrix's values."""
         return replace(self, dates=self.dates[start:stop], values=self.values[start:stop])

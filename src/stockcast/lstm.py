@@ -520,6 +520,16 @@ class Adam:
             arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
+def min_train_windows(validation_fraction: float) -> int:
+    """Fewest windows n whose validation tail int(n * validation_fraction),
+    as train carves it, holds at least one window."""
+    n = math.ceil(1.0 / validation_fraction)
+    # 1/f and n*f round apart, so the true least n is ceil(1/f) or a neighbour
+    if int((n - 1) * validation_fraction) >= 1:
+        return n - 1
+    return n if int(n * validation_fraction) >= 1 else n + 1
+
+
 def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     """Mini-batch Adam over chronological batches; no shuffling anywhere.
 

@@ -1,17 +1,17 @@
 """Glue that wires bars -> features -> scaling -> windows -> training.
 
-One split rule serves train, evaluate and backtest: a sample trains when its
-target row lies before ``split_row`` and tests otherwise, so with lookback L
-the first split_row - L samples train. ``prepare_datasets`` applies it to a
-matrix scaled by a given scaler, windowing each side from its own rows:
-[0, split_row) and [split_row - L, rows). ``fit_split`` is the only model
-factory, for train and every walk-forward fold; it fits the scaler on rows
-[0, split_row) only.
+The caller cuts the split once, at ``split_row``: a sample trains when its
+target row lies before it and is held out otherwise. ``fit_rows`` receives
+the training rows [0, split_row) alone and fits the scaler on every row it
+is given, so no held-out row reaches the scaler or the model.
+``held_out_windows`` scales rows [split_row - L, rows) with that scaler and
+windows them; the L rows before split_row are only the first window's inputs.
+Train, evaluate and every walk-forward fold go through these two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import dataset, lstm, scaling
 from .config import RunConfig
@@ -19,15 +19,6 @@ from .dataset import WindowedDataset
 from .indicators import FeatureMatrix, build_features
 from .market_data import OhlcvSeries
 from .scaling import ScalerParams
-
-
-@dataclass(eq=False)
-class PipelineResult:
-    model: lstm.LstmModel
-    history: dict
-    train_ds: WindowedDataset
-    test_ds: WindowedDataset
-    matrix: FeatureMatrix
 
 
 def build_matrix(series: OhlcvSeries, cfg: RunConfig) -> FeatureMatrix:
@@ -52,27 +43,11 @@ def split_row_for(matrix_rows: int, lookback: int, train_fraction: float) -> int
     return lookback + k
 
 
-def prepare_datasets(
-    matrix: FeatureMatrix,
-    scaler: ScalerParams,
-    lookback: int,
-    split_row: int,
-    clip: bool = False,
-) -> tuple[WindowedDataset, WindowedDataset]:
-    """Scale, then window the samples with target row < split_row and the rest."""
-    if not lookback < split_row < matrix.rows:
-        raise dataset.DegenerateSplit(f"split row {split_row} of {matrix.rows} empties a side")
-    scaled = scaling.transform(scaler, matrix, clip=clip)
-    return (
-        dataset.make_windows(scaled.row_slice(0, split_row), lookback),
-        dataset.make_windows(scaled.row_slice(split_row - lookback, scaled.rows), lookback),
-    )
-
-
-def fit_split(matrix: FeatureMatrix, cfg: RunConfig, split_row: int, seed: int) -> PipelineResult:
-    """Fit the scaler on rows [0, split_row), window both sides, train a fresh model from seed."""
-    scaler = scaling.fit(matrix, (0, split_row))
-    train_ds, test_ds = prepare_datasets(matrix, scaler, cfg.lookback, split_row, cfg.clip_scaled)
+def fit_rows(train_rows: FeatureMatrix, cfg: RunConfig, seed: int) -> tuple[lstm.LstmModel, dict]:
+    """Fit the scaler on every given row, window them, train a fresh model from seed."""
+    scaler = scaling.fit(train_rows)
+    scaled = scaling.transform(scaler, train_rows, clip=cfg.clip_scaled)
+    train_ds = dataset.make_windows(scaled, cfg.lookback)
     tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(
         train_ds.feature_names,
@@ -84,12 +59,28 @@ def fit_split(matrix: FeatureMatrix, cfg: RunConfig, split_row: int, seed: int) 
         indicator_config=cfg.indicator_config(),
         use_adj_close=cfg.use_adj_close,
     )
-    model, history = lstm.train(model_init, train_ds, tcfg)
-    return PipelineResult(model, history, train_ds, test_ds, matrix)
+    return lstm.train(model_init, train_ds, tcfg)
 
 
-def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> PipelineResult:
+def held_out_windows(
+    matrix: FeatureMatrix,
+    scaler: ScalerParams,
+    lookback: int,
+    split_row: int,
+    clip: bool = False,
+) -> WindowedDataset:
+    """Scale and window rows [split_row - lookback, rows): the samples whose
+    target row is split_row or later."""
+    if not lookback <= split_row < matrix.rows:
+        raise dataset.DegenerateSplit(
+            f"split row {split_row} needs {lookback} rows before it and 1 after, of {matrix.rows}"
+        )
+    held_out = matrix.row_slice(split_row - lookback, matrix.rows)
+    return dataset.make_windows(scaling.transform(scaler, held_out, clip=clip), lookback)
+
+
+def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> tuple[lstm.LstmModel, dict]:
     """The full training pipeline as the train command runs it."""
     matrix = build_matrix(series, cfg)
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-    return fit_split(matrix, cfg, split_row, cfg.seed)
+    return fit_rows(matrix.row_slice(0, split_row), cfg, cfg.seed)

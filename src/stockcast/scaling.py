@@ -32,16 +32,14 @@ class ScalerParams:
     maxs: np.ndarray
 
 
-def fit(matrix: FeatureMatrix, row_range: tuple[int, int]) -> ScalerParams:
-    """Column extrema over rows [start, stop); never include test rows here."""
-    start, stop = row_range
-    if not (0 <= start < stop <= matrix.rows):
-        raise EmptyRange(f"row range [{start}, {stop}) invalid for {matrix.rows} rows")
-    block = matrix.values[start:stop]
+def fit(matrix: FeatureMatrix) -> ScalerParams:
+    """Column extrema over every row given; pass the training rows alone."""
+    if matrix.rows == 0:
+        raise EmptyRange("cannot fit a scaler on a matrix with no rows")
     return ScalerParams(
         column_names=tuple(matrix.column_names),
-        mins=block.min(axis=0).copy(),
-        maxs=block.max(axis=0).copy(),
+        mins=matrix.values.min(axis=0),
+        maxs=matrix.values.max(axis=0),
     )
 
 

@@ -44,10 +44,11 @@ from stockcast.lstm import (
     train,
 )
 from stockcast.market_data import Bar, OhlcvSeries, parse_csv, slice_by_date
-from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
+from stockcast.pipeline import build_matrix, held_out_windows, split_row_for, train_from_series
 from stockcast.scaling import fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
+from test_dataset import fit_windows
 from test_indicators import (
     close_nan,
     naive_ad,
@@ -61,6 +62,7 @@ from test_indicators import (
     naive_wma,
 )
 from test_lstm import tiny_model, windows_dataset
+from test_scaling import column
 
 
 @contextmanager
@@ -178,8 +180,8 @@ def test_scaler_round_trip():
         values = rng.uniform(3.0, 9000.0, size=10_000)
         matrix = build_features(flat_series(values), IndicatorConfig(), UNIVARIATE)
         train_rows = 8000
-        params = fit(matrix, (0, train_rows))
-        scaled = transform(params, matrix).column("Close")
+        params = fit(matrix.row_slice(0, train_rows))
+        scaled = column(transform(params, matrix), "Close")
 
         train_scaled = scaled[:train_rows]
         assert (train_scaled >= -1.0).all() and (train_scaled <= 1.0).all()
@@ -197,11 +199,15 @@ def test_sine_wave_learning():
             "mode": "univariate", "lookback": "30", "epochs": "150",
             "hidden_sizes": "32", "seed": "42",
         })
-        result = train_from_series(flat_series(closes), cfg)
-        history = result.history["train_mse"]
+        series = flat_series(closes)
+        model, fit_history = train_from_series(series, cfg)
+        history = fit_history["train_mse"]
         assert len(history) == 150
         assert history[-1] < 0.1 * history[0]
-        report, _ = evaluate_one_step(result.model, result.test_ds)
+        matrix = build_matrix(series, cfg)
+        split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
+        test_ds = held_out_windows(matrix, model.scaler, cfg.lookback, split_row, cfg.clip_scaled)
+        report, _ = evaluate_one_step(model, test_ds)
         assert report.mape < 5.0, f"test MAPE {report.mape}"
 
 
@@ -261,8 +267,8 @@ def test_dataset_hygiene():
             assert ds.targets[s] == matrix.values[s + lookback, close_idx]
             assert ds.dates[s] == matrix.dates[s + lookback]
         split_row = split_row_for(matrix.rows, lookback, 0.8)
-        scaler = fit(matrix, (0, split_row))
-        train_part, test_part = prepare_datasets(matrix, scaler, lookback, split_row)
+        train_part, scaler = fit_windows(matrix.row_slice(0, split_row), lookback)
+        test_part = held_out_windows(matrix, scaler, lookback, split_row)
         assert len(train_part) == int(0.8 * len(ds))
         assert len(train_part) + len(test_part) == len(ds)
         assert train_part.dates[-1] < test_part.dates[0]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import stockcast
+from stockcast import dataset
 from stockcast.charts import render_line_chart
 from stockcast.cli import main
 from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
@@ -198,6 +199,28 @@ def test_evaluate_report_and_predictions(tmp_path, capsys):
     assert len(lines) == report["n"] + 1
     first = lines[1].split(",")
     assert len(first) == 3 and first[0].count("-") == 2
+    capsys.readouterr()
+
+
+def test_evaluate_windows_only_the_held_out_rows(tmp_path, capsys, monkeypatch):
+    data, model_path = trained_setup(tmp_path)
+    windowed = []
+    make_windows = dataset.make_windows
+
+    def spy(matrix, lookback):
+        windowed.append(matrix)
+        return make_windows(matrix, lookback)
+
+    monkeypatch.setattr(dataset, "make_windows", spy)
+    report_path = tmp_path / "report.json"
+    rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+               "--report-out", str(report_path)])
+    assert rc == 0
+    # 300 rows at lookback 12 and train fraction 0.8: targets from row 12 + int(0.8 * 288) = 242
+    (matrix,) = windowed
+    dates = parse_csv(data.read_text(), "STOCK").dates()
+    assert matrix.dates == dates[242 - 12 :]
+    assert json.loads(report_path.read_text())["n"] == 300 - 242
     capsys.readouterr()
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast import scaling
+from stockcast import lstm, scaling
 from stockcast.config import ConfigError, resolve_config
 from stockcast.dataset import DatasetError, DegenerateSplit, TooFewRows, make_windows
-from stockcast.pipeline import prepare_datasets, split_row_for
+from stockcast.pipeline import fit_rows, held_out_windows, split_row_for
 from stockcast.scaling import ScalerParams
 
 from test_scaling import matrix_of
@@ -55,12 +55,37 @@ def test_close_column_required():
         make_windows(matrix, lookback=1)
 
 
-def split(matrix, lookback, train_fraction):
-    """The pipeline split under a scaler that maps small integers onto themselves."""
+def fit_windows(train_rows, lookback, clip=False):
+    """(training windows, fitted scaler) of fit_rows on train_rows; lstm.train
+    is stubbed out, so nothing trains."""
+    cfg = resolve_config({}, {
+        "lookback": str(lookback), "hidden_sizes": "1", "clip_scaled": str(clip).lower(),
+    })
+    seen = []
+
+    def capture(model_init, train_ds, tcfg):
+        seen.append(train_ds)
+        return model_init, {}
+
+    with mock.patch.object(lstm, "train", capture):
+        model, _ = fit_rows(train_rows, cfg, cfg.seed)
+    (train_ds,) = seen
+    return train_ds, model.scaler
+
+
+def unit_scaler(matrix):
+    """A scaler that maps small integers onto themselves."""
     ones = np.ones(len(matrix.column_names))
-    unit = ScalerParams(matrix.column_names, -ones, ones)
+    return ScalerParams(matrix.column_names, -ones, ones)
+
+
+def split(matrix, lookback, train_fraction):
+    """Both sides of the pipeline split, with the unit scaler standing in for the fitted one."""
+    unit = unit_scaler(matrix)
     split_row = split_row_for(matrix.rows, lookback, train_fraction)
-    return prepare_datasets(matrix, unit, lookback, split_row)
+    with mock.patch.object(scaling, "fit", lambda rows: unit):
+        train, _ = fit_windows(matrix.row_slice(0, split_row), lookback)
+    return train, held_out_windows(matrix, unit, lookback, split_row)
 
 
 def test_split_sizes():
@@ -91,16 +116,19 @@ def test_degenerate_split():
             resolve_config(overrides={"train_fraction": fraction})
 
 
-def test_prepare_datasets_rejects_a_split_row_that_empties_a_side():
+def test_held_out_windows_rejects_a_split_row_that_empties_a_side():
     matrix = matrix_of(np.arange(10.0))
-    ones = np.ones(1)
-    unit = ScalerParams(("Close",), -ones, ones)
-    for split_row in (-1, 0, 2, 3, 10, 11):  # lookback 3, 10 rows: only 4..9 leave both sides
+    unit = unit_scaler(matrix)
+    for split_row in (-1, 0, 2, 10, 11):  # lookback 3, 10 rows: 3..9 leave a held-out window
         with pytest.raises(DegenerateSplit, match=f"split row {split_row}"):
-            prepare_datasets(matrix, unit, 3, split_row)
+            held_out_windows(matrix, unit, 3, split_row)
+    with pytest.raises(TooFewRows):  # split row 3 leaves no training window
+        fit_windows(matrix.row_slice(0, 3), 3)
     for split_row, sizes in ((4, (1, 6)), (9, (6, 1))):
-        train, test = prepare_datasets(matrix, unit, 3, split_row)
+        train, _ = fit_windows(matrix.row_slice(0, split_row), 3)
+        test = held_out_windows(matrix, unit, 3, split_row)
         assert (len(train), len(test)) == sizes
+    assert len(held_out_windows(matrix, unit, 3, 3)) == 7
 
 
 def stack_and_slice(scaled, lookback, split_row):
@@ -126,12 +154,14 @@ def stack_and_slice(scaled, lookback, split_row):
     clip=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prepare_datasets_matches_stack_and_slice(rows, lookback, columns, split_pick, clip, seed):
+def test_fit_rows_and_held_out_windows_match_stack_and_slice(
+    rows, lookback, columns, split_pick, clip, seed
+):
     lookback = min(lookback, rows - 2)
     split_row = lookback + 1 + split_pick % (rows - lookback - 1)
     values = np.random.default_rng(seed).normal(size=(rows, columns))
     matrix = matrix_of(values, ("Close",) + tuple(f"F{i}" for i in range(1, columns)))
-    scaler = scaling.fit(matrix, (0, split_row))
+    scaler = scaling.fit(matrix.row_slice(0, split_row))
     scaled_out = []
     transform = scaling.transform
 
@@ -140,9 +170,14 @@ def test_prepare_datasets_matches_stack_and_slice(rows, lookback, columns, split
         return scaled_out[-1]
 
     with mock.patch.object(scaling, "transform", capture):
-        train, test = prepare_datasets(matrix, scaler, lookback, split_row, clip)
-    (scaled,) = scaled_out
-    assert np.array_equal(scaled.values, transform(scaler, matrix, clip=clip).values)
+        train, fitted = fit_windows(matrix.row_slice(0, split_row), lookback, clip)
+        test = held_out_windows(matrix, scaler, lookback, split_row, clip)
+    assert fitted.mins.tobytes() == scaler.mins.tobytes()
+    assert fitted.maxs.tobytes() == scaler.maxs.tobytes()
+    scaled = transform(scaler, matrix, clip=clip)
+    train_scaled, test_scaled = scaled_out
+    assert train_scaled.values.tobytes() == scaled.values[:split_row].tobytes()
+    assert test_scaled.values.tobytes() == scaled.values[split_row - lookback :].tobytes()
     for side, (inputs, targets, dates) in zip(
         (train, test), stack_and_slice(scaled, lookback, split_row)
     ):
@@ -154,7 +189,7 @@ def test_prepare_datasets_matches_stack_and_slice(rows, lookback, columns, split
         assert side.inputs.flags.c_contiguous
         assert side.lookback == lookback
         assert side.feature_names == matrix.column_names
-    arrays = (train.inputs, test.inputs, scaled.values, matrix.values)
+    arrays = (train.inputs, test.inputs, train_scaled.values, test_scaled.values, matrix.values)
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)

@@ -5,12 +5,14 @@ import pickle
 import tracemalloc
 from datetime import date
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stockcast import lstm, pipeline, scaling
 from stockcast.config import resolve_config
 from stockcast.dataset import TooFewRows, make_windows
 from stockcast.evaluation import (
@@ -33,7 +35,7 @@ from stockcast.market_data import (
     NonAscendingDates,
     OhlcvSeries,
 )
-from stockcast.pipeline import prepare_datasets, split_row_for, train_from_series
+from stockcast.pipeline import held_out_windows, split_row_for, train_from_series
 from stockcast.scaling import ScalerParams, fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
@@ -120,14 +122,14 @@ def persistence_setup(n=120, lookback=10, seed=6):
     series = random_walk_series(n, seed=seed)
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
     split_row = split_row_for(matrix.rows, lookback, 0.8)
-    scaler = fit(matrix, (0, split_row))
-    train_ds, test_ds = prepare_datasets(matrix, scaler, lookback, split_row)
+    scaler = fit(matrix.row_slice(0, split_row))
+    test_ds = held_out_windows(matrix, scaler, lookback, split_row)
     model = PersistenceModel(("Close",), lookback, scaler)
-    return series, scaler, train_ds, test_ds, model
+    return series, scaler, test_ds, model
 
 
 def test_persistence_evaluation_matches_direct_baseline():
-    series, scaler, train_ds, test_ds, model = persistence_setup()
+    series, scaler, test_ds, model = persistence_setup()
     report, rows = evaluate_one_step(model, test_ds)
 
     closes = series.closes()
@@ -151,22 +153,22 @@ def test_persistence_evaluation_matches_direct_baseline():
 def test_constant_series_scores_exact_zero():
     matrix = build_features(flat_series([42.0] * 30), IndicatorConfig(), UNIVARIATE)
     split_row = split_row_for(matrix.rows, 5, 0.8)
-    scaler = fit(matrix, (0, split_row))
-    _, test_ds = prepare_datasets(matrix, scaler, 5, split_row)
+    scaler = fit(matrix.row_slice(0, split_row))
+    test_ds = held_out_windows(matrix, scaler, 5, split_row)
     model = PersistenceModel(("Close",), 5, scaler)
     report, _ = evaluate_one_step(model, test_ds)
     assert report == MetricsReport(0.0, 0.0, 0.0, 0.0, report.n)
 
 
 def test_schema_mismatch_names_column():
-    _, scaler, _, test_ds, model = persistence_setup()
+    _, scaler, test_ds, model = persistence_setup()
     model.feature_names = ("CMA",)
     with pytest.raises(SchemaMismatch, match="Close"):
         evaluate_one_step(model, test_ds)
 
 
 def test_lookback_mismatch_and_empty():
-    _, scaler, train_ds, test_ds, model = persistence_setup()
+    _, scaler, test_ds, model = persistence_setup()
     model.lookback = 99
     with pytest.raises(SchemaMismatch, match="lookback"):
         evaluate_one_step(model, test_ds)
@@ -200,7 +202,7 @@ def test_evaluate_one_step_memory_peak_at_paper_scale():
 # ------------------------------------------------------------------ forecasts
 
 def test_persistence_forecast_is_constant_and_flat():
-    series, scaler, _, _, model = persistence_setup()
+    series, scaler, _, model = persistence_setup()
     result = forecast_recursive(model, series, 30)
     assert result.horizon == 30
     assert len(result.values) == 30
@@ -210,7 +212,7 @@ def test_persistence_forecast_is_constant_and_flat():
 
 
 def test_scripted_trends():
-    series, scaler, _, _, _ = persistence_setup()
+    series, scaler, _, _ = persistence_setup()
 
     def scripted(prices):
         lo, hi = float(scaler.mins[0]), float(scaler.maxs[0])
@@ -227,7 +229,7 @@ def test_scripted_trends():
 
 
 def test_forecast_horizon_validation_and_short_series():
-    series, scaler, _, _, model = persistence_setup()
+    series, scaler, _, model = persistence_setup()
     with pytest.raises(ValueError):
         forecast_recursive(model, series, 0)
     short = random_walk_series(6, seed=2)
@@ -255,12 +257,12 @@ def trained_univariate(n=140, lookback=8, epochs=2, seed=19):
         "mode": "univariate", "lookback": lookback, "epochs": epochs,
         "hidden_sizes": "6", "seed": seed,
     })
-    return series, train_from_series(series, cfg)
+    model, _ = train_from_series(series, cfg)
+    return series, model
 
 
 def test_forecast_horizon_one_equals_direct_predict():
-    series, result = trained_univariate()
-    model = result.model
+    series, model = trained_univariate()
     forecast = forecast_recursive(model, series, 1)
 
     matrix = build_features(series, model.indicator_config, UNIVARIATE)
@@ -296,7 +298,7 @@ def test_univariate_forecast_matches_sliding_window_reference(use_adj_close):
         "mode": "univariate", "lookback": 8, "epochs": 2, "hidden_sizes": "6", "seed": 19,
         "use_adj_close": str(use_adj_close).lower(),
     })
-    model = train_from_series(series, cfg).model
+    model, _ = train_from_series(series, cfg)
     assert model.use_adj_close is use_adj_close
     dates, block = series.dates(), series.block.copy()
     forecast = forecast_recursive(model, series, 12)
@@ -305,9 +307,9 @@ def test_univariate_forecast_matches_sliding_window_reference(use_adj_close):
 
 
 def test_forecast_prefix_is_stable():
-    series, result = trained_univariate()
-    short = forecast_recursive(result.model, series, 3)
-    long = forecast_recursive(result.model, series, 9)
+    series, model = trained_univariate()
+    short = forecast_recursive(model, series, 3)
+    long = forecast_recursive(model, series, 9)
     assert long.values[:3] == short.values
     assert all(math.isfinite(v) for v in long.values)
 
@@ -317,7 +319,7 @@ def test_multivariate_forecast_rebuilds_features():
     names = column_names_for(icfg, PAPER_MULTIVARIATE)
     series = random_walk_series(90, seed=23)
     matrix = build_features(series, icfg, PAPER_MULTIVARIATE)
-    scaler = fit(matrix, (0, matrix.rows))
+    scaler = fit(matrix)
 
     class ConstantModel(PersistenceModel):
         column_set = PAPER_MULTIVARIATE
@@ -341,20 +343,83 @@ def test_single_path_keeps_test_rows_out_of_training():
         "mode": "univariate", "lookback": 8, "epochs": 1, "hidden_sizes": "4",
         "train_fraction": "0.9", "clip_scaled": "true",
     })
-    result = train_from_series(series, cfg)
-    matrix = result.matrix
+    trained = []
+    train = lstm.train
+
+    def capture(model_init, train_ds, tcfg):
+        trained.append(train_ds)
+        return train(model_init, train_ds, tcfg)
+
+    with mock.patch.object(lstm, "train", capture):
+        model, _ = train_from_series(series, cfg)
+    (train_ds,) = trained
+    matrix = pipeline.build_matrix(series, cfg)
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-    assert result.test_ds.dates[0] == matrix.dates[split_row]
-    assert all(day < result.test_ds.dates[0] for day in result.train_ds.dates)
-    assert np.array_equal(result.model.scaler.mins, matrix.values[:split_row].min(axis=0))
-    assert np.array_equal(result.model.scaler.maxs, matrix.values[:split_row].max(axis=0))
-    assert np.all(result.test_ds.targets == 1.0)  # clipped at the training maximum
+    test_ds = held_out_windows(matrix, model.scaler, cfg.lookback, split_row, cfg.clip_scaled)
+    assert test_ds.dates[0] == matrix.dates[split_row]
+    assert all(day < test_ds.dates[0] for day in train_ds.dates)
+    assert np.array_equal(model.scaler.mins, matrix.values[:split_row].min(axis=0))
+    assert np.array_equal(model.scaler.maxs, matrix.values[:split_row].max(axis=0))
+    assert np.all(test_ds.targets == 1.0)  # clipped at the training maximum
 
     train_end, test_end = 60, 100
-    truncated = replace(matrix, dates=matrix.dates[:test_end], values=matrix.values[:test_end])
-    scaler = fit(truncated, (0, train_end))
-    _, test_ds = prepare_datasets(truncated, scaler, cfg.lookback, train_end, clip=True)
+    truncated = matrix.row_slice(0, test_end)
+    scaler = fit(truncated.row_slice(0, train_end))
+    test_ds = held_out_windows(truncated, scaler, cfg.lookback, train_end, clip=True)
     assert test_ds.dates == matrix.dates[train_end:test_end]
+
+
+def spy_on_the_split(monkeypatch):
+    """Record, per fit_rows call, the last date that scaling.fit and
+    scaling.transform receive inside it, and per held_out_windows call the
+    first target date it returns."""
+    fitted, held_out = [], []
+    real = {"fit_rows": pipeline.fit_rows, "held_out_windows": pipeline.held_out_windows,
+            "fit": scaling.fit, "transform": scaling.transform}
+    inside = []
+
+    def spy_fit_rows(*args, **kwargs):
+        fitted.append([])
+        inside.append(True)
+        try:
+            return real["fit_rows"](*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy_fit(matrix):
+        fitted[-1].append(matrix.dates[-1])
+        return real["fit"](matrix)
+
+    def spy_transform(params, matrix, clip=False):
+        if inside:
+            fitted[-1].append(matrix.dates[-1])
+        return real["transform"](params, matrix, clip)
+
+    def spy_held_out(*args, **kwargs):
+        ds = real["held_out_windows"](*args, **kwargs)
+        held_out.append(ds.dates[0])
+        return ds
+
+    monkeypatch.setattr(pipeline, "fit_rows", spy_fit_rows)
+    monkeypatch.setattr(pipeline, "held_out_windows", spy_held_out)
+    monkeypatch.setattr(scaling, "fit", spy_fit)
+    monkeypatch.setattr(scaling, "transform", spy_transform)
+    return fitted, held_out
+
+
+def test_fit_path_sees_no_held_out_row(monkeypatch):
+    fitted, held_out = spy_on_the_split(monkeypatch)
+    series = random_walk_series(120, seed=14)
+    cfg = walk_cfg()
+    train_from_series(series, cfg)
+    matrix = pipeline.build_matrix(series, cfg)
+    first_targets = [matrix.dates[split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)]]
+    walk_forward(series, cfg, 2)
+    first_targets += held_out
+    assert len(fitted) == len(first_targets) == 3  # train, then two folds
+    for dates, first_target in zip(fitted, first_targets):
+        assert len(dates) == 2  # one fit and one transform
+        assert max(dates) < first_target
 
 
 # ---------------------------------------------------------------- walk-forward
@@ -390,6 +455,17 @@ def test_walk_forward_is_deterministic():
     a = walk_forward(series, walk_cfg(), 2)
     b = walk_forward(series, walk_cfg(), 2)
     assert a == b
+
+
+@pytest.mark.parametrize("fraction, needed", [(0.1, 45), (0.25, 27), (0.5, 21)])
+def test_walk_forward_names_the_rows_its_first_fold_needs(fraction, needed):
+    # 3 segments, each lookback 5 plus the fewest windows that leave a validation tail
+    cfg = walk_cfg(validation_fraction=fraction)
+    with pytest.raises(TooFewRows) as err:
+        walk_forward(random_walk_series(needed - 1, seed=3), cfg, 2)
+    assert (err.value.needed, err.value.have) == (needed, needed - 1)
+    reports = walk_forward(random_walk_series(needed, seed=3), cfg, 2)
+    assert [r.n for r in reports] == [needed // 3, needed - 2 * needed // 3]
 
 
 def test_walk_forward_guards():

@@ -31,6 +31,7 @@ from stockcast.indicators import (
 from stockcast.market_data import Bar, OhlcvSeries
 
 from conftest import flat_series, random_walk_series
+from test_scaling import column
 
 nan = math.nan
 
@@ -422,7 +423,7 @@ def test_warmup_drop_matches_longest_window():
     assert matrix.rows == 2265
     assert matrix.dates[0] == series.bars[199].date
     assert np.isfinite(matrix.values).all()
-    close_col = matrix.column("Close")
+    close_col = column(matrix, "Close")
     assert np.array_equal(close_col, series.closes()[199:])
 
 
@@ -443,7 +444,7 @@ def test_too_short_series_reports_requirement():
 
 def test_adj_close_switch_changes_close_column(snapshot_series):
     matrix = build_features(snapshot_series, IndicatorConfig(), UNIVARIATE, use_adj_close=True)
-    assert np.array_equal(matrix.column("Close"), snapshot_series.adj_closes())
+    assert np.array_equal(column(matrix, "Close"), snapshot_series.adj_closes())
 
 
 def test_feature_csv_deterministic():

@@ -707,6 +707,12 @@ def test_empty_or_tiny_dataset_rejected():
         train(tiny_model(lookback=8, hidden=(3,), seed=1), small, cfg)
 
 
+@given(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+def test_min_train_windows_is_the_fewest_that_carve_a_validation_tail(fraction):
+    n = lstm.min_train_windows(fraction)
+    assert int(n * fraction) >= 1 > int((n - 1) * fraction)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
