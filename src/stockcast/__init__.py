@@ -8,76 +8,33 @@ backtesting, and SVG charts. Everything is deterministic for a fixed
 seed, including the files the CLI writes.
 """
 
-from .config import ConfigError, RunConfig, parse_config_text, resolve_config
-from .dataset import WindowedDataset, make_windows
-from .evaluation import (
-    ForecastResult,
-    MetricsReport,
-    compute_metrics,
-    evaluate_one_step,
-    forecast_recursive,
-    rmse_from_mse,
-    walk_forward,
-)
-from .indicators import (
-    PAPER_MULTIVARIATE,
-    TABLE4_ALL,
-    UNIVARIATE,
-    FeatureMatrix,
-    IndicatorConfig,
-    build_features,
-)
-from .lstm import (
-    LstmModel,
-    SplitMix64,
-    TrainConfig,
-    load_model,
-    new_model,
-    save_model,
-    train,
-)
-from .market_data import Bar, OhlcvSeries, fetch_quotes, parse_csv, serialize_csv
-from .pipeline import train_from_series
-from .scaling import ScalerParams, fit, inverse_close, transform
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bar",
-    "ConfigError",
-    "FeatureMatrix",
-    "ForecastResult",
-    "IndicatorConfig",
-    "LstmModel",
-    "MetricsReport",
-    "OhlcvSeries",
-    "PAPER_MULTIVARIATE",
-    "RunConfig",
-    "ScalerParams",
-    "SplitMix64",
-    "TABLE4_ALL",
-    "TrainConfig",
-    "UNIVARIATE",
-    "WindowedDataset",
-    "__version__",
-    "build_features",
-    "compute_metrics",
-    "evaluate_one_step",
-    "fetch_quotes",
-    "fit",
-    "forecast_recursive",
-    "inverse_close",
-    "load_model",
-    "make_windows",
-    "new_model",
-    "parse_config_text",
-    "parse_csv",
-    "resolve_config",
-    "rmse_from_mse",
-    "save_model",
-    "serialize_csv",
-    "train",
-    "train_from_series",
-    "transform",
-    "walk_forward",
-]
+# public name -> the module that defines it, imported on first use so that
+# `import stockcast` and the CLI's start-up load no numpy
+_HOMES = {
+    name: module
+    for module, names in {
+        "config": "ConfigError IndicatorConfig PAPER_MULTIVARIATE RunConfig TABLE4_ALL "
+        "TrainConfig UNIVARIATE parse_config_text resolve_config",
+        "dataset": "WindowedDataset make_windows",
+        "evaluation": "ForecastResult MetricsReport compute_metrics evaluate_one_step "
+        "forecast_recursive rmse_from_mse walk_forward",
+        "indicators": "FeatureMatrix build_features",
+        "lstm": "LstmModel SplitMix64 load_model new_model save_model train",
+        "market_data": "Bar OhlcvSeries fetch_quotes parse_csv serialize_csv",
+        "pipeline": "train_from_series",
+        "scaling": "ScalerParams fit inverse_close transform",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted([*_HOMES, "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)

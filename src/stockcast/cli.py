@@ -4,6 +4,10 @@ Subcommands: fetch, indicators, train, evaluate, forecast, backtest, plot.
 Exit codes: 0 success, 64 usage or config problems, 2 data or schema
 problems, 3 numerical failures. Identical inputs, config, and seed produce
 byte-identical output files.
+
+Only the handlers that compute, and the error path, import the numpy
+modules, so ``--help`` and ``plot`` start without numpy. Each handler looks
+its functions up when it runs.
 """
 
 from __future__ import annotations
@@ -16,14 +20,8 @@ from dataclasses import asdict, fields
 from datetime import date as Date
 from pathlib import Path
 
-from . import charts, evaluation, lstm, pipeline
+from . import charts
 from .config import FIELD_CHOICES, ConfigError, RunConfig, parse_config_text, resolve_config
-from .dataset import DatasetError
-from .evaluation import EvalError
-from .indicators import IndicatorError, build_features, write_feature_csv
-from .jsonio import dump_json
-from .market_data import MarketDataError, fetch_quotes, parse_csv
-from .scaling import ScalingError
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -33,6 +31,10 @@ EXIT_USAGE = 64
 
 class _UsageError(Exception):
     pass
+
+
+class SeriesFileError(ValueError):
+    """A plot --series CSV that cannot be read as a column of numbers."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,10 +140,14 @@ def _require(value: str, what: str) -> str:
 
 
 def _load_series(cfg: RunConfig, path: str):
+    from .market_data import parse_csv
+
     return parse_csv(Path(path).read_text(), cfg.symbol)
 
 
 def cmd_fetch(args, cfg: RunConfig) -> int:
+    from .market_data import fetch_quotes
+
     out = _require(cfg.out, "--out")
     text = fetch_quotes(cfg.symbol, args.start, args.end, cfg.endpoint, cfg.timeout)
     Path(out).write_text(text)
@@ -150,6 +156,9 @@ def cmd_fetch(args, cfg: RunConfig) -> int:
 
 
 def cmd_indicators(args, cfg: RunConfig) -> int:
+    from . import pipeline
+    from .indicators import write_feature_csv
+
     input_path = _require(cfg.input, "--input")
     out = _require(cfg.out, "--out")
     series = _load_series(cfg, input_path)
@@ -160,6 +169,8 @@ def cmd_indicators(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    from . import lstm, pipeline
+
     input_path = _require(cfg.input, "--input")
     model_out = _require(cfg.model, "--model-out")
     history_out = _require(cfg.history_out, "--history-out")
@@ -179,6 +190,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
+    from . import evaluation, lstm, pipeline
+    from .indicators import build_features
+    from .jsonio import dump_json
+
     input_path = _require(cfg.input, "--input")
     model_path = _require(cfg.model, "--model")
     report_out = _require(cfg.out, "--report-out")
@@ -205,6 +220,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def cmd_forecast(args, cfg: RunConfig) -> int:
+    from . import evaluation, lstm
+
     input_path = _require(cfg.input, "--input")
     model_path = _require(cfg.model, "--model")
     out = _require(cfg.out, "--out")
@@ -219,6 +236,9 @@ def cmd_forecast(args, cfg: RunConfig) -> int:
 
 
 def cmd_backtest(args, cfg: RunConfig) -> int:
+    from . import evaluation
+    from .jsonio import dump_json
+
     input_path = _require(cfg.input, "--input")
     out_dir = _require(cfg.out_dir, "--out-dir")
     series = _load_series(cfg, input_path)
@@ -249,26 +269,26 @@ def _parse_series_arg(spec: str):
 def _read_series_csv(path: str, column: str | None) -> list[float]:
     rows = list(csv.reader(io.StringIO(Path(path).read_text())))
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise SeriesFileError(f"{path}: empty file")
     header = rows[0]
     if column is None:
         idx = len(header) - 1
     else:
         if column not in header:
-            raise ValueError(f"{path}: no column named {column!r}")
+            raise SeriesFileError(f"{path}: no column named {column!r}")
         idx = header.index(column)
     values = []
     for line_number, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ValueError(f"{path}: line {line_number}: ragged row")
+            raise SeriesFileError(f"{path}: line {line_number}: ragged row")
         try:
             values.append(float(row[idx]))
         except ValueError:
-            raise ValueError(
+            raise SeriesFileError(
                 f"{path}: line {line_number}: non-numeric value {row[idx]!r}"
             ) from None
     if not values:
-        raise ValueError(f"{path}: no data rows")
+        raise SeriesFileError(f"{path}: no data rows")
     return values
 
 
@@ -288,6 +308,26 @@ def cmd_plot(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# An except clause evaluates its types only when an exception reaches it, so
+# these imports cost nothing on a command that succeeds.
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    from .lstm import NonFiniteInput, NonFiniteLoss
+
+    return NonFiniteLoss, NonFiniteInput
+
+
+def _data_errors() -> tuple[type[Exception], ...]:
+    from .dataset import DatasetError
+    from .evaluation import EvalError
+    from .indicators import IndicatorError
+    from .lstm import LstmError
+    from .market_data import MarketDataError
+    from .scaling import ScalingError
+
+    return (MarketDataError, IndicatorError, ScalingError, DatasetError, EvalError, LstmError,
+            OSError, ValueError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -304,19 +344,10 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (lstm.NonFiniteLoss, lstm.NonFiniteInput) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        MarketDataError,
-        IndicatorError,
-        ScalingError,
-        DatasetError,
-        EvalError,
-        lstm.LstmError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except _data_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

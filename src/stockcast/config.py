@@ -1,10 +1,14 @@
-"""Run configuration: defaults, flat key=value config files, flag overrides.
+"""Run configuration: every hyperparameter, its default and its allowed values.
 
 Config files are plain text, one ``key = value`` per line. A ``#`` at the
 start of a line or after whitespace starts a comment; elsewhere, as in a path
 or a URL fragment, it is part of the value. Every key is validated before any
 computation starts; unknown keys are errors. Command-line flags override file
 values.
+
+This module imports no numpy, so argument parsing, ``--help`` and ``plot``
+run without it; indicators, lstm and market_data import their settings
+from here.
 """
 
 from __future__ import annotations
@@ -12,13 +16,90 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .indicators import COLUMN_SETS, UNIVARIATE, PAPER_MULTIVARIATE, IndicatorConfig
-from .lstm import CELL_VARIANTS, MODES, TrainConfig, mode_for
-from .market_data import DEFAULT_ENDPOINT
+UNIVARIATE = "univariate"
+PAPER_MULTIVARIATE = "paper_multivariate"
+TABLE4_ALL = "table4_all"
+COLUMN_SETS = (UNIVARIATE, PAPER_MULTIVARIATE, TABLE4_ALL)
+CELL_VARIANTS = ("standard", "as_printed")
+MODES = ("univariate", "multivariate")
+
+DEFAULT_ENDPOINT = (
+    "https://query1.finance.yahoo.com/v7/finance/download/{symbol}"
+    "?period1={start_epoch}&period2={end_epoch}&interval=1d&events=history"
+)
 
 
 class ConfigError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class IndicatorConfig:
+    """Periods and smoothing constants for every indicator."""
+
+    sma_periods: tuple[int, ...] = (10, 50, 200)
+    wma_period: int = 10
+    ema_alpha: float = 0.1
+    rsi_period: int = 14
+    cci_period: int = 20
+    stoch_k_period: int = 14
+    stoch_d_period: int = 10
+    macd_fast: int = 12
+    macd_slow: int = 26
+    macd_signal: int = 9
+
+    def __post_init__(self):
+        object.__setattr__(self, "sma_periods", tuple(int(p) for p in self.sma_periods))
+        periods = (
+            *self.sma_periods,
+            self.wma_period,
+            self.rsi_period,
+            self.cci_period,
+            self.stoch_k_period,
+            self.stoch_d_period,
+            self.macd_fast,
+            self.macd_slow,
+            self.macd_signal,
+        )
+        if not self.sma_periods:
+            raise ValueError("sma_periods must not be empty")
+        if any(p < 1 for p in periods):
+            raise ValueError("indicator periods must be >= 1")
+        if not 0.0 < self.ema_alpha < 1.0:
+            raise ValueError("ema_alpha must lie in (0, 1)")
+        if self.macd_fast >= self.macd_slow:
+            raise ValueError("macd_fast must be smaller than macd_slow")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 20
+    batch_size: int = 32
+    learning_rate: float = 1e-3
+    hidden_sizes: tuple[int, ...] = (50, 50)
+    validation_fraction: float = 0.1
+    seed: int = 42
+    gradient_clip_norm: float = 5.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
+        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be non-empty positive integers")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ValueError("validation_fraction must lie strictly between 0 and 1")
+        if not self.gradient_clip_norm > 0.0:
+            raise ValueError("gradient_clip_norm must be positive")
+
+
+def mode_for(column_set: str) -> str:
+    """The mode a column set implies: univariate exactly for the univariate set."""
+    return "univariate" if column_set == UNIVARIATE else "multivariate"
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import COLUMN_SETS, PAPER_MULTIVARIATE, TABLE4_ALL, UNIVARIATE, IndicatorConfig
 from .market_data import OhlcvSeries
-
-UNIVARIATE = "univariate"
-PAPER_MULTIVARIATE = "paper_multivariate"
-TABLE4_ALL = "table4_all"
-COLUMN_SETS = (UNIVARIATE, PAPER_MULTIVARIATE, TABLE4_ALL)
 
 
 class IndicatorError(Exception):
@@ -39,44 +35,6 @@ class SeriesTooShort(IndicatorError):
 
     def __reduce__(self):
         return type(self), (self.needed, self.have)
-
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    """Periods and smoothing constants for every indicator."""
-
-    sma_periods: tuple[int, ...] = (10, 50, 200)
-    wma_period: int = 10
-    ema_alpha: float = 0.1
-    rsi_period: int = 14
-    cci_period: int = 20
-    stoch_k_period: int = 14
-    stoch_d_period: int = 10
-    macd_fast: int = 12
-    macd_slow: int = 26
-    macd_signal: int = 9
-
-    def __post_init__(self):
-        object.__setattr__(self, "sma_periods", tuple(int(p) for p in self.sma_periods))
-        periods = (
-            *self.sma_periods,
-            self.wma_period,
-            self.rsi_period,
-            self.cci_period,
-            self.stoch_k_period,
-            self.stoch_d_period,
-            self.macd_fast,
-            self.macd_slow,
-            self.macd_signal,
-        )
-        if not self.sma_periods:
-            raise ValueError("sma_periods must not be empty")
-        if any(p < 1 for p in periods):
-            raise ValueError("indicator periods must be >= 1")
-        if not 0.0 < self.ema_alpha < 1.0:
-            raise ValueError("ema_alpha must lie in (0, 1)")
-        if self.macd_fast >= self.macd_slow:
-            raise ValueError("macd_fast must be smaller than macd_slow")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,8 @@ that backward reads; LstmModel.predict, the one prediction path, keeps one
 gate slot and two c slots. A backward step is two GEMMs:
 dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
 W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
-owns one ForwardCache per batch size and overwrites it batch after batch.
+keeps one ForwardCache block for the whole fit and overwrites it batch after
+batch; a short last batch views the front of the same block.
 
 Summing x, h and bias terms inside one GEMM rounds differently from summing
 them apart, and a window's last bits can depend on the batch size it is
@@ -50,13 +51,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .indicators import UNIVARIATE, IndicatorConfig
+from .config import CELL_VARIANTS, MODES, IndicatorConfig, TrainConfig, mode_for
 from .jsonio import dump_json
 from .scaling import ScalerParams
 
 MODEL_FORMAT_VERSION = 1
-CELL_VARIANTS = ("standard", "as_printed")
-MODES = ("univariate", "multivariate")
 
 _LAYER_FIELDS = (  # the model file's per-gate arrays in file order; init_weights fills w_* in it
     "w_fx", "w_ix", "w_gx", "w_ox",
@@ -170,37 +169,6 @@ def gate_view(layer: LstmLayerParams, name: str) -> np.ndarray:
     if name.startswith("b_"):
         return layer.b[block]
     return (layer.W_x if name.endswith("x") else layer.W_h)[:, block].T
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    hidden_sizes: tuple[int, ...] = (50, 50)
-    validation_fraction: float = 0.1
-    seed: int = 42
-    gradient_clip_norm: float = 5.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be non-empty positive integers")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie strictly between 0 and 1")
-        if not self.gradient_clip_norm > 0.0:
-            raise ValueError("gradient_clip_norm must be positive")
-
-
-def mode_for(column_set: str) -> str:
-    """The mode a column set implies: univariate exactly for the univariate set."""
-    return "univariate" if column_set == UNIVARIATE else "multivariate"
 
 
 @dataclass(eq=False)
@@ -328,13 +296,15 @@ class ForwardCache:
     h_last: np.ndarray | None = None  # (B, H), the head's input
 
 
-def _buffers(layers, length: int, batch: int, slots: int) -> list[LayerBuffers]:
-    """Each layer's buffers as views of one block. glibc's malloc keeps one block on the
-    heap from one training batch to the next; one array per buffer is handed back to the
-    system on free and faults its pages in again (2.6k faults per batch-32 step)."""
+def _buffers(layers, length: int, batch: int, slots: int, block=None) -> list[LayerBuffers]:
+    """Each layer's buffers as views of one block: the front of block when that is big enough,
+    else a new block. One array per buffer is handed back to the system on free and faults its
+    pages in again (2.6k faults per batch-32 step)."""
     shapes = [((length + 1, layer.W.shape[0]), (min(slots + 1, length), layer.hidden_size),
                (slots, layer.hidden_size), (slots, 4 * layer.hidden_size)) for layer in layers]
-    block = np.empty(sum(rows * width for layer in shapes for rows, width in layer) * batch)
+    size = sum(rows * width for layer in shapes for rows, width in layer) * batch
+    if block is None or block.size < size:
+        block = np.empty(size)
     buffers, start = [], 0
     for layer, layer_shapes in zip(layers, shapes):
         views = []
@@ -555,20 +525,26 @@ def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     params = model_param_items(model)
     optimizer = Adam(params, cfg.learning_rate)
     history = {"train_mse": [], "val_mse": []}
-    workspace = {}  # batch size -> the ForwardCache the next batch of that size overwrites
+    # The one ForwardCache, overwritten batch after batch. The short last batch, and the next
+    # epoch's first, re-view its block: freeing it and allocating anew at each change of size
+    # let peak RSS creep up by 6.6 MB by the third epoch at paper scale (heap fragmentation).
+    cache = None
     for epoch in range(1, cfg.epochs + 1):
         sq_err = 0.0
         for batch_no, start in enumerate(range(0, len(fit_y), cfg.batch_size), start=1):
             xb = fit_x[start : start + cfg.batch_size]
             yb = fit_y[start : start + cfg.batch_size]
-            preds, caches = forward_batch(model, xb, workspace.get(len(xb)))
-            workspace[len(xb)] = caches
+            if cache is not None and len(cache.h_last) != len(xb):
+                block = cache.layers[0].xh.base  # sized by the first, full-size batch
+                cache = ForwardCache(model.cell_variant,
+                                     _buffers(model.layers, model.lookback, len(xb), model.lookback, block))
+            preds, cache = forward_batch(model, xb, cache)
             err = preds - yb
             batch_sq = float(np.sum(err * err))
             if not math.isfinite(batch_sq):
                 raise NonFiniteLoss(epoch, batch_no)
             sq_err += batch_sq
-            grads = backward(model, caches, 2.0 * err / len(yb))
+            grads = backward(model, cache, 2.0 * err / len(yb))
             clip_gradient_norm(grads, cfg.gradient_clip_norm)
             optimizer.step(params, grads)
         val_pred, val_sq = model.predict(val_x, cfg.batch_size), 0.0

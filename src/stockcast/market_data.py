@@ -21,12 +21,9 @@ from datetime import date as Date
 
 import numpy as np
 
-CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
+from .config import DEFAULT_ENDPOINT
 
-DEFAULT_ENDPOINT = (
-    "https://query1.finance.yahoo.com/v7/finance/download/{symbol}"
-    "?period1={start_epoch}&period2={end_epoch}&interval=1d&events=history"
-)
+CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
 
 # A row's six numeric fields, each a plain decimal number as repr() writes one.

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: files written, stdout, and exit codes."""
 
+import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,7 +17,7 @@ import pytest
 import stockcast
 from stockcast import dataset
 from stockcast.charts import render_line_chart
-from stockcast.cli import main
+from stockcast.cli import SeriesFileError, _read_series_csv, main
 from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
 from stockcast.evaluation import forecast_recursive
 from stockcast.indicators import IndicatorConfig
@@ -355,6 +358,64 @@ def test_plot_single_point_and_errors(tmp_path, capsys):
     assert main(["plot", "--out", str(svg)]) == 64
     assert main(["plot", "--series", f"s={single}"]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("", None, "{path}: empty file"),
+    ("a,b\n1.0,2.0\n", "c", "{path}: no column named 'c'"),
+    ("a,b\n1.0,2.0\n3.0\n", None, "{path}: line 3: ragged row"),
+    ("a,b\n1.0,2.0\n3.0,x\n", None, "{path}: line 3: non-numeric value 'x'"),
+    ("a,b\n", "a", "{path}: no data rows"),
+])
+def test_plot_csv_errors_are_typed_value_errors_with_exit_2(tmp_path, capsys, text, column, message):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    message = message.format(path=path)
+    with pytest.raises(SeriesFileError, match="^" + re.escape(message) + "$") as err:
+        _read_series_csv(str(path), column)
+    assert isinstance(err.value, ValueError)
+    spec = f"s={path}" + (f":{column}" if column else "")
+    assert main(["plot", "--series", spec, "--out", str(tmp_path / "chart.svg")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+NUMPY_FREE_PROBE = """import sys
+from stockcast.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(rc, sorted({"numpy", "stockcast.lstm"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["plot"]])
+def test_help_and_plot_start_without_numpy(tmp_path, argv):
+    if argv == ["plot"]:
+        series = tmp_path / "series.csv"
+        series.write_text("day,close\n1,10.5\n2,11.0\n3,10.75\n")
+        argv = ["plot", "--series", f"close={series}", "--out", str(tmp_path / "chart.svg"),
+                "--merge-out", str(tmp_path / "merged.csv")]
+    src = str(Path(stockcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    modules = [importlib.import_module(f"stockcast.{info.name}")
+               for info in pkgutil.iter_modules(stockcast.__path__)]
+    for name in stockcast.__all__:
+        obj = getattr(stockcast, name)
+        holders = [module for module in modules if name in vars(module)]
+        assert holders or name == "__version__", name
+        assert all(vars(module)[name] is obj for module in holders), name
+    from stockcast import config, indicators
+
+    assert stockcast.IndicatorConfig is indicators.IndicatorConfig is config.IndicatorConfig
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stockcast.no_such_name
 
 
 # --------------------------------------------------------------------- config

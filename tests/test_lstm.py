@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import weakref
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -603,7 +604,7 @@ def test_training_learns_last_input_memorization():
 
 
 def test_train_matches_a_loop_over_the_public_steps():
-    # 68 fitting windows at batch 16 leave a tail batch of 4, which gets its own workspace;
+    # 68 fitting windows at batch 16 leave a tail batch of 4, which gets its own cache;
     # the clip norm of 0.5 scales 2 of the 15 batches' gradients
     ds = memorization_data(n=75)
     cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, hidden_sizes=(5, 3), seed=6,
@@ -637,6 +638,32 @@ def test_train_matches_a_loop_over_the_public_steps():
     assert history == ref_history
     for (key, got), (_, want) in zip(model_param_items(trained), params, strict=True):
         assert np.array_equal(got, want), key
+
+
+def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
+    # 68 fitting windows at batch 16: four full batches and a tail of 4 in each epoch
+    ds = memorization_data(n=75)
+    cfg = TrainConfig(epochs=3, batch_size=16, hidden_sizes=(5, 3), seed=6)
+    caches, blocks, sizes = [], [], []  # weakrefs to each ForwardCache and block in turn; batch sizes
+    real = lstm.forward_batch
+
+    def tracked(model, windows, out=None):
+        preds, cache = real(model, windows, out)
+        if not caches or caches[-1]() is not cache:
+            assert all(ref() is None for ref in caches), "two ForwardCaches alive at once"
+            caches.append(weakref.ref(cache))
+        block = cache.layers[0].xh.base
+        assert all(view.base is block for buf in cache.layers for view in vars(buf).values())
+        if not blocks or blocks[-1]() is not block:
+            blocks.append(weakref.ref(block))
+        sizes.append(len(windows))
+        return preds, cache
+
+    monkeypatch.setattr(lstm, "forward_batch", tracked)
+    train(tiny_model(lookback=8, hidden=(5, 3), seed=6), ds, cfg)
+    assert sizes == ([16] * 4 + [4]) * cfg.epochs
+    assert len(caches) == 2 * cfg.epochs  # a new ForwardCache at each change of batch size
+    assert len(blocks) == 1  # every one of them a view of the first, full-size batch's block
 
 
 def test_last_val_mse_is_the_returned_models_chunked_validation_error():
