@@ -3,16 +3,15 @@
 All metrics compare prices in the original scale, never scaled values. The
 recursive forecaster runs one loop for every mode: it feeds each prediction
 back as the next synthetic bar (open = high = low = close = adj close =
-prediction, volume carried forward), recomputes the model's feature columns
-over the extended history, and rescales with the scaler parameters frozen at
-train time.
+prediction, volume carried forward), extends the model's feature columns by
+that bar from the indicator state carried since the last real bar, and scales
+the new row with the scaler parameters frozen at train time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
@@ -130,31 +129,37 @@ def _classify_trend(values: list[float]) -> str:
 def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResult:
     """Feed predictions back as inputs for `horizon` steps beyond the series.
 
-    Step k builds features on the first n + k bars, predicts, and writes the
-    synthetic bar into column n + k of one preallocated block.
+    Step 0 builds features on all n bars. Step k >= 1 writes the last
+    prediction into a preallocated bar block as bar n + k - 1, extends the
+    carried indicator state by it from the last `tail` bars alone and appends
+    the scaled row to a buffer: O(longest window) per step, not O(n).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = len(series)
+    cfg, column_set, lookback = model.indicator_config, model.column_set, model.lookback
+    tail = _min_rows_needed(cfg, column_set) + 1  # bars each carried step reads
     # one full window after the warmup rows that build_features drops
-    needed = model.lookback + _min_rows_needed(model.indicator_config, model.column_set) - 1
+    needed = lookback + tail - 2
     if n < needed:
         raise SeriesTooShort(needed, n)
     block = np.empty((len(BAR_FIELDS), n + horizon))
     block[:, :n] = series.block
-    dates = list(series.dates())
+    matrix = build_features(series, cfg, column_set, model.use_adj_close)
+    carry = matrix.carry
+    scaled = np.empty((lookback + horizon - 1, matrix.values.shape[1]))
+    scaled[:lookback] = scaling.transform(model.scaler, matrix).values[-lookback:]
     values: list[float] = []
     for k in range(horizon):
-        extended = OhlcvSeries.from_columns(series.symbol, tuple(dates), block[:, : n + k])
-        matrix = build_features(extended, model.indicator_config, model.column_set,
-                                model.use_adj_close)
-        scaled = scaling.transform(model.scaler, matrix)
-        window = scaled.values[-model.lookback :, :]
-        price = float(scaling.inverse_close(model.scaler, model.predict(window[None], 1)[0]))
+        if k:
+            row, carry = build_features(block[:, n + k - tail : n + k], cfg, column_set,
+                                        model.use_adj_close, carry)
+            scaled[lookback + k - 1] = scaling.scale(model.scaler, row)
+        window = scaled[None, k : k + lookback]
+        price = float(scaling.inverse_close(model.scaler, model.predict(window, 1)[0]))
         values.append(price)
         block[:, n + k] = price  # synthetic next bar: the prediction in every price field
         block[-1, n + k] = block[-1, n + k - 1]  # and the volume carried forward
-        dates.append(dates[-1] + timedelta(days=1))
     return ForecastResult(horizon=horizon, values=tuple(values), trend=_classify_trend(values))
 
 

@@ -37,6 +37,21 @@ class SeriesTooShort(IndicatorError):
         return type(self), (self.needed, self.have)
 
 
+@dataclass(frozen=True)
+class Carry:
+    """State of the recurrent columns (CMA, EMA, MACD, RSI) at one bar; a
+    univariate matrix has none and carries the defaults."""
+
+    bars: int = 0
+    close_sum: float = np.nan  # CMA's running sum
+    ema: float = np.nan
+    macd_fast: float = np.nan
+    macd_slow: float = np.nan
+    macd_signal: float = np.nan
+    rsi_gain: float = np.nan  # Wilder's average gain and loss
+    rsi_loss: float = np.nan
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Aligned date-indexed feature columns with the warmup prefix removed."""
@@ -45,6 +60,7 @@ class FeatureMatrix:
     column_names: tuple[str, ...]
     values: np.ndarray
     warmup_dropped: int = 0
+    carry: Carry | None = None  # at the last row; slices and scaled copies have none
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape != (len(self.dates), len(self.column_names)):
@@ -56,7 +72,8 @@ class FeatureMatrix:
 
     def row_slice(self, start: int, stop: int) -> "FeatureMatrix":
         """Rows [start, stop), sharing this matrix's values."""
-        return replace(self, dates=self.dates[start:stop], values=self.values[start:stop])
+        return replace(self, dates=self.dates[start:stop], values=self.values[start:stop],
+                       carry=None)
 
 
 def _as_floats(values) -> np.ndarray:
@@ -122,6 +139,11 @@ def ema(closes, alpha: float) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
+def _ema_step(prev: float, value: float, alpha: float) -> float:
+    """One step of ema's recurrence from prev, by ema itself."""
+    return float(ema([prev, value], alpha)[-1])
+
+
 def rsi(closes, n: int) -> np.ndarray:
     """Relative strength index with Wilder smoothing; first defined at position n.
 
@@ -130,33 +152,45 @@ def rsi(closes, n: int) -> np.ndarray:
     gives 50, a zero average loss 100 and a zero average gain 0, in that order.
     """
     _check_period(n)
-    x = _as_floats(closes)
+    return _rsi(_as_floats(closes), n)[0]
+
+
+def _rsi(x: np.ndarray, n: int, seeds: tuple[float, float] | None = None):
+    """RSI and Wilder's averages from position n on; from 0 given seeds, the averages at x[0]."""
+    first = n if seeds is None else 0
     out = np.full(x.shape, np.nan)
-    if x.size < n + 1:
-        return out
+    if x.size < first + 1:
+        return out, out[:0], out[:0]
     diffs = np.diff(x)
     averages = []
-    for moves in (np.maximum(diffs, 0.0), np.maximum(-diffs, 0.0)):
-        avg = float(moves[:n].mean())
+    for i, moves in enumerate((np.maximum(diffs, 0.0), np.maximum(-diffs, 0.0))):
+        avg = float(moves[:n].mean()) if seeds is None else seeds[i]
         smoothed = [avg]
-        for move in moves[n:].tolist():
+        for move in moves[first:].tolist():
             avg = (avg * (n - 1) + move) / n
             smoothed.append(avg)
         averages.append(np.array(smoothed))
     gain, loss = averages
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[n:] = np.where(
+        out[first:] = np.where(
             loss == 0.0,
             np.where(gain == 0.0, 50.0, 100.0),
             np.where(gain == 0.0, 0.0, 100.0 - 100.0 / (1.0 + gain / loss)),
         )
-    return out
+    return out, gain, loss
 
 
-def cci(series: OhlcvSeries, n: int) -> np.ndarray:
+def _hlc(bars) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """High, low and close rows of an OhlcvSeries or of its (6, m) price block."""
+    block = bars.block if isinstance(bars, OhlcvSeries) else bars
+    return block[1], block[2], block[3]
+
+
+def cci(series, n: int) -> np.ndarray:
     """Commodity channel index on the typical price (high + low + close) / 3."""
     _check_period(n)
-    m = (series.highs() + series.lows() + series.closes()) / 3.0
+    h, l, c = _hlc(series)
+    m = (h + l + c) / 3.0
     out = np.full(m.shape, np.nan)
     if 0 < n <= m.size:
         windows = sliding_window_view(m, n)
@@ -167,11 +201,9 @@ def cci(series: OhlcvSeries, n: int) -> np.ndarray:
     return out
 
 
-def ad(series: OhlcvSeries) -> np.ndarray:
+def ad(series) -> np.ndarray:
     """Per-bar accumulation/distribution ratio (high_t - close_{t-1}) / (high_t - low_t)."""
-    h = series.highs()
-    l = series.lows()
-    c = series.closes()
+    h, l, c = _hlc(series)
     out = np.full(c.shape, np.nan)
     if c.size >= 2:
         num = h[1:] - c[:-1]
@@ -181,12 +213,10 @@ def ad(series: OhlcvSeries) -> np.ndarray:
     return out
 
 
-def stochastic_k(series: OhlcvSeries, n: int) -> np.ndarray:
+def stochastic_k(series, n: int) -> np.ndarray:
     """%K: close position inside the n-bar high/low channel, scaled to [0, 100]."""
     _check_period(n)
-    h = series.highs()
-    l = series.lows()
-    c = series.closes()
+    h, l, c = _hlc(series)
     out = np.full(c.shape, np.nan)
     if 0 < n <= c.size:
         hh = sliding_window_view(h, n).max(axis=1)
@@ -219,11 +249,15 @@ def macd(closes, fast: int = 12, slow: int = 26, signal_n: int = 9):
     _check_period(signal_n)
     if fast >= slow:
         raise ValueError("fast period must be smaller than slow period")
-    x = _as_floats(closes)
-    diff = ema(x, 2.0 / (fast + 1)) - ema(x, 2.0 / (slow + 1)) if x.size else x.copy()
-    signal = ema(diff, 2.0 / (signal_n + 1)) if x.size else x.copy()
-    histogram = diff - signal
-    return diff, signal, histogram
+    _, _, diff, signal = _macd_lines(_as_floats(closes), fast, slow, signal_n)
+    return diff, signal, diff - signal
+
+
+def _macd_lines(x: np.ndarray, fast: int, slow: int, signal_n: int):
+    """MACD's fast and slow EMAs, their difference and its signal line."""
+    fast_ema, slow_ema = ema(x, 2.0 / (fast + 1)), ema(x, 2.0 / (slow + 1))
+    diff = fast_ema - slow_ema
+    return fast_ema, slow_ema, diff, ema(diff, 2.0 / (signal_n + 1))
 
 
 def column_names_for(cfg: IndicatorConfig, column_set: str) -> tuple[str, ...]:
@@ -252,41 +286,54 @@ def _min_rows_needed(cfg: IndicatorConfig, column_set: str) -> int:
     return max(firsts) + 1
 
 
+def _window_columns(bars, cfg: IndicatorConfig, column_set: str) -> dict[str, np.ndarray]:
+    """The multivariate columns that each read one window of bars."""
+    closes = _hlc(bars)[2]
+    columns = {f"SMA{n}": sma(closes, n) for n in cfg.sma_periods}
+    columns["K%"] = k = stochastic_k(bars, cfg.stoch_k_period)
+    columns["D%"] = stochastic_d(k, cfg.stoch_d_period)
+    columns["CCI"] = cci(bars, cfg.cci_period)
+    if column_set == TABLE4_ALL:
+        columns[f"WMA{cfg.wma_period}"] = wma(closes, cfg.wma_period)
+        columns["AD"] = ad(bars)
+    return columns
+
+
 def build_features(
     series: OhlcvSeries,
     cfg: IndicatorConfig = IndicatorConfig(),
     column_set: str = PAPER_MULTIVARIATE,
     use_adj_close: bool = False,
-) -> FeatureMatrix:
+    carry: Carry | None = None,
+) -> FeatureMatrix | tuple[np.ndarray, Carry]:
     """Assemble the requested columns and trim rows where any is undefined.
 
     warmup_dropped records how many leading rows were removed; with the
     default periods the 200-bar SMA dominates and drops 199 rows.
     Raises SeriesTooShort when no row survives.
+
+    Given the carry at bar t - 1, `series` is instead a (6, m) price block
+    ending at bar t, m >= _min_rows_needed + 1, and the call returns the
+    pair (row t, carry at t). The row equals a full build's bit for bit.
     """
     if column_set not in COLUMN_SETS:
         raise ValueError(f"unknown column set {column_set!r}")
+    names = column_names_for(cfg, column_set)
+    if carry is not None:
+        return _next_row(series, cfg, column_set, use_adj_close, carry, names)
     src = series.with_close_from_adj() if use_adj_close else series
     closes = src.closes()
-    names = column_names_for(cfg, column_set)
     columns: dict[str, np.ndarray] = {"Close": closes.copy()}
+    recurrences = ()
     if column_set != UNIVARIATE:
+        columns.update(_window_columns(src, cfg, column_set))
         columns["CMA"] = cma(closes)
-        for n in cfg.sma_periods:
-            columns[f"SMA{n}"] = sma(closes, n)
-        columns[f"EMA_{cfg.ema_alpha:g}"] = ema(closes, cfg.ema_alpha)
-        columns["RSI"] = rsi(closes, cfg.rsi_period)
-        k = stochastic_k(src, cfg.stoch_k_period)
-        columns["K%"] = k
-        columns["D%"] = stochastic_d(k, cfg.stoch_d_period)
-        columns["CCI"] = cci(src, cfg.cci_period)
-        diff, signal, histogram = macd(closes, cfg.macd_fast, cfg.macd_slow, cfg.macd_signal)
-        columns["macd"] = diff
-        columns["macd_s"] = signal
-        columns["macd_h"] = histogram
-        if column_set == TABLE4_ALL:
-            columns[f"WMA{cfg.wma_period}"] = wma(closes, cfg.wma_period)
-            columns["AD"] = ad(src)
+        columns[f"EMA_{cfg.ema_alpha:g}"] = ema_values = ema(closes, cfg.ema_alpha)
+        columns["RSI"], gain, loss = _rsi(closes, cfg.rsi_period)
+        fast, slow, diff, signal = _macd_lines(closes, cfg.macd_fast, cfg.macd_slow,
+                                               cfg.macd_signal)
+        columns["macd"], columns["macd_s"], columns["macd_h"] = diff, signal, diff - signal
+        recurrences = (ema_values, fast, slow, signal, gain, loss)  # in Carry's field order
     values = np.column_stack([columns[name] for name in names])
     finite_rows = np.all(np.isfinite(values), axis=1)
     defined = np.nonzero(finite_rows)[0]
@@ -297,12 +344,44 @@ def build_features(
         # cannot happen for finite bar inputs; guard against silent nan leaks
         bad = int(np.nonzero(~finite_rows[first:])[0][0]) + first
         raise IndicatorError(f"non-finite feature value at row {bad}")
+    if recurrences:
+        carry = Carry(closes.size, np.cumsum(closes)[-1], *(r[-1] for r in recurrences))
     return FeatureMatrix(
         dates=src.dates()[first:],
         column_names=names,
         values=values[first:].copy(),
         warmup_dropped=first,
+        carry=carry or Carry(),
     )
+
+
+def _next_row(block: np.ndarray, cfg: IndicatorConfig, column_set: str, use_adj_close: bool,
+              carry: Carry, names: tuple[str, ...]) -> tuple[np.ndarray, Carry]:
+    """Row and carry at a block's last bar: window columns over the block
+    alone, and one step of each recurrence, by ema and _rsi, from the carry."""
+    needed = _min_rows_needed(cfg, column_set) + 1
+    if block.shape[1] < needed:
+        raise SeriesTooShort(needed, block.shape[1])
+    if use_adj_close:
+        block = block.copy()
+        block[3] = block[4]
+    closes = block[3]
+    if column_set == UNIVARIATE:
+        return closes[-1:].copy(), carry
+    close = float(closes[-1])
+    fast = _ema_step(carry.macd_fast, close, 2.0 / (cfg.macd_fast + 1))
+    slow = _ema_step(carry.macd_slow, close, 2.0 / (cfg.macd_slow + 1))
+    rsi_values, gain, loss = _rsi(closes[-2:], cfg.rsi_period, (carry.rsi_gain, carry.rsi_loss))
+    carry = Carry(
+        carry.bars + 1, carry.close_sum + close, _ema_step(carry.ema, close, cfg.ema_alpha),
+        fast, slow, _ema_step(carry.macd_signal, fast - slow, 2.0 / (cfg.macd_signal + 1)),
+        float(gain[-1]), float(loss[-1]),
+    )
+    columns = {name: column[-1] for name, column in _window_columns(block, cfg, column_set).items()}
+    columns.update({"Close": close, "CMA": carry.close_sum / carry.bars,
+                    f"EMA_{cfg.ema_alpha:g}": carry.ema, "RSI": rsi_values[-1], "macd": fast - slow,
+                    "macd_s": carry.macd_signal, "macd_h": (fast - slow) - carry.macd_signal})
+    return np.array([columns[name] for name in names]), carry
 
 
 def write_feature_csv(matrix: FeatureMatrix) -> str:

@@ -70,13 +70,16 @@ def held_out_windows(
     clip: bool = False,
 ) -> WindowedDataset:
     """Scale and window rows [split_row - lookback, rows): the samples whose
-    target row is split_row or later."""
+    target row is split_row or later. clip bounds the inputs, never the targets."""
     if not lookback <= split_row < matrix.rows:
         raise dataset.DegenerateSplit(
             f"split row {split_row} needs {lookback} rows before it and 1 after, of {matrix.rows}"
         )
     held_out = matrix.row_slice(split_row - lookback, matrix.rows)
-    return dataset.make_windows(scaling.transform(scaler, held_out, clip=clip), lookback)
+    windows = dataset.make_windows(scaling.transform(scaler, held_out), lookback)
+    if clip:
+        windows.inputs.clip(-1.0, 1.0, out=windows.inputs)  # make_windows copied them
+    return windows
 
 
 def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> tuple[lstm.LstmModel, dict]:

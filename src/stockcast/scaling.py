@@ -61,18 +61,21 @@ def transform(params: ScalerParams, matrix: FeatureMatrix, clip: bool = False) -
     clip is set.
     """
     _check_columns(params, matrix.column_names)
-    span = params.maxs - params.mins
-    safe = np.where(span > 0.0, span, 1.0)
-    scaled = 2.0 * (matrix.values - params.mins) / safe - 1.0
-    scaled = np.where(span > 0.0, scaled, 0.0)
-    if clip:
-        scaled = np.clip(scaled, -1.0, 1.0)
     return FeatureMatrix(
         dates=matrix.dates,
         column_names=matrix.column_names,
-        values=scaled,
+        values=scale(params, matrix.values, clip),
         warmup_dropped=matrix.warmup_dropped,
     )
+
+
+def scale(params: ScalerParams, values: np.ndarray, clip: bool = False) -> np.ndarray:
+    """transform's arithmetic on bare rows whose last axis is params' columns."""
+    span = params.maxs - params.mins
+    safe = np.where(span > 0.0, span, 1.0)
+    scaled = 2.0 * (values - params.mins) / safe - 1.0
+    scaled = np.where(span > 0.0, scaled, 0.0)
+    return np.clip(scaled, -1.0, 1.0) if clip else scaled
 
 
 def inverse_close(params: ScalerParams, scaled):

@@ -175,12 +175,15 @@ def test_fit_rows_and_held_out_windows_match_stack_and_slice(
     assert fitted.mins.tobytes() == scaler.mins.tobytes()
     assert fitted.maxs.tobytes() == scaler.maxs.tobytes()
     scaled = transform(scaler, matrix, clip=clip)
+    unclipped = transform(scaler, matrix)
     train_scaled, test_scaled = scaled_out
     assert train_scaled.values.tobytes() == scaled.values[:split_row].tobytes()
-    assert test_scaled.values.tobytes() == scaled.values[split_row - lookback :].tobytes()
-    for side, (inputs, targets, dates) in zip(
-        (train, test), stack_and_slice(scaled, lookback, split_row)
-    ):
+    assert test_scaled.values.tobytes() == unclipped.values[split_row - lookback :].tobytes()
+    train_ref, (clipped_inputs, _, _) = stack_and_slice(scaled, lookback, split_row)
+    _, (_, test_targets, test_dates) = stack_and_slice(unclipped, lookback, split_row)
+    # held out, clip bounds the window inputs only and never the targets
+    test_ref = (clipped_inputs, test_targets, test_dates)
+    for side, (inputs, targets, dates) in zip((train, test), (train_ref, test_ref)):
         assert np.array_equal(side.inputs, inputs)
         assert side.inputs.tobytes() == inputs.tobytes()
         assert np.array_equal(side.targets, targets)

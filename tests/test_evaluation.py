@@ -3,7 +3,7 @@
 import math
 import pickle
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 from dataclasses import replace
 from unittest import mock
 
@@ -26,7 +26,7 @@ from stockcast.evaluation import (
     rmse_from_mse,
     walk_forward,
 )
-from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
+from stockcast.indicators import COLUMN_SETS, PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
 from stockcast.lstm import CorruptModel, NonFiniteLoss, TrainConfig, new_model
 from stockcast.market_data import (
     HttpStatus,
@@ -314,6 +314,43 @@ def test_forecast_prefix_is_stable():
     assert all(math.isfinite(v) for v in long.values)
 
 
+def full_rebuild_forecast(model, series, horizon):
+    """Reference recursion: rebuild every feature over the extended series at
+    each step, and scale the whole matrix again."""
+    n = len(series)
+    block = np.empty((6, n + horizon))
+    block[:, :n] = series.block
+    dates = list(series.dates())
+    values = []
+    for k in range(horizon):
+        extended = OhlcvSeries.from_columns(series.symbol, tuple(dates), block[:, : n + k])
+        matrix = build_features(extended, model.indicator_config, model.column_set,
+                                model.use_adj_close)
+        window = transform(model.scaler, matrix).values[-model.lookback :, :]
+        price = float(inverse_close(model.scaler, model.predict(window[None], 1)[0]))
+        values.append(price)
+        block[:5, n + k] = price
+        block[5, n + k] = block[5, n + k - 1]
+        dates.append(dates[-1] + timedelta(days=1))
+    return values
+
+
+@pytest.mark.parametrize("use_adj_close", [False, True])
+@pytest.mark.parametrize("column_set", COLUMN_SETS)
+def test_forecast_equals_full_rebuild_reference(column_set, use_adj_close):
+    walk = random_walk_series(300, seed=31)
+    series = OhlcvSeries(walk.symbol, tuple(
+        replace(b, adj_close=b.close * (0.8 + 0.001 * i)) for i, b in enumerate(walk.bars)
+    ))
+    cfg = resolve_config({}, {
+        "column_set": column_set, "lookback": 6, "epochs": 1, "hidden_sizes": "4",
+        "seed": 31, "use_adj_close": str(use_adj_close).lower(),
+    })
+    model, _ = train_from_series(series, cfg)
+    forecast = forecast_recursive(model, series, 25)
+    assert list(forecast.values) == full_rebuild_forecast(model, series, 25)
+
+
 def test_multivariate_forecast_rebuilds_features():
     icfg = IndicatorConfig(sma_periods=(5, 10, 20))
     names = column_names_for(icfg, PAPER_MULTIVARIATE)
@@ -360,13 +397,30 @@ def test_single_path_keeps_test_rows_out_of_training():
     assert all(day < test_ds.dates[0] for day in train_ds.dates)
     assert np.array_equal(model.scaler.mins, matrix.values[:split_row].min(axis=0))
     assert np.array_equal(model.scaler.maxs, matrix.values[:split_row].max(axis=0))
-    assert np.all(test_ds.targets == 1.0)  # clipped at the training maximum
+    assert test_ds.inputs.max() == 1.0  # inputs clipped at the training maximum
+    assert np.all(test_ds.targets > 1.0)  # targets not: each is a new high
 
     train_end, test_end = 60, 100
     truncated = matrix.row_slice(0, test_end)
     scaler = fit(truncated.row_slice(0, train_end))
     test_ds = held_out_windows(truncated, scaler, cfg.lookback, train_end, clip=True)
     assert test_ds.dates == matrix.dates[train_end:test_end]
+
+
+def test_clipped_held_out_scoring_reports_true_closes():
+    # the held-out closes climb past the training maximum; clipping must bound
+    # what the model reads, not the prices it is scored against
+    series = flat_series([100.0 + 0.5 * i for i in range(200)])
+    matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
+    split_row = split_row_for(matrix.rows, 8, 0.8)
+    scaler = fit(matrix.row_slice(0, split_row))
+    test_ds = held_out_windows(matrix, scaler, 8, split_row, clip=True)
+    assert test_ds.inputs.max() == 1.0
+    _, rows = evaluate_one_step(PersistenceModel(("Close",), 8, scaler), test_ds)
+    closes = dict(zip(series.dates(), series.closes().tolist()))
+    assert len(rows) == 39 and rows[-1][1] == pytest.approx(199.5, rel=1e-12)
+    for day, actual, _ in rows:
+        assert actual == pytest.approx(closes[day], rel=1e-12)
 
 
 def spy_on_the_split(monkeypatch):

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockcast.indicators import (
+    COLUMN_SETS,
     PAPER_MULTIVARIATE,
     TABLE4_ALL,
     UNIVARIATE,
     IndicatorConfig,
     SeriesTooShort,
+    _min_rows_needed,
     ad,
     build_features,
     cci,
@@ -466,3 +468,71 @@ def test_indicator_config_validation():
         IndicatorConfig(macd_fast=30, macd_slow=20)
     cfg = IndicatorConfig(sma_periods=[5, 10])
     assert cfg.sma_periods == (5, 10)
+
+
+# ------------------------------------------------------------- carried state
+
+small_configs = st.builds(
+    IndicatorConfig,
+    sma_periods=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+    wma_period=st.integers(1, 30),
+    ema_alpha=st.floats(0.01, 0.99),
+    rsi_period=st.integers(1, 20),
+    cci_period=st.integers(1, 25),
+    stoch_k_period=st.integers(1, 20),
+    stoch_d_period=st.integers(1, 12),
+    macd_fast=st.integers(2, 10),  # a period of 1 is an EMA alpha of 1, which ema refuses
+    macd_slow=st.integers(11, 30),
+    macd_signal=st.integers(2, 12),
+)
+
+# an appended bar: a synthetic one (open = high = low = close = adj close, as
+# a forecast writes) or a wide one, each a relative move from the last close
+appended_bars = st.lists(
+    st.tuples(
+        st.sampled_from(["synthetic", "wide"]),
+        st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+        st.floats(0.0, 0.02),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(exact, max_examples=100)
+@given(st.one_of(st.just(IndicatorConfig()), small_configs), st.integers(0, 10**6),
+       st.integers(0, 30), appended_bars)
+@example(cfg=IndicatorConfig(), seed=5, extra=0, bars=[("synthetic", 0.0, 0.0)] * 4)
+def test_carried_row_equals_full_rebuild_exactly(cfg, seed, extra, bars):
+    walk = random_walk_series(_min_rows_needed(cfg, TABLE4_ALL) + extra, seed=seed)
+    n = len(walk)
+    block = np.empty((6, n + len(bars)))
+    block[:, :n] = walk.block
+    block[4, :n] *= np.linspace(0.8, 1.0, n)  # an adjusted close apart from the close
+    dates = walk.dates() + tuple(walk.dates()[-1] + timedelta(days=i + 1) for i in range(len(bars)))
+    for t, (kind, move, width) in enumerate(bars, start=n):
+        close = block[3, t - 1] * (1.0 + move)
+        block[:5, t] = close
+        if kind == "wide":
+            block[1, t], block[2, t], block[0, t] = close * (1 + width), close / (1 + width), close
+            block[4, t] = close * 0.9
+        block[5, t] = block[5, t - 1]
+    series = OhlcvSeries.from_columns("X", dates[:n], block[:, :n])
+    for column_set in COLUMN_SETS:
+        tail = _min_rows_needed(cfg, column_set) + 1
+        for use_adj_close in (False, True):
+            carry = build_features(series, cfg, column_set, use_adj_close).carry
+            for t in range(n, n + len(bars)):
+                row, carry = build_features(block[:, t + 1 - tail : t + 1], cfg, column_set,
+                                            use_adj_close, carry)
+                extended = OhlcvSeries.from_columns("X", dates[: t + 1], block[:, : t + 1])
+                full = build_features(extended, cfg, column_set, use_adj_close)
+                assert row.tobytes() == full.values[-1].tobytes(), (column_set, use_adj_close, t)
+
+
+def test_carried_step_needs_the_longest_window():
+    series = random_walk_series(260, seed=3)
+    carry = build_features(series, IndicatorConfig(), PAPER_MULTIVARIATE).carry
+    with pytest.raises(SeriesTooShort) as err:
+        build_features(series.block[:, -200:], IndicatorConfig(), PAPER_MULTIVARIATE, carry=carry)
+    assert (err.value.needed, err.value.have) == (201, 200)
