@@ -65,6 +65,9 @@ class IndicatorConfig:
             raise ValueError("sma_periods must not be empty")
         if any(p < 1 for p in periods):
             raise ValueError("indicator periods must be >= 1")
+        for name in ("macd_fast", "macd_signal"):  # an EMA of period 1 has alpha 2 / (1 + 1) = 1
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2")
         if not 0.0 < self.ema_alpha < 1.0:
             raise ValueError("ema_alpha must lie in (0, 1)")
         if self.macd_fast >= self.macd_slow:

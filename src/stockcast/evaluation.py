@@ -5,7 +5,10 @@ recursive forecaster runs one loop for every mode: it feeds each prediction
 back as the next synthetic bar (open = high = low = close = adj close =
 prediction, volume carried forward), extends the model's feature columns by
 that bar from the indicator state carried since the last real bar, and scales
-the new row with the scaler parameters frozen at train time.
+the new row with the scaler parameters frozen at train time. The LSTM sees
+each scaled row once: the windows of up to min(lookback, horizon) days are in
+flight together as the columns of one model.stream, and day k reads column
+k mod that width.
 """
 
 from __future__ import annotations
@@ -130,9 +133,12 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     """Feed predictions back as inputs for `horizon` steps beyond the series.
 
     Step 0 builds features on all n bars. Step k >= 1 writes the last
-    prediction into a preallocated bar block as bar n + k - 1, extends the
-    carried indicator state by it from the last `tail` bars alone and appends
-    the scaled row to a buffer: O(longest window) per step, not O(n).
+    prediction into a preallocated bar block as bar n + k - 1 and extends the
+    carried indicator state by it from the last `tail` bars alone:
+    O(longest window) per step, not O(n). Each scaled row is pushed once to a
+    stream of width W = min(lookback, horizon), one LSTM step per layer for
+    every window in flight, so day k equals predict on a W-window chunk that
+    holds its window at k % W.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -147,16 +153,24 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     block[:, :n] = series.block
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry
-    scaled = np.empty((lookback + horizon - 1, matrix.values.shape[1]))
-    scaled[:lookback] = scaling.transform(model.scaler, matrix).values[-lookback:]
+    history = scaling.transform(model.scaler, matrix).values[-lookback:]
+    width = min(lookback, horizon)  # windows in flight at once
+    stream = model.stream(width)
     values: list[float] = []
-    for k in range(horizon):
-        if k:
+    for r in range(lookback + horizon - 1):  # day k's window is rows k .. k + lookback - 1
+        k = r - lookback + 1  # the day whose window ends at row r, once k >= 0
+        if k > 0:
             row, carry = build_features(block[:, n + k - tail : n + k], cfg, column_set,
                                         model.use_adj_close, carry)
-            scaled[lookback + k - 1] = scaling.scale(model.scaler, row)
-        window = scaled[None, k : k + lookback]
-        price = float(scaling.inverse_close(model.scaler, model.predict(window, 1)[0]))
+            row = scaling.scale(model.scaler, row)
+        else:
+            row = history[r]
+        if r < horizon:
+            stream.start(r % width)  # day r's window starts at row r
+        heads = stream.push(row)
+        if k < 0:
+            continue
+        price = float(scaling.inverse_close(model.scaler, heads[k % width]))
         values.append(price)
         block[:, n + k] = price  # synthetic next bar: the prediction in every price field
         block[-1, n + k] = block[-1, n + k - 1]  # and the volume carried forward

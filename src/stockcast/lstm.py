@@ -21,10 +21,14 @@ last row is the bias, and the columns are gate blocks f, i, o, g. A layer
 unrolls time-major into one XH (T+1, I+H+1, B) buffer whose slot t holds
 [x_t; h_{t-1}; 1]. Step t is one GEMM, W.T @ XH[t], into the step's (4H, B)
 gate slot (one sigmoid over the first 3H rows, one tanh over the last H), and
-it writes h_t to slot t+1, from where the next layer copies its inputs. Only
-forward_batch keeps all T steps' gates, c and tanh(c), in the ForwardCache
-that backward reads; LstmModel.predict, the one prediction path, keeps one
-gate slot and two c slots. A backward step is two GEMMs:
+it writes h_t to slot t+1, from where the next layer copies its inputs;
+_cell_step holds that step's arithmetic. Only forward_batch keeps all T
+steps' gates, c and tanh(c), in the ForwardCache that backward reads;
+LstmModel.predict, the prediction path for whole windows, keeps one gate
+slot and two c slots. A WindowStream runs the same _cell_step row by row
+instead: W overlapping windows in flight are the columns of one
+(I+H+1, W) XH per layer, so a recursive forecast costs one step per layer
+for each new row rather than a whole window. A backward step is two GEMMs:
 dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
 W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
 keeps one ForwardCache block for the whole fit and overwrites it batch after
@@ -32,7 +36,8 @@ batch; a short last batch views the front of the same block.
 
 Summing x, h and bias terms inside one GEMM rounds differently from summing
 them apart, and a window's last bits can depend on the batch size it is
-predicted in, so each caller of predict fixes its chunk. Repeat calls at the
+predicted in, so each caller of predict fixes its chunk. A stream column
+equals predict at a chunk of W windows bit for bit. Repeat calls at the
 same shapes are byte-identical.
 
 The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
@@ -202,7 +207,8 @@ class LstmModel:
     # 50,50), however many windows there are, against about 22 MB for 255 in one pass.
     def predict(self, windows, chunk: int = 128) -> np.ndarray:
         """Float64 (n,) predictions for (n, lookback, features) windows, chunk windows per
-        pass; keeps no backward caches. A window's last bits can depend on its chunk."""
+        pass; keeps no backward caches. A window's last bits can depend on its chunk. For
+        windows that overlap and arrive a row at a time, stream(chunk) gives the same values."""
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         X = _windows(self, windows)
@@ -215,6 +221,10 @@ class LstmModel:
                 seq = _unroll(layer, seq, _buffers((layer,), self.lookback, seq.shape[2], 1)[0], standard)
             out[start : start + chunk] = np.ascontiguousarray(seq[-1].T) @ self.head_w + self.head_b[0]
         return out
+
+    def stream(self, width: int) -> WindowStream:
+        """width overlapping windows advanced together one row at a time; see WindowStream."""
+        return WindowStream(self, width)
 
 
 def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParams:
@@ -321,27 +331,81 @@ def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard
     """Run one layer from zero h and c over the (T, I, B) input columns seq into buf;
     returns the (T, H, B) view of its outputs h_t, the next layer's seq."""
     length, inputs, _ = seq.shape
-    hidden, slots, c_slots = layer.hidden_size, len(buf.gates), len(buf.c)
+    slots, c_slots = len(buf.gates), len(buf.c)
     xh, WT = buf.xh, layer.W.T
     xh[:-1, :inputs] = seq
-    # sigmoid as 1 / (1 + exp(-z)) in place; exp overflows to inf below z = -709, giving the right 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # see _cell_step
         for t in range(length):
-            c_prev = buf.c[(t - 1) % c_slots] if t else 0.0
-            z, c, tc = buf.gates[t % slots], buf.c[t % c_slots], buf.tc[t % slots]
-            np.matmul(WT, xh[t], out=z)
-            s, g = z[: 3 * hidden], z[3 * hidden :]
-            np.negative(s, out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.divide(1.0, s, out=s)
-            np.tanh(g, out=g)
-            np.multiply(s[:hidden], c_prev, out=c)  # s holds f, i, o
-            i = s[hidden : 2 * hidden]
-            c += i * g if standard else i + g
-            np.tanh(c, out=tc)
-            np.multiply(s[2 * hidden :], tc, out=xh[t + 1, inputs:-1])
+            _cell_step(WT, xh[t], buf.gates[t % slots], buf.c[(t - 1) % c_slots] if t else 0.0,
+                       buf.c[t % c_slots], buf.tc[t % slots], xh[t + 1, inputs:-1], standard)
     return xh[1:, inputs:-1]
+
+
+def _cell_step(WT, xh_t, z, c_prev, c, tc, h_out, standard: bool) -> None:
+    """One cell step for every column of xh_t, [x; h_prev; 1] (I+H+1, B): the (4H, B) gates
+    into z, the state into c and tanh(c) into tc, h = o * tanh(c) into h_out. c_prev is
+    0.0 for a zero state, and may be c itself. Callers hold np.errstate(over="ignore"):
+    sigmoid is 1 / (1 + exp(-z)) in place, and exp overflows to inf below z = -709,
+    giving the right 0."""
+    hidden = len(c)
+    np.matmul(WT, xh_t, out=z)
+    s, g = z[: 3 * hidden], z[3 * hidden :]
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    np.tanh(g, out=g)
+    np.multiply(s[:hidden], c_prev, out=c)  # s holds f, i, o
+    i = s[hidden : 2 * hidden]
+    c += i * g if standard else i + g
+    np.tanh(c, out=tc)
+    np.multiply(s[2 * hidden :], tc, out=h_out)
+
+
+class WindowStream:
+    """width windows in flight as the columns of one state per layer, fed one row at a time.
+
+    Every column takes each pushed row as its next input, so windows that share rows
+    share their cell steps: start(col) zeroes column col's h and c, and the window that
+    starts there takes the next row pushed as its first. push(row) advances every layer
+    one step for all columns and returns the head over each column's h, (width,). A
+    column's output equals predict's for that window in a chunk of width windows, bit
+    for bit, whatever the other columns hold.
+    """
+
+    def __init__(self, model: LstmModel, width: int):
+        if width < 1:
+            raise ValueError("width must be >= 1")
+        if model.cell_variant not in CELL_VARIANTS:
+            raise ValueError(f"unknown cell variant {model.cell_variant!r}")
+        self.model = model
+        self._standard = model.cell_variant == "standard"
+        self._layers = []  # per layer: W.T, input size, xh (I+H+1, width), gates, c, tanh(c)
+        for layer in model.layers:
+            hidden = layer.hidden_size
+            xh = np.zeros((layer.W.shape[0], width))
+            xh[-1] = 1.0  # multiplies W's bias row
+            self._layers.append((layer.W.T, layer.input_size, xh, np.empty((4 * hidden, width)),
+                                 np.zeros((hidden, width)), np.empty((hidden, width))))
+
+    def start(self, col: int) -> None:
+        for _, inputs, xh, _, c, _ in self._layers:
+            xh[inputs:-1, col] = 0.0
+            c[:, col] = 0.0
+
+    def push(self, row) -> np.ndarray:
+        x = np.asarray(row, dtype=np.float64)
+        if x.shape != (self.model.num_features,):
+            raise ShapeMismatch(f"row shaped {x.shape}, model expects ({self.model.num_features},)")
+        if not np.isfinite(x).all():
+            raise NonFiniteInput("windows contain non-finite values")
+        x = x[:, None]  # the same row for every column
+        with np.errstate(over="ignore"):  # see _cell_step
+            for WT, inputs, xh, z, c, tc in self._layers:
+                xh[:inputs] = x
+                _cell_step(WT, xh, z, c, c, tc, xh[inputs:-1], self._standard)
+                x = xh[inputs:-1]
+        return np.ascontiguousarray(x.T) @ self.model.head_w + self.model.head_b[0]
 
 
 def _windows(model: LstmModel, windows) -> np.ndarray:

@@ -44,9 +44,11 @@ def split_row_for(matrix_rows: int, lookback: int, train_fraction: float) -> int
 
 
 def fit_rows(train_rows: FeatureMatrix, cfg: RunConfig, seed: int) -> tuple[lstm.LstmModel, dict]:
-    """Fit the scaler on every given row, window them, train a fresh model from seed."""
+    """Fit the scaler on every given row, window them, train a fresh model from seed.
+
+    The rows need no clip: a scaler maps the rows it was fitted on into [-1, 1]."""
     scaler = scaling.fit(train_rows)
-    scaled = scaling.transform(scaler, train_rows, clip=cfg.clip_scaled)
+    scaled = scaling.transform(scaler, train_rows)
     train_ds = dataset.make_windows(scaled, cfg.lookback)
     tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(

@@ -172,6 +172,16 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_clip_scaled_changes_no_byte(tmp_path, capsys):
+    # a scaler maps its own training rows into [-1, 1]; --clip-scaled acts on held-out inputs only
+    data = write_walk(tmp_path)
+    _, model_a, history_a = run_train(tmp_path, data, model_name="a.json", history_name="a.csv")
+    _, model_b, history_b = run_train(tmp_path, data, ["--clip-scaled"], "b.json", "b.csv")
+    assert model_a.read_bytes() == model_b.read_bytes()
+    assert history_a.read_bytes() == history_b.read_bytes()
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------- evaluate
 
 def trained_setup(tmp_path):
@@ -480,6 +490,19 @@ def test_config_file_rejections(tmp_path, capsys):
                "--out", str(tmp_path / "f.csv"), "--column-set", "univariate"])
     assert rc == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["macd_fast", "macd_signal"])
+def test_macd_period_of_one_is_config_error(tmp_path, capsys, key):
+    # an EMA of period 1 has alpha 1, which no indicator accepts; the key is named, not alpha
+    data = write_walk(tmp_path, n=60)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = 1\n")
+    rc = main(["indicators", "--config", str(config), "--input", str(data),
+               "--out", str(tmp_path / "f.csv"), "--column-set", "paper_multivariate"])
+    assert rc == 64
+    assert capsys.readouterr().err == f"usage error: {key} must be >= 2\n"
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,5 +1,6 @@
 """Metrics, one-step evaluation, recursive forecasts, walk-forward backtest."""
 
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -42,6 +43,19 @@ from conftest import flat_series, random_walk_series
 from test_lstm import windows_dataset
 
 
+class RowStream:
+    """The stream interface over read(row): every column's output is read(row)."""
+
+    def __init__(self, width, read):
+        self.width, self.read = width, read
+
+    def start(self, col):
+        assert 0 <= col < self.width
+
+    def push(self, row):
+        return np.full(self.width, self.read(np.asarray(row)))
+
+
 class PersistenceModel:
     """Duck-typed stand-in: predicts the last seen scaled close."""
 
@@ -58,6 +72,9 @@ class PersistenceModel:
     def predict(self, windows, chunk=128):
         return np.asarray(windows, dtype=np.float64)[:, -1, self._close]
 
+    def stream(self, width):
+        return RowStream(width, lambda row: row[self._close])  # each window's last row
+
 
 class ScriptedModel(PersistenceModel):
     """Returns a fixed sequence of scaled predictions, one per window."""
@@ -66,8 +83,10 @@ class ScriptedModel(PersistenceModel):
         super().__init__(feature_names, lookback, scaler)
         self.outputs = list(outputs)
 
-    def predict(self, windows, chunk=128):
-        return np.array([self.outputs.pop(0) for _ in windows])
+    def stream(self, width):
+        pushed = itertools.count(1)  # a window is complete from the lookback-th row on
+        return RowStream(width, lambda row: self.outputs.pop(0) if next(pushed) >= self.lookback
+                         else np.nan)
 
 
 # -------------------------------------------------------------------- metrics
@@ -272,6 +291,15 @@ def test_forecast_horizon_one_equals_direct_predict():
     assert forecast.values[0] == direct
 
 
+def chunk_predict(model, window, k, horizon):
+    """The exact oracle for forecast day k: window k alone, as column k % W of a W-wide
+    chunk of zeros, W = min(lookback, horizon), predicted W windows per pass."""
+    width = min(model.lookback, horizon)
+    chunk = np.zeros((width, *window.shape))
+    chunk[k % width] = window
+    return float(inverse_close(model.scaler, model.predict(chunk, width)[k % width]))
+
+
 def sliding_window_forecast(model, series, horizon):
     """Reference univariate recursion: slide a window of scaled closes and
     append each prediction, forward-scaled with the Close column's bounds."""
@@ -279,8 +307,8 @@ def sliding_window_forecast(model, series, horizon):
     window = transform(model.scaler, matrix).values[-model.lookback :, :].copy()
     lo, hi = float(model.scaler.mins[0]), float(model.scaler.maxs[0])
     out = []
-    for _ in range(horizon):
-        price = float(inverse_close(model.scaler, model.predict(window[None], 1)[0]))
+    for k in range(horizon):
+        price = chunk_predict(model, window, k, horizon)
         out.append(price)
         next_scaled = 2.0 * (price - lo) / (hi - lo) - 1.0 if hi > lo else 0.0
         window = np.vstack([window[1:], [[next_scaled]]])
@@ -327,7 +355,7 @@ def full_rebuild_forecast(model, series, horizon):
         matrix = build_features(extended, model.indicator_config, model.column_set,
                                 model.use_adj_close)
         window = transform(model.scaler, matrix).values[-model.lookback :, :]
-        price = float(inverse_close(model.scaler, model.predict(window[None], 1)[0]))
+        price = chunk_predict(model, window, k, horizon)
         values.append(price)
         block[:5, n + k] = price
         block[5, n + k] = block[5, n + k - 1]
@@ -351,6 +379,32 @@ def test_forecast_equals_full_rebuild_reference(column_set, use_adj_close):
     assert list(forecast.values) == full_rebuild_forecast(model, series, 25)
 
 
+@pytest.mark.parametrize("cell_variant, lookback, horizon", [
+    ("standard", 4, 13),  # horizon > lookback: each column takes a new window every 4 days
+    ("as_printed", 5, 17),
+    ("as_printed", 9, 6),  # horizon < lookback: one column per day
+    ("as_printed", 3, 1),
+])
+def test_forecast_equals_chunk_oracle(cell_variant, lookback, horizon):
+    series = random_walk_series(300, seed=37)
+    cfg = resolve_config({}, {
+        "column_set": PAPER_MULTIVARIATE, "lookback": lookback, "epochs": 1,
+        "hidden_sizes": "5,3", "seed": 37, "cell_variant": cell_variant,
+    })
+    model, _ = train_from_series(series, cfg)
+    assert model.cell_variant == cell_variant
+    forecast = forecast_recursive(model, series, horizon)
+    assert list(forecast.values) == full_rebuild_forecast(model, series, horizon)
+
+
+def test_forecast_refuses_a_non_finite_row():
+    series, model = trained_univariate()
+    # a Close span of one subnormal scales every close past float64's range
+    model.scaler = ScalerParams(("Close",), np.zeros(1), np.full(1, 5e-324))
+    with np.errstate(over="ignore"), pytest.raises(lstm.NonFiniteInput):
+        forecast_recursive(model, series, 5)
+
+
 def test_multivariate_forecast_rebuilds_features():
     icfg = IndicatorConfig(sma_periods=(5, 10, 20))
     names = column_names_for(icfg, PAPER_MULTIVARIATE)
@@ -362,9 +416,12 @@ def test_multivariate_forecast_rebuilds_features():
         column_set = PAPER_MULTIVARIATE
         indicator_config = icfg
 
-        def predict(self, windows, chunk=128):
-            assert np.asarray(windows).shape == (1, self.lookback, len(names))
-            return np.full(len(windows), 0.25)
+        def stream(self, width):
+            def read(row):
+                assert row.shape == (len(names),)
+                return 0.25
+
+            return RowStream(width, read)
 
     model = ConstantModel(names, 12, scaler)
     result = forecast_recursive(model, series, 4)

@@ -466,6 +466,10 @@ def test_indicator_config_validation():
         IndicatorConfig(rsi_period=0)
     with pytest.raises(ValueError):
         IndicatorConfig(macd_fast=30, macd_slow=20)
+    for key in ("macd_fast", "macd_signal"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 2$"):
+            IndicatorConfig(**{key: 1})
+        IndicatorConfig(**{key: 2})
     cfg = IndicatorConfig(sma_periods=[5, 10])
     assert cfg.sma_periods == (5, 10)
 

@@ -352,6 +352,46 @@ def test_predict_runs_chunk_windows_per_pass(chunk, monkeypatch):
         model.predict(X[:2], 0)
 
 
+@pytest.mark.parametrize("variant", ["standard", "as_printed"])
+@pytest.mark.parametrize("lookback, days", [(5, 3), (5, 5), (4, 11), (1, 4), (6, 1)])
+def test_stream_column_equals_predict_at_its_chunk(variant, lookback, days):
+    # window k is rows k .. k + lookback - 1: started in column k % width before row k,
+    # read from that column once row k + lookback - 1 is pushed
+    model = tiny_model(num_features=2, lookback=lookback, hidden=(5, 3), seed=7, variant=variant,
+                       mode="multivariate")
+    rows = np.random.default_rng(lookback * days).normal(size=(lookback + days - 1, 2))
+    width = min(lookback, days)
+    stream, got = model.stream(width), []
+    for r, row in enumerate(rows):
+        if r < days:
+            stream.start(r % width)
+        heads = stream.push(row)
+        assert heads.shape == (width,)
+        if r >= lookback - 1:
+            got.append(heads[(r - lookback + 1) % width])
+    for k in range(days):
+        chunk = np.zeros((width, lookback, 2))
+        chunk[k % width] = rows[k : k + lookback]
+        assert got[k] == model.predict(chunk, width)[k % width]
+
+
+def test_stream_guards():
+    model = tiny_model(num_features=2, lookback=4, mode="multivariate")
+    stream, clean = model.stream(3), model.stream(3)
+    row = np.array([0.5, -0.25])
+    stream.push(row), clean.push(row)
+    with pytest.raises(ShapeMismatch):
+        stream.push(np.zeros(3))
+    with pytest.raises(NonFiniteInput):
+        stream.push(np.array([0.5, np.inf]))
+    assert np.array_equal(stream.push(row), clean.push(row))  # refused rows left no trace
+    with pytest.raises(ValueError):
+        model.stream(0)
+    model.cell_variant = "fancy"
+    with pytest.raises(ValueError):
+        model.stream(1)
+
+
 def test_hidden_unit_permutation_symmetry():
     model = tiny_model(lookback=7, hidden=(6,), seed=9)
     X = np.random.default_rng(1).normal(size=(4, 7, 1))
@@ -826,6 +866,18 @@ def test_load_rejects_train_config_contradicting_its_copies(tmp_path, key, value
     with pytest.raises(CorruptModel) as err:
         load_model(path)
     assert err.value.path == f"$.train_config.{key}"
+
+
+@pytest.mark.parametrize("key", ["macd_fast", "macd_signal"])
+def test_load_rejects_macd_period_of_one(tmp_path, key):
+    doc = json.loads((FIXTURES / "golden_v1_model.json").read_text())
+    doc["indicator_config"][key] = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(path)
+    assert err.value.path == "$.indicator_config"
+    assert err.value.reason == f"{key} must be >= 2"
 
 
 @pytest.mark.parametrize("key, value", [("mode", "univariate"), ("mode", "sideways"),
