@@ -1,11 +1,11 @@
 """Daily stock price forecasting with a from-scratch stacked LSTM.
 
-The package covers the whole loop: fetching and parsing OHLCV CSVs,
-technical indicator features, min-max scaling to [-1, 1], windowed
-dataset construction, LSTM training with backpropagation through time,
-one-step evaluation, recursive multi-day forecasting, walk-forward
-backtesting, and SVG charts. Everything is deterministic for a fixed
-seed, including the files the CLI writes.
+The package covers the whole loop: parsing OHLCV CSVs, technical
+indicator features, min-max scaling to [-1, 1], windowed dataset
+construction, LSTM training with backpropagation through time, one-step
+evaluation, recursive multi-day forecasting, walk-forward backtesting,
+and SVG charts. Everything is deterministic for a fixed seed, including
+the files the CLI writes.
 """
 
 import importlib
@@ -24,7 +24,7 @@ _HOMES = {
         "forecast_recursive rmse_from_mse walk_forward",
         "indicators": "FeatureMatrix build_features",
         "lstm": "LstmModel SplitMix64 load_model new_model save_model train",
-        "market_data": "Bar OhlcvSeries fetch_quotes parse_csv serialize_csv",
+        "market_data": "Bar OhlcvSeries parse_csv serialize_csv",
         "pipeline": "train_from_series",
         "scaling": "ScalerParams fit inverse_close transform",
     }.items()

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: fetch, indicators, train, evaluate, forecast, backtest, plot.
+Subcommands: indicators, train, evaluate, forecast, backtest, plot.
 Exit codes: 0 success, 64 usage or config problems, 2 data or schema
 problems, 3 numerical failures. Identical inputs, config, and seed produce
 byte-identical output files.
@@ -17,7 +17,6 @@ import csv
 import io
 import sys
 from dataclasses import asdict, fields
-from datetime import date as Date
 from pathlib import Path
 
 from . import charts
@@ -40,13 +39,6 @@ class SeriesFileError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _date_arg(token: str) -> Date:
-    try:
-        return Date.fromisoformat(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {token!r}") from None
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -90,12 +82,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stockcast", description="LSTM forecasting for daily stock prices")
     _globals(parser)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = _command(sub, "fetch", cmd_fetch, "download a daily OHLCV CSV")
-    _flags(p, "symbol")
-    p.add_argument("--start", type=_date_arg, required=True)
-    p.add_argument("--end", type=_date_arg, required=True)
-    _flags(p, "out", "endpoint", "timeout", endpoint="URL template with {symbol}/{start}/{end}")
 
     p = _command(sub, "indicators", cmd_indicators, "compute a feature CSV from an OHLCV CSV")
     _flags(p, "input", "out", "symbol", "column_set", "use_adj_close")
@@ -143,16 +129,6 @@ def _load_series(cfg: RunConfig, path: str):
     from .market_data import parse_csv
 
     return parse_csv(Path(path).read_text(), cfg.symbol)
-
-
-def cmd_fetch(args, cfg: RunConfig) -> int:
-    from .market_data import fetch_quotes
-
-    out = _require(cfg.out, "--out")
-    text = fetch_quotes(cfg.symbol, args.start, args.end, cfg.endpoint, cfg.timeout)
-    Path(out).write_text(text)
-    print(max(0, len(text.splitlines()) - 1))
-    return EXIT_OK
 
 
 def cmd_indicators(args, cfg: RunConfig) -> int:

@@ -1,14 +1,13 @@
 """Run configuration: every hyperparameter, its default and its allowed values.
 
 Config files are plain text, one ``key = value`` per line. A ``#`` at the
-start of a line or after whitespace starts a comment; elsewhere, as in a path
-or a URL fragment, it is part of the value. Every key is validated before any
-computation starts; unknown keys are errors. Command-line flags override file
-values.
+start of a line or after whitespace starts a comment; elsewhere, as in the
+path ``runs/#3/data.csv``, it is part of the value. Every key is validated
+before any computation starts; unknown keys are errors. Command-line flags
+override file values.
 
 This module imports no numpy, so argument parsing, ``--help`` and ``plot``
-run without it; indicators, lstm and market_data import their settings
-from here.
+run without it; indicators and lstm import their settings from here.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ TABLE4_ALL = "table4_all"
 COLUMN_SETS = (UNIVARIATE, PAPER_MULTIVARIATE, TABLE4_ALL)
 CELL_VARIANTS = ("standard", "as_printed")
 MODES = ("univariate", "multivariate")
-
-DEFAULT_ENDPOINT = (
-    "https://query1.finance.yahoo.com/v7/finance/download/{symbol}"
-    "?period1={start_epoch}&period2={end_epoch}&interval=1d&events=history"
-)
 
 
 class ConfigError(Exception):
@@ -120,8 +114,6 @@ class _RunSettings:
     folds: int = 5
     use_adj_close: bool = False
     clip_scaled: bool = False
-    endpoint: str = DEFAULT_ENDPOINT
-    timeout: float = 30.0
     input: str = ""
     out: str = ""
     model: str = ""
@@ -236,8 +228,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("horizon must be >= 1")
     if cfg.folds < 2:
         raise ConfigError("folds must be >= 2")
-    if not cfg.timeout > 0.0:
-        raise ConfigError("timeout must be positive")
     try:
         cfg.indicator_config()
         cfg.train_config()

@@ -12,7 +12,6 @@ read-only (6, n) price block; ``Bar`` objects are built only by ``parse_csv``
 from __future__ import annotations
 
 import bisect
-import calendar
 import math
 import operator
 import re
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
-
-from .config import DEFAULT_ENDPOINT
 
 CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
@@ -76,23 +73,6 @@ class InvariantViolation(MarketDataError):
 
 
 class InvalidRange(MarketDataError):
-    pass
-
-
-class NetworkError(MarketDataError):
-    pass
-
-
-class HttpStatus(MarketDataError):
-    def __init__(self, code: int):
-        super().__init__(f"unexpected HTTP status {code}")
-        self.code = code
-
-    def __reduce__(self):
-        return type(self), (self.code,)
-
-
-class UnexpectedSchema(MarketDataError):
     pass
 
 
@@ -257,58 +237,3 @@ def slice_by_date(series: OhlcvSeries, start: Date, end: Date) -> OhlcvSeries:
     dates = series.dates()
     lo, hi = bisect.bisect_left(dates, start), bisect.bisect_right(dates, end)
     return OhlcvSeries.from_columns(series.symbol, dates[lo:hi], series.block[:, lo:hi])
-
-
-def _epoch(day: Date) -> int:
-    return calendar.timegm(day.timetuple())
-
-
-def fetch_quotes(
-    symbol: str,
-    start: Date,
-    end: Date,
-    endpoint: str = DEFAULT_ENDPOINT,
-    timeout: float = 30.0,
-) -> str:
-    """Download a daily-history CSV and return its text without writing files.
-
-    The endpoint is a URL template with {symbol}, {start}, {end},
-    {start_epoch}, {end_epoch} placeholders so tests can point it at a local
-    fixture server. The first response line must be the expected header.
-    """
-    import http.client
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
-    try:
-        url = endpoint.format(
-            symbol=symbol,
-            start=start.isoformat(),
-            end=end.isoformat(),
-            start_epoch=_epoch(start),
-            end_epoch=_epoch(end),
-        )
-    except (KeyError, IndexError, ValueError) as exc:
-        raise NetworkError(f"bad endpoint template: {exc}") from exc
-    try:
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
-            raise NetworkError(f"not an http(s) URL: {url!r}")
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            status, body = response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        raise HttpStatus(exc.code) from exc
-    # URLError and socket timeouts are OSErrors; a malformed URL is a ValueError
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        raise NetworkError(str(exc)) from exc
-    if status != 200:
-        raise HttpStatus(status)
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UnexpectedSchema("response is not UTF-8 text") from exc
-    lines = text.lstrip("﻿").splitlines()
-    if not lines or lines[0].rstrip("\r") != CSV_HEADER:
-        raise UnexpectedSchema("response is not a daily-history CSV")
-    return text

@@ -54,28 +54,31 @@ def _check_columns(params: ScalerParams, column_names) -> None:
     raise ColumnMismatch(f"scaler has {len(ours)} columns, matrix has {len(theirs)}")
 
 
-def transform(params: ScalerParams, matrix: FeatureMatrix, clip: bool = False) -> FeatureMatrix:
+def transform(params: ScalerParams, matrix: FeatureMatrix) -> FeatureMatrix:
     """Map x to 2*(x - min)/(max - min) - 1 per column; constant columns map to 0.
 
-    Rows outside the fitted range land outside [-1, +1] by design unless
-    clip is set.
+    Rows outside the fitted range land outside [-1, +1] by design.
     """
     _check_columns(params, matrix.column_names)
     return FeatureMatrix(
         dates=matrix.dates,
         column_names=matrix.column_names,
-        values=scale(params, matrix.values, clip),
+        values=scale(params, matrix.values),
         warmup_dropped=matrix.warmup_dropped,
     )
 
 
-def scale(params: ScalerParams, values: np.ndarray, clip: bool = False) -> np.ndarray:
-    """transform's arithmetic on bare rows whose last axis is params' columns."""
-    span = params.maxs - params.mins
-    safe = np.where(span > 0.0, span, 1.0)
-    scaled = 2.0 * (values - params.mins) / safe - 1.0
-    scaled = np.where(span > 0.0, scaled, 0.0)
-    return np.clip(scaled, -1.0, 1.0) if clip else scaled
+def scale(params: ScalerParams, values: np.ndarray) -> np.ndarray:
+    """transform's arithmetic on bare rows whose last axis is params' columns.
+
+    A value scaled past float64's range becomes inf without a warning; the
+    model refuses it as NonFiniteInput.
+    """
+    with np.errstate(over="ignore"):
+        span = params.maxs - params.mins
+        safe = np.where(span > 0.0, span, 1.0)
+        scaled = 2.0 * (values - params.mins) / safe - 1.0
+    return np.where(span > 0.0, scaled, 0.0)
 
 
 def inverse_close(params: ScalerParams, scaled):

@@ -1,11 +1,8 @@
-"""Shared fixtures: canned CSV text, series builders, and a local HTTP server."""
+"""Shared fixtures: canned CSV text and series builders."""
 
 from __future__ import annotations
 
-import socket
-import threading
 from datetime import date, timedelta
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -16,7 +13,7 @@ from stockcast.market_data import Bar, OhlcvSeries
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
-# Five days of a liquid large cap, as served by the daily-history endpoint.
+# Five days of a liquid large cap, as the daily-history CSV gives them.
 SNAPSHOT_CSV = (
     "Date,Open,High,Low,Close,Adj Close,Volume\n"
     "2021-12-24,2370.000000,2392.000000,2337.550049,2372.800049,2372.800049,3639616.0\n"
@@ -66,49 +63,3 @@ def snapshot_series():
 
     return parse_csv(SNAPSHOT_CSV, "RELIANCE.NS")
 
-
-class _FixtureHandler(BaseHTTPRequestHandler):
-    def do_GET(self):
-        route = self.path.split("?", 1)[0]
-        if route == "/good":
-            self._send(200, SNAPSHOT_CSV)
-        elif route == "/narrow":
-            self._send(200, NARROW_CSV)
-        elif route == "/binary":
-            self._send(200, SNAPSHOT_CSV.encode() + b"\xff\n")
-        else:
-            self._send(404, "not here\n")
-
-    def _send(self, status, text):
-        body = text if isinstance(text, bytes) else text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/csv")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):
-        pass
-
-
-@pytest.fixture(scope="session")
-def data_server():
-    """Base URL of a local server with /good, /narrow, /binary (not UTF-8), and 404 routes."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FixtureHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-@pytest.fixture
-def dead_endpoint():
-    """URL template pointing at a port nothing listens on."""
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return f"http://127.0.0.1:{port}/q?s={{symbol}}&a={{start_epoch}}&b={{end_epoch}}"

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files written, stdout, and exit codes."""
 
+import ast
 import importlib
 import json
 import os
@@ -27,6 +28,17 @@ from stockcast.market_data import parse_csv, serialize_csv
 from conftest import SNAPSHOT_CSV, random_walk_series
 
 
+CLI = "from stockcast.cli import entrypoint; entrypoint()"
+
+
+def run_python(*argv, **kwargs):
+    """Run ``python *argv`` in a fresh process that imports this checkout's stockcast."""
+    src = str(Path(stockcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)
+
+
 def write_walk(tmp_path, n=300, seed=7, name="walk.csv"):
     path = tmp_path / name
     path.write_text(serialize_csv(random_walk_series(n, seed=seed)))
@@ -47,17 +59,16 @@ def run_train(tmp_path, data, extra=(), model_name="model.json", history_name="h
 
 # ----------------------------------------------------------------- exit codes
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(capsys):
     assert main([]) == 64
     assert main(["frobnicate"]) == 64
-    assert main(["fetch", "--out", str(tmp_path / "x.csv")]) == 64  # no dates
-    assert main(["fetch", "--start", "2021-13-45", "--end", "2021-12-30",
-                 "--out", str(tmp_path / "x.csv")]) == 64
     capsys.readouterr()
+    assert main(["fetch", "--symbol", "X"]) == 64  # the download command is gone
+    assert "invalid choice: 'fetch'" in capsys.readouterr().err
 
 
-HELP_COMMANDS = ([], ["fetch"], ["indicators"], ["train"], ["evaluate"], ["forecast"],
-                 ["backtest"], ["plot"])
+HELP_COMMANDS = ([], ["indicators"], ["train"], ["evaluate"], ["forecast"], ["backtest"],
+                 ["plot"])
 
 
 def test_help_text_matches_fixture(monkeypatch, capsys):
@@ -81,29 +92,6 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     rc, _, _ = run_train(tmp_path, tmp_path / "absent.csv")
     assert rc == 2
     assert "error" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------- fetch
-
-def test_fetch_writes_response_verbatim(data_server, tmp_path, capsys):
-    out = tmp_path / "quotes.csv"
-    endpoint = data_server + "/good?s={symbol}&a={start_epoch}&b={end_epoch}"
-    rc = main(["fetch", "--symbol", "RELIANCE.NS", "--start", "2021-12-24",
-               "--end", "2021-12-30", "--out", str(out), "--endpoint", endpoint])
-    assert rc == 0
-    assert out.read_text() == SNAPSHOT_CSV
-    assert capsys.readouterr().out.strip() == "5"
-
-
-def test_fetch_http_error_and_missing_out(data_server, tmp_path, capsys):
-    endpoint = data_server + "/missing?s={symbol}&a={start_epoch}&b={end_epoch}"
-    rc = main(["fetch", "--symbol", "X", "--start", "2021-01-01", "--end", "2021-01-31",
-               "--out", str(tmp_path / "x.csv"), "--endpoint", endpoint])
-    assert rc == 2
-    rc = main(["fetch", "--symbol", "X", "--start", "2021-01-01", "--end", "2021-01-31",
-               "--endpoint", endpoint])
-    assert rc == 64
-    capsys.readouterr()
 
 
 # ----------------------------------------------------------------- indicators
@@ -273,13 +261,8 @@ def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys
     saturated = tmp_path / "saturated.json"
     saturated.write_text(json.dumps(doc))
     out = tmp_path / "forecast.csv"
-    src = str(Path(stockcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", "from stockcast.cli import entrypoint; entrypoint()", "forecast",
-         "--input", str(data), "--model", str(saturated), "--out", str(out), "--horizon", "4"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-c", CLI, "forecast", "--input", str(data), "--model", str(saturated),
+                      "--out", str(out), "--horizon", "4")
     assert (done.returncode, done.stderr) == (0, "")
 
     # a forget bias of -inf gives the same exact 0 without overflowing exp
@@ -289,6 +272,22 @@ def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys
     lines = ["day_index,predicted_close"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_forecast_overflowing_scaler_prints_one_typed_line(tmp_path, capsys):
+    # a Close span of one subnormal scales every close past float64's range
+    data, model_path = trained_setup(tmp_path)
+    capsys.readouterr()
+    doc = json.loads(model_path.read_text())
+    doc["scaler"]["mins"], doc["scaler"]["maxs"] = [0.0], [5e-324]
+    overflowing = tmp_path / "overflowing.json"
+    overflowing.write_text(json.dumps(doc))
+    out = tmp_path / "forecast.csv"
+    done = run_python("-c", CLI, "forecast", "--input", str(data), "--model", str(overflowing),
+                      "--out", str(out), "--horizon", "4")
+    assert (done.returncode, done.stderr) == (
+        3, "numerical error: windows contain non-finite values\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- backtest
@@ -345,12 +344,21 @@ def test_chart_escapes_title_and_labels():
 
 
 def test_cli_import_skips_url_machinery():
-    src = str(Path(stockcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import stockcast.cli, sys; print('urllib.request' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=60)
+    done = run_python("-c", code, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_no_module_imports_network_machinery():
+    imports = set()  # (module file, top-level package), function-level imports included
+    for path in Path(stockcast.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imports.add((path.name, node.module.split(".")[0]))
+    assert ("lstm.py", "numpy") in imports
+    assert {(name, top) for name, top in imports if top in ("urllib", "http", "socket")} == set()
 
 
 def test_plot_single_point_and_errors(tmp_path, capsys):
@@ -406,10 +414,7 @@ def test_help_and_plot_start_without_numpy(tmp_path, argv):
         series.write_text("day,close\n1,10.5\n2,11.0\n3,10.75\n")
         argv = ["plot", "--series", f"close={series}", "--out", str(tmp_path / "chart.svg"),
                 "--merge-out", str(tmp_path / "merged.csv")]
-    src = str(Path(stockcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE, *argv], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True, timeout=60)
+    done = run_python("-c", NUMPY_FREE_PROBE, *argv, cwd=tmp_path, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
@@ -492,6 +497,20 @@ def test_config_file_rejections(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["endpoint = https://quotes.example/{symbol}.csv",
+                                  "timeout = 30.0"])
+def test_removed_download_keys_are_unknown(tmp_path, capsys, line):
+    data = write_walk(tmp_path, n=60)
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    rc = main(["indicators", "--config", str(config), "--input", str(data),
+               "--out", str(tmp_path / "f.csv"), "--column-set", "univariate"])
+    assert rc == 64
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"usage error: unknown config keys: {key}\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["macd_fast", "macd_signal"])
 def test_macd_period_of_one_is_config_error(tmp_path, capsys, key):
     # an EMA of period 1 has alpha 1, which no indicator accepts; the key is named, not alpha
@@ -527,19 +546,19 @@ def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace():
         "# a whole-line comment\n"
         "   # an indented one\n"
         "input = runs/#3/data.csv\n"
-        "endpoint = https://quotes.example/{symbol}.csv#frag\n"
+        "model = runs/m.json#frag\n"
         "lookback = 9   # note\n"
         "seed = 4\t# after a tab\n"
     )
     assert values == {
         "input": "runs/#3/data.csv",
-        "endpoint": "https://quotes.example/{symbol}.csv#frag",
+        "model": "runs/m.json#frag",
         "lookback": "9",
         "seed": "4",
     }
     cfg = resolve_config(values)
     assert (cfg.input, cfg.lookback, cfg.seed) == ("runs/#3/data.csv", 9, 4)
-    assert cfg.endpoint.endswith("#frag")
+    assert cfg.model.endswith("#frag")
 
 
 def _as_config_text(value) -> str:

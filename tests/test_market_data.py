@@ -1,4 +1,4 @@
-"""CSV parsing, bar validation, serialization, slicing, and fetching."""
+"""CSV parsing, bar validation, serialization, and slicing."""
 
 import dataclasses
 from datetime import date, timedelta
@@ -13,18 +13,14 @@ from stockcast.market_data import (
     CSV_HEADER,
     Bar,
     EmptySeries,
-    HttpStatus,
     InvalidRange,
     InvariantViolation,
     MalformedHeader,
     MalformedRow,
     MarketDataError,
-    NetworkError,
     NonAscendingDates,
     OhlcvSeries,
-    UnexpectedSchema,
     check_bar,
-    fetch_quotes,
     parse_csv,
     serialize_csv,
     slice_by_date,
@@ -316,51 +312,3 @@ def test_parse_fuzzed_csv_gives_series_or_typed_error():
 
     check()
 
-
-def test_fetch_good(data_server):
-    template = data_server + "/good?s={symbol}&a={start_epoch}&b={end_epoch}"
-    text = fetch_quotes("RELIANCE.NS", date(2021, 12, 24), date(2021, 12, 30), template, 5.0)
-    assert text == SNAPSHOT_CSV
-    series = parse_csv(text, "RELIANCE.NS")
-    assert series.bars[-1].close == 2359.100098
-
-
-def test_fetch_http_error(data_server):
-    template = data_server + "/missing?s={symbol}&a={start_epoch}&b={end_epoch}"
-    with pytest.raises(HttpStatus) as err:
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), template, 5.0)
-    assert err.value.code == 404
-
-
-def test_fetch_schema_mismatch(data_server):
-    template = data_server + "/narrow?s={symbol}&a={start_epoch}&b={end_epoch}"
-    with pytest.raises(UnexpectedSchema):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), template, 5.0)
-
-
-def test_fetch_connection_refused(dead_endpoint):
-    with pytest.raises(NetworkError):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), dead_endpoint, 2.0)
-
-
-def test_fetch_bad_template(data_server):
-    with pytest.raises(NetworkError):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), data_server + "/{nope}", 5.0)
-
-
-def test_fetch_refuses_file_urls(tmp_path):
-    local = tmp_path / "quotes.csv"
-    local.write_text(SNAPSHOT_CSV)
-    with pytest.raises(NetworkError):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), local.as_uri(), 5.0)
-
-
-def test_fetch_malformed_url():
-    with pytest.raises(NetworkError):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), "http://[::1/q?s={symbol}", 5.0)
-
-
-def test_fetch_undecodable_body(data_server):
-    template = data_server + "/binary?s={symbol}"
-    with pytest.raises(UnexpectedSchema):
-        fetch_quotes("X", date(2021, 1, 1), date(2021, 1, 2), template, 5.0)
