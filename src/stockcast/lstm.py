@@ -17,28 +17,28 @@ variant uses peephole connections.
 
 Each layer is one C-contiguous W (I+H+1, 4H), as in Appleyard, Kocisky and
 Blunsom (2016): rows [:I] take the input, rows [I:I+H] the previous h, the
-last row is the bias, and the columns are gate blocks f, i, o, g. A layer
-unrolls time-major into one XH (T+1, I+H+1, B) buffer whose slot t holds
-[x_t; h_{t-1}; 1]. Step t is one GEMM, W.T @ XH[t], into the step's (4H, B)
-gate slot (one sigmoid over the first 3H rows, one tanh over the last H), and
-it writes h_t to slot t+1, from where the next layer copies its inputs;
-_cell_step holds that step's arithmetic. Only forward_batch keeps all T
-steps' gates, c and tanh(c), in the ForwardCache that backward reads;
-LstmModel.predict, the prediction path for whole windows, keeps one gate
-slot and two c slots. A WindowStream runs the same _cell_step row by row
-instead: W overlapping windows in flight are the columns of one
-(I+H+1, W) XH per layer, so a recursive forecast costs one step per layer
-for each new row rather than a whole window. A backward step is two GEMMs:
+last row is the bias, and the columns are gate blocks f, i, o, g. Step t is
+one GEMM, W.T @ [x_t; h_{t-1}; 1], from a C-contiguous (I+H+1, B) slab into
+a (4H, B) gate block (one sigmoid over the first 3H rows, one tanh over the
+last H); _cell_step holds its arithmetic. Two loops run it. Training's
+forward_batch unrolls each layer time-major into one XH (T+1, I+H+1, B)
+buffer whose slot t holds [x_t; h_{t-1}; 1] and takes h_t in slot t+1, where
+the next layer copies its inputs from; it keeps every step's gates, c and
+tanh(c) in the ForwardCache that backward reads. Inference's WindowStream
+keeps one step: its B columns share one (I+H+1, B) XH per layer.
+LstmModel.predict (evaluate, backtest, validation) pushes a chunk through it,
+one window per column; a recursive forecast pushes each new row to its W
+overlapping windows at once. A backward step is two GEMMs:
 dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
 W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
 keeps one ForwardCache block for the whole fit and overwrites it batch after
 batch; a short last batch views the front of the same block.
 
 Summing x, h and bias terms inside one GEMM rounds differently from summing
-them apart, and a window's last bits can depend on the batch size it is
-predicted in, so each caller of predict fixes its chunk. A stream column
-equals predict at a chunk of W windows bit for bit. Repeat calls at the
-same shapes are byte-identical.
+them apart, so a window's last bits can depend on the batch it is predicted
+in, and each caller of predict fixes its chunk. Both loops run the same
+shapes: predict at chunk B equals forward_batch at batch B, a stream column
+equals predict at a chunk of W windows, and repeat calls are byte-identical.
 
 The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
 in the model file; gate_view maps each to a writable view of W, through which
@@ -202,28 +202,26 @@ class LstmModel:
     def mode(self) -> str:
         return mode_for(self.column_set)
 
-    # A pass holds two layers' (lookback + 1, input + hidden + 1, chunk) buffers at once:
-    # about 11 MB at chunk 128 for a paper-scale model (lookback 60, 13 features, hidden
-    # 50,50), however many windows there are, against about 22 MB for 255 in one pass.
     def predict(self, windows, chunk: int = 128) -> np.ndarray:
-        """Float64 (n,) predictions for (n, lookback, features) windows, chunk windows per
-        pass; keeps no backward caches. A window's last bits can depend on its chunk. For
-        windows that overlap and arrive a row at a time, stream(chunk) gives the same values."""
+        """Float64 (n,) predictions for (n, lookback, features) windows, each chunk of them the
+        columns of one WindowStream. Every window is checked before any cell step runs; a
+        window's last bits can depend on its chunk."""
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         X = _windows(self, windows)
         if not np.isfinite(X).all():
             raise NonFiniteInput("windows contain non-finite values")
-        out, standard = np.empty(len(X)), self.cell_variant == "standard"
+        out = np.empty(len(X))
         for start in range(0, len(X), chunk):
-            seq = X[start : start + chunk].transpose(1, 2, 0)  # (T, I, B); drops the last chunk's
-            for layer in self.layers:  # only seq holds a layer's buffers: each frees the one below
-                seq = _unroll(layer, seq, _buffers((layer,), self.lookback, seq.shape[2], 1)[0], standard)
-            out[start : start + chunk] = np.ascontiguousarray(seq[-1].T) @ self.head_w + self.head_b[0]
+            seq = X[start : start + chunk].transpose(1, 2, 0)  # (T, I, B): step t's rows as columns
+            stream = WindowStream(self, seq.shape[2])
+            for rows in seq:
+                heads = stream.push(rows)
+            out[start : start + chunk] = heads
         return out
 
     def stream(self, width: int) -> WindowStream:
-        """width overlapping windows advanced together one row at a time; see WindowStream."""
+        """width windows advanced together one step at a time; see WindowStream."""
         return WindowStream(self, width)
 
 
@@ -289,12 +287,12 @@ def new_model(
 
 @dataclass(eq=False)
 class LayerBuffers:
-    """One layer's time-major buffers; step t writes slot t % slots, but xh keeps all T + 1."""
+    """One layer's time-major buffers for every step t, as backward reads them."""
 
     xh: np.ndarray  # (T+1, I+H+1, B): slot t holds [x_t; h_{t-1}; 1], slot T only h_{T-1}
-    c: np.ndarray  # (slots, H, B); one more slot than the rest when slots < T, for c_prev
-    tc: np.ndarray  # tanh(c), (slots, H, B)
-    gates: np.ndarray  # (slots, 4H, B): sigmoid f, i, o, then tanh g
+    c: np.ndarray  # (T, H, B)
+    tc: np.ndarray  # tanh(c), (T, H, B)
+    gates: np.ndarray  # (T, 4H, B): sigmoid f, i, o, then tanh g
 
 
 @dataclass(eq=False)
@@ -306,12 +304,12 @@ class ForwardCache:
     h_last: np.ndarray | None = None  # (B, H), the head's input
 
 
-def _buffers(layers, length: int, batch: int, slots: int, block=None) -> list[LayerBuffers]:
+def _buffers(layers, length: int, batch: int, block=None) -> list[LayerBuffers]:
     """Each layer's buffers as views of one block: the front of block when that is big enough,
     else a new block. One array per buffer is handed back to the system on free and faults its
     pages in again (2.6k faults per batch-32 step)."""
-    shapes = [((length + 1, layer.W.shape[0]), (min(slots + 1, length), layer.hidden_size),
-               (slots, layer.hidden_size), (slots, 4 * layer.hidden_size)) for layer in layers]
+    shapes = [((length + 1, layer.W.shape[0]), (length, layer.hidden_size),
+               (length, layer.hidden_size), (length, 4 * layer.hidden_size)) for layer in layers]
     size = sum(rows * width for layer in shapes for rows, width in layer) * batch
     if block is None or block.size < size:
         block = np.empty(size)
@@ -331,13 +329,12 @@ def _unroll(layer: LstmLayerParams, seq: np.ndarray, buf: LayerBuffers, standard
     """Run one layer from zero h and c over the (T, I, B) input columns seq into buf;
     returns the (T, H, B) view of its outputs h_t, the next layer's seq."""
     length, inputs, _ = seq.shape
-    slots, c_slots = len(buf.gates), len(buf.c)
     xh, WT = buf.xh, layer.W.T
     xh[:-1, :inputs] = seq
     with np.errstate(over="ignore"):  # see _cell_step
         for t in range(length):
-            _cell_step(WT, xh[t], buf.gates[t % slots], buf.c[(t - 1) % c_slots] if t else 0.0,
-                       buf.c[t % c_slots], buf.tc[t % slots], xh[t + 1, inputs:-1], standard)
+            _cell_step(WT, xh[t], buf.gates[t], buf.c[t - 1] if t else 0.0, buf.c[t], buf.tc[t],
+                       xh[t + 1, inputs:-1], standard)
     return xh[1:, inputs:-1]
 
 
@@ -363,14 +360,15 @@ def _cell_step(WT, xh_t, z, c_prev, c, tc, h_out, standard: bool) -> None:
 
 
 class WindowStream:
-    """width windows in flight as the columns of one state per layer, fed one row at a time.
+    """width windows in flight as the columns of one state per layer, one step per push.
 
-    Every column takes each pushed row as its next input, so windows that share rows
-    share their cell steps: start(col) zeroes column col's h and c, and the window that
-    starts there takes the next row pushed as its first. push(row) advances every layer
-    one step for all columns and returns the head over each column's h, (width,). A
-    column's output equals predict's for that window in a chunk of width windows, bit
-    for bit, whatever the other columns hold.
+    push(rows) takes a (features,) row, the next input of every column, or a (features,
+    width) block whose column j is column j's next input, and returns the head over each
+    column's h, (width,). A recursive forecast pushes rows, so overlapping windows share
+    their cell steps: start(col) zeroes column col's h and c for a window that takes the
+    next row pushed as its first. predict pushes blocks, one window per column. A column's
+    output equals predict's for that window in a chunk of width windows, bit for bit,
+    whatever the other columns hold.
     """
 
     def __init__(self, model: LstmModel, width: int):
@@ -378,7 +376,7 @@ class WindowStream:
             raise ValueError("width must be >= 1")
         if model.cell_variant not in CELL_VARIANTS:
             raise ValueError(f"unknown cell variant {model.cell_variant!r}")
-        self.model = model
+        self.model, self.width = model, width
         self._standard = model.cell_variant == "standard"
         self._layers = []  # per layer: W.T, input size, xh (I+H+1, width), gates, c, tanh(c)
         for layer in model.layers:
@@ -393,13 +391,15 @@ class WindowStream:
             xh[inputs:-1, col] = 0.0
             c[:, col] = 0.0
 
-    def push(self, row) -> np.ndarray:
-        x = np.asarray(row, dtype=np.float64)
-        if x.shape != (self.model.num_features,):
-            raise ShapeMismatch(f"row shaped {x.shape}, model expects ({self.model.num_features},)")
+    def push(self, rows) -> np.ndarray:
+        x, features = np.asarray(rows, dtype=np.float64), self.model.num_features
+        if x.shape == (features,):
+            x = x[:, None]  # the same row for every column
+        elif x.shape != (features, self.width):
+            raise ShapeMismatch(f"rows shaped {x.shape}, model expects ({features},) "
+                                f"or ({features}, {self.width})")
         if not np.isfinite(x).all():
             raise NonFiniteInput("windows contain non-finite values")
-        x = x[:, None]  # the same row for every column
         with np.errstate(over="ignore"):  # see _cell_step
             for WT, inputs, xh, z, c, tc in self._layers:
                 xh[:inputs] = x
@@ -443,8 +443,7 @@ def forward_batch(model: LstmModel, windows: np.ndarray, out: ForwardCache | Non
     """
     X = _windows(model, windows)
     if out is None:
-        out = ForwardCache(model.cell_variant,
-                           _buffers(model.layers, model.lookback, len(X), model.lookback))
+        out = ForwardCache(model.cell_variant, _buffers(model.layers, model.lookback, len(X)))
     if (batch := _cache_batch(model, out)) != len(X):
         raise CacheMismatch(f"out holds batch {batch}, windows have {len(X)}")
     seq = X.transpose(1, 2, 0)  # (T, I, B) view: step t's input columns
@@ -567,10 +566,10 @@ def min_train_windows(validation_fraction: float) -> int:
 def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
     """Mini-batch Adam over chronological batches; no shuffling anywhere.
 
-    The chronological tail of train_ds (cfg.validation_fraction of it) is
-    held out for the per-epoch validation curve. Returns a trained copy of
-    model_init and a history dict with exactly cfg.epochs entries per curve.
-    The per-epoch train MSE is the running mean over that epoch's batches.
+    The chronological tail of train_ds (cfg.validation_fraction of it) is held out for the
+    per-epoch validation curve. Returns a trained copy of model_init and a history dict with
+    exactly cfg.epochs entries per curve. An epoch's train MSE is the mean, over its fitting
+    windows, of each window's squared error taken before its batch's update.
     """
     n = len(train_ds)
     if n == 0:
@@ -601,7 +600,7 @@ def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
             if cache is not None and len(cache.h_last) != len(xb):
                 block = cache.layers[0].xh.base  # sized by the first, full-size batch
                 cache = ForwardCache(model.cell_variant,
-                                     _buffers(model.layers, model.lookback, len(xb), model.lookback, block))
+                                     _buffers(model.layers, model.lookback, len(xb), block))
             preds, cache = forward_batch(model, xb, cache)
             err = preds - yb
             batch_sq = float(np.sum(err * err))

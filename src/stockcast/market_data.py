@@ -1,4 +1,4 @@
-"""Loading, validating, and slicing daily OHLCV price history.
+"""Loading and validating daily OHLCV price history.
 
 The on-disk format is the seven-column CSV that finance.yahoo.com serves for
 daily history: ``Date,Open,High,Low,Close,Adj Close,Volume`` with ISO dates
@@ -11,7 +11,6 @@ read-only (6, n) price block; ``Bar`` objects are built only by ``parse_csv``
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import re
@@ -72,10 +71,6 @@ class InvariantViolation(MarketDataError):
         return type(self), (self.date, self.field, self.reason)
 
 
-class InvalidRange(MarketDataError):
-    pass
-
-
 @dataclass(frozen=True)
 class Bar:
     """One trading day: prices in quote currency, volume in shares."""
@@ -116,7 +111,7 @@ class OhlcvSeries:
     ``dropped_nulls`` counts rows removed at parse time because their numeric
     fields were "null"; ``flat_zero_volume_bars`` counts retained bars that
     look like exchange-holiday artifacts (zero volume, open=high=low=close).
-    Both are zero on series derived by slicing.
+    Both default to zero on series built by ``from_columns``.
     """
 
     def __init__(self, symbol: str, bars, dropped_nulls: int = 0, flat_zero_volume_bars: int = 0):
@@ -229,11 +224,3 @@ def serialize_csv(series: OhlcvSeries) -> str:
         lines.append(day.isoformat() + "," + ",".join(map(repr, values)))
     return "\n".join(lines) + "\n"
 
-
-def slice_by_date(series: OhlcvSeries, start: Date, end: Date) -> OhlcvSeries:
-    """Bars with start <= date <= end. May be empty; raises InvalidRange if start > end."""
-    if start > end:
-        raise InvalidRange(f"start {start.isoformat()} after end {end.isoformat()}")
-    dates = series.dates()
-    lo, hi = bisect.bisect_left(dates, start), bisect.bisect_right(dates, end)
-    return OhlcvSeries.from_columns(series.symbol, dates[lo:hi], series.block[:, lo:hi])

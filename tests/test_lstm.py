@@ -341,13 +341,17 @@ def test_predict_runs_chunk_windows_per_pass(chunk, monkeypatch):
     parts = [model.predict(X[start : start + chunk], chunk) for start in range(0, 255, chunk)]
     assert np.array_equal(got, np.concatenate(parts))
 
-    passes = []
-    unroll = lstm._unroll
-    monkeypatch.setattr(lstm, "_unroll", lambda *args: passes.append(1) or unroll(*args))
+    steps, unrolls = [], []
+    cell_step, unroll = lstm._cell_step, lstm._unroll
+    monkeypatch.setattr(lstm, "_cell_step", lambda *args: steps.append(1) or cell_step(*args))
+    monkeypatch.setattr(lstm, "_unroll", lambda *args: unrolls.append(1) or unroll(*args))
+    assert np.array_equal(model.predict(X, chunk), got)
+    assert steps and unrolls == []  # inference runs on WindowStream, never the training unroll
+    steps.clear()
     X[-1, 3, 1] = np.nan  # in the last chunk at every chunk size
     with pytest.raises(NonFiniteInput):
         model.predict(X, chunk)
-    assert passes == []
+    assert steps == []
     with pytest.raises(ValueError):
         model.predict(X[:2], 0)
 
@@ -374,6 +378,13 @@ def test_stream_column_equals_predict_at_its_chunk(variant, lookback, days):
         chunk[k % width] = rows[k : k + lookback]
         assert got[k] == model.predict(chunk, width)[k % width]
 
+    # fed (features, width) blocks, column j takes window j's own rows
+    windows = np.stack([rows[k : k + lookback] for k in range(width)])
+    blocks = model.stream(width)
+    for t in range(lookback):
+        heads = blocks.push(windows[:, t].T)
+    assert (heads == model.predict(windows, width)).all()
+
 
 def test_stream_guards():
     model = tiny_model(num_features=2, lookback=4, mode="multivariate")
@@ -384,7 +395,13 @@ def test_stream_guards():
         stream.push(np.zeros(3))
     with pytest.raises(NonFiniteInput):
         stream.push(np.array([0.5, np.inf]))
+    with pytest.raises(ShapeMismatch):
+        stream.push(np.zeros((2, 4)))  # a block one column wider than the stream
+    with pytest.raises(NonFiniteInput):
+        stream.push(np.array([[0.5, 0.5, np.nan], [0.0, 0.0, 0.0]]))
     assert np.array_equal(stream.push(row), clean.push(row))  # refused rows left no trace
+    block = np.array([[0.5, -0.5, 0.25], [0.1, 0.2, -0.3]])
+    assert np.array_equal(stream.push(block), clean.push(block))
     with pytest.raises(ValueError):
         model.stream(0)
     model.cell_variant = "fancy"

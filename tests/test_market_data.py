@@ -1,7 +1,7 @@
-"""CSV parsing, bar validation, serialization, and slicing."""
+"""CSV parsing, bar validation, and serialization."""
 
 import dataclasses
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from stockcast.market_data import (
     CSV_HEADER,
     Bar,
     EmptySeries,
-    InvalidRange,
     InvariantViolation,
     MalformedHeader,
     MalformedRow,
@@ -23,7 +22,6 @@ from stockcast.market_data import (
     check_bar,
     parse_csv,
     serialize_csv,
-    slice_by_date,
 )
 
 from conftest import NARROW_CSV, SNAPSHOT_CSV, flat_series, random_walk_series
@@ -218,15 +216,6 @@ def test_adj_close_swap_builds_the_replaced_bars_and_shares_the_column():
         assert np.array_equal(got.values, want.values)
 
 
-def test_slice_by_date(snapshot_series):
-    middle = slice_by_date(snapshot_series, date(2021, 12, 27), date(2021, 12, 29))
-    assert [b.date.day for b in middle.bars] == [27, 28, 29]
-    empty = slice_by_date(snapshot_series, date(2022, 1, 1), date(2022, 1, 31))
-    assert len(empty) == 0
-    with pytest.raises(InvalidRange):
-        slice_by_date(snapshot_series, date(2021, 12, 30), date(2021, 12, 24))
-
-
 def test_series_builders_reject_disorder():
     bars = flat_series([1.0, 2.0, 3.0, 4.0, 5.0]).bars
     for order, first_bad in (((1, 0, 2), 0), ((0, 2, 1, 4, 3), 1), ((0, 1, 1, 0), 1)):
@@ -261,23 +250,6 @@ def test_with_close_from_adj_leaves_its_source_unchanged():
     assert series.dates() == dates and np.array_equal(series.block, block)
     assert not np.shares_memory(swapped.block, series.block)
     assert np.array_equal(swapped.closes(), block[4]) and np.array_equal(series.closes(), block[3])
-
-
-def test_slice_by_date_matches_the_bar_filter():
-    series = random_walk_series(80, 9)
-    first, last = series.dates()[0], series.dates()[-1]
-    days = st.dates(first - timedelta(days=5), last + timedelta(days=5))
-
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(days, days)
-    def check(a, b):
-        start, end = min(a, b), max(a, b)
-        sliced = slice_by_date(series, start, end)
-        assert sliced.bars == tuple(bar for bar in series.bars if start <= bar.date <= end)
-        assert sliced.dates() == tuple(bar.date for bar in sliced.bars)
-        assert not sliced.block.flags.writeable
-
-    check()
 
 
 def test_parse_fuzzed_csv_gives_series_or_typed_error():
