@@ -216,8 +216,8 @@ class LstmModel:
             seq = X[start : start + chunk].transpose(1, 2, 0)  # (T, I, B): step t's rows as columns
             stream = WindowStream(self, seq.shape[2])
             for rows in seq:
-                heads = stream.push(rows)
-            out[start : start + chunk] = heads
+                stream._advance(rows)
+            out[start : start + chunk] = stream._heads()
         return out
 
     def stream(self, width: int) -> WindowStream:
@@ -366,9 +366,10 @@ class WindowStream:
     width) block whose column j is column j's next input, and returns the head over each
     column's h, (width,). A recursive forecast pushes rows, so overlapping windows share
     their cell steps: start(col) zeroes column col's h and c for a window that takes the
-    next row pushed as its first. predict pushes blocks, one window per column. A column's
-    output equals predict's for that window in a chunk of width windows, bit for bit,
-    whatever the other columns hold.
+    next row pushed as its first. predict feeds blocks, one window per column, without
+    push's checks (it has checked every window) and takes the heads after the last step
+    alone. A column's output equals predict's for that window in a chunk of width windows,
+    bit for bit, whatever the other columns hold.
     """
 
     def __init__(self, model: LstmModel, width: int):
@@ -400,12 +401,21 @@ class WindowStream:
                                 f"or ({features}, {self.width})")
         if not np.isfinite(x).all():
             raise NonFiniteInput("windows contain non-finite values")
+        self._advance(x)
+        return self._heads()
+
+    def _advance(self, x: np.ndarray) -> None:
+        """One step of every layer on x, (features, width) or (features, 1), unchecked."""
         with np.errstate(over="ignore"):  # see _cell_step
             for WT, inputs, xh, z, c, tc in self._layers:
                 xh[:inputs] = x
                 _cell_step(WT, xh, z, c, c, tc, xh[inputs:-1], self._standard)
                 x = xh[inputs:-1]
-        return np.ascontiguousarray(x.T) @ self.model.head_w + self.model.head_b[0]
+
+    def _heads(self) -> np.ndarray:
+        """The head over each column's top-layer h, (width,)."""
+        _, inputs, xh, _, _, _ = self._layers[-1]
+        return np.ascontiguousarray(xh[inputs:-1].T) @ self.model.head_w + self.model.head_b[0]
 
 
 def _windows(model: LstmModel, windows) -> np.ndarray:

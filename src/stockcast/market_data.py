@@ -5,8 +5,9 @@ daily history: ``Date,Open,High,Low,Close,Adj Close,Volume`` with ISO dates
 and plain decimal numbers. Rows whose numeric fields hold the literal token
 ``null`` (the site's marker for an empty trading day) are dropped and
 counted, never interpolated. A series holds a tuple of dates and one
-read-only (6, n) price block; ``Bar`` objects are built only by ``parse_csv``
-(to validate each row) and by ``OhlcvSeries.bars``.
+read-only (6, n) price block. ``parse_csv`` converts and checks the block
+column by column; it builds a ``Bar`` only to report the first row that
+breaks an invariant. ``OhlcvSeries.bars`` rebuilds bars on request.
 """
 
 from __future__ import annotations
@@ -186,35 +187,54 @@ def _parse_date(token: str, line_number: int) -> Date:
 def parse_csv(text: str, symbol: str) -> OhlcvSeries:
     """Parse a daily-history CSV into a validated OhlcvSeries.
 
+    Rows are checked for syntax in turn up to the first malformed one; the rows
+    kept before it are then converted and held to check_bar's rules as whole
+    columns. The first row in file order that fails any check names the error.
+
     Raises MalformedHeader, MalformedRow, InvariantViolation,
     NonAscendingDates, or EmptySeries. Successful loads satisfy
-    len(bars) + dropped_nulls + 1 == number of lines in the input.
+    len(series) + dropped_nulls + 1 == number of lines in the input.
     """
-    lines = text.lstrip("﻿").splitlines()
+    lines = text.lstrip("\ufeff").splitlines()
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         raise MalformedHeader(f"expected header {CSV_HEADER!r}")
-    bars: list[Bar] = []
+    dates: list[Date] = []
+    kept: list[str] = []  # the rows that passed: a 10-character date, a comma, six numbers
     dropped = 0
-    flat_flagged = 0
-    for line_number, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise MalformedRow(line_number, f"expected 7 comma-separated fields, got {len(fields)}")
-        if "null" in fields[1:]:
-            dropped += 1
-            continue
-        bar_date = _parse_date(fields[0], line_number)
-        if not _NUMBER_FIELDS.fullmatch(line, len(fields[0]) + 1):
-            raise MalformedRow(line_number, "non-numeric field")
-        bar = Bar(bar_date, *map(float, fields[1:]))
-        check_bar(bar)
-        if bar.volume == 0.0 and bar.open == bar.high == bar.low == bar.close:
-            flat_flagged += 1
-        bars.append(bar)
-    if not bars:
+    malformed = None
+    try:
+        for line_number, raw in enumerate(lines[1:], start=2):
+            line = raw.rstrip("\r")
+            fields = line.split(",")
+            if len(fields) != 7:
+                raise MalformedRow(line_number, f"expected 7 comma-separated fields, got {len(fields)}")
+            if "null" in fields[1:]:
+                dropped += 1
+                continue
+            bar_date = _parse_date(fields[0], line_number)
+            if not _NUMBER_FIELDS.fullmatch(line, len(fields[0]) + 1):
+                raise MalformedRow(line_number, "non-numeric field")
+            dates.append(bar_date)
+            kept.append(line)
+    except MalformedRow as err:
+        malformed = err
+    block = np.empty((len(BAR_FIELDS), len(kept)))
+    for start in range(0, len(kept), 256):  # a block of rows at a time keeps the text small
+        rows = [line[11:] for line in kept[start : start + 256]]  # six _NUMBER fields each
+        values = np.fromstring(",".join(rows), sep=",", count=6 * len(rows))  # as float() reads
+        block[:, start : start + len(rows)] = values.reshape(-1, 6).T
+    prices, (open_, high, low, close, _, volume) = block[:5], block
+    ok = ((prices > 0.0) & (prices < np.inf)).all(axis=0) & (volume >= 0.0) & (volume < np.inf)
+    ok &= (low <= high) & (low <= np.minimum(open_, close)) & (high >= np.maximum(open_, close))
+    if not ok.all():
+        first = int(np.argmin(ok))
+        check_bar(Bar(dates[first], *block[:, first].tolist()))  # raises that row's error
+    if malformed is not None:
+        raise malformed
+    if not dates:
         raise EmptySeries("no data rows")
-    return OhlcvSeries(symbol, tuple(bars), dropped, flat_flagged)
+    flat = (volume == 0.0) & (open_ == high) & (high == low) & (low == close)
+    return OhlcvSeries.from_columns(symbol, tuple(dates), block, dropped, int(flat.sum()))
 
 
 def serialize_csv(series: OhlcvSeries) -> str:

@@ -19,12 +19,65 @@ from stockcast.market_data import (
     MarketDataError,
     NonAscendingDates,
     OhlcvSeries,
+    _NUMBER_FIELDS,
+    _parse_date,
     check_bar,
     parse_csv,
     serialize_csv,
 )
 
 from conftest import NARROW_CSV, SNAPSHOT_CSV, flat_series, random_walk_series
+
+
+def reference_parse_csv(text: str, symbol: str) -> OhlcvSeries:
+    """The row-at-a-time parser that the columnar parse_csv replaced: each row is
+    checked in full, as a Bar, before the next one is read."""
+    lines = text.lstrip("\ufeff").splitlines()
+    if not lines or lines[0].rstrip("\r") != CSV_HEADER:
+        raise MalformedHeader(f"expected header {CSV_HEADER!r}")
+    bars: list[Bar] = []
+    dropped = 0
+    flat_flagged = 0
+    for line_number, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\r")
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise MalformedRow(line_number, f"expected 7 comma-separated fields, got {len(fields)}")
+        if "null" in fields[1:]:
+            dropped += 1
+            continue
+        bar_date = _parse_date(fields[0], line_number)
+        if not _NUMBER_FIELDS.fullmatch(line, len(fields[0]) + 1):
+            raise MalformedRow(line_number, "non-numeric field")
+        bar = Bar(bar_date, *map(float, fields[1:]))
+        check_bar(bar)
+        if bar.volume == 0.0 and bar.open == bar.high == bar.low == bar.close:
+            flat_flagged += 1
+        bars.append(bar)
+    if not bars:
+        raise EmptySeries("no data rows")
+    return OhlcvSeries(symbol, tuple(bars), dropped, flat_flagged)
+
+
+def parse_like_reference(text: str):
+    """parse_csv's series, or its error as (type, message), after checking that the
+    reference parser gives the same: the same bits, dates and counts, or the same error."""
+    outcomes = []
+    for parse in (parse_csv, reference_parse_csv):
+        try:
+            outcomes.append(parse(text, "X"))
+        except MarketDataError as err:
+            outcomes.append((type(err), str(err)))
+    got, want = outcomes
+    if isinstance(want, OhlcvSeries):
+        assert isinstance(got, OhlcvSeries), got
+        assert got.block.shape == want.block.shape and got.block.tobytes() == want.block.tobytes()
+        assert got.dates() == want.dates()
+        assert got.dropped_nulls == want.dropped_nulls
+        assert got.flat_zero_volume_bars == want.flat_zero_volume_bars
+    else:
+        assert got == want
+    return got
 
 
 def test_parse_snapshot_values(snapshot_series):
@@ -186,6 +239,16 @@ def test_serialize_round_trip(snapshot_series):
     assert serialize_csv(again) == text
 
 
+@pytest.mark.parametrize("n", [255, 256, 257, 700])  # rows are converted 256 at a time
+def test_long_csv_parses_like_the_reference(n):
+    series = random_walk_series(n, n)
+    lines = serialize_csv(series).splitlines()
+    lines.insert(200, "2010-01-01,null,null,null,null,null,null")  # shifts the rows after it
+    again = parse_like_reference("\r\n".join(lines) + "\r\n")
+    assert again.dropped_nulls == 1 and again.dates() == series.dates()
+    assert again.block.tobytes() == series.block.tobytes()
+
+
 def test_adj_close_substitution(snapshot_series):
     lines = SNAPSHOT_CSV.splitlines()
     lines[1] = lines[1].replace("2372.800049,3639616.0", "1186.400024,3639616.0")
@@ -252,13 +315,19 @@ def test_with_close_from_adj_leaves_its_source_unchanged():
     assert np.array_equal(swapped.closes(), block[4]) and np.array_equal(series.closes(), block[3])
 
 
+# Field values that, in place of another, pass or trip the null drop, the date, the number
+# syntax or an invariant.
+FUZZ_TOKENS = ["null", "1e999", "-1.0", "0", "0.0", "1e-400", "-0.0", "5e-324", "9999.0", "1.5",
+               "x", "", "1,5", "2021-12-25", "2021-02-30", "2021/12/25"]
+
+
 def test_parse_fuzzed_csv_gives_series_or_typed_error():
     lines = SNAPSHOT_CSV.splitlines()
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(st.data())
     def check(data):
-        kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
+        kind = data.draw(st.sampled_from(["truncate", "flip", "swap", "replace"]))
         if kind == "truncate":
             text = SNAPSHOT_CSV[: data.draw(st.integers(0, len(SNAPSHOT_CSV) - 1))]
         elif kind == "flip":
@@ -266,21 +335,63 @@ def test_parse_fuzzed_csv_gives_series_or_typed_error():
             for _ in range(data.draw(st.integers(1, 3))):
                 blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
             text = blob.decode("latin-1")  # every byte becomes one character
-        else:
+        elif kind == "swap":
             i, j = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
             rows = [line.split(",") for line in lines]
             first = 0 if data.draw(st.booleans()) else 1  # header too, or data rows only
             for fields in rows[first:]:
                 fields[i], fields[j] = fields[j], fields[i]
             text = "\n".join(",".join(fields) for fields in rows) + "\n"
-        try:
-            series = parse_csv(text, "X")
-        except MarketDataError:
+        else:  # one to four fields of data rows replaced, so checks of several rows compete
+            rows = [line.split(",") for line in lines]
+            for _ in range(data.draw(st.integers(1, 4))):
+                fields = rows[data.draw(st.integers(1, len(rows) - 1))]
+                fields[data.draw(st.integers(0, 6))] = data.draw(st.sampled_from(FUZZ_TOKENS))
+            text = "\n".join(",".join(fields) for fields in rows) + "\n"
+        series = parse_like_reference(text)
+        if not isinstance(series, OhlcvSeries):
             return
-        assert isinstance(series, OhlcvSeries)
         dates = series.dates()
         assert all(a < b for a, b in zip(dates, dates[1:]))
         assert all(np.isfinite(column()).all() for column in (series.highs, series.lows, series.closes))
 
     check()
 
+
+GOOD = "2021-12-24,10.0,12.0,9.0,11.0,11.0,100"
+LOW_ABOVE_HIGH = "2021-12-27,10.0,9.0,9.5,9.0,9.0,100"
+SHORT = "2021-12-28,10.0,12.0,9.0,11.0,100"
+FLAT = "2021-12-29,11.0,11.0,11.0,11.0,11.0,0.0"
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # an invariant broken before a malformed row wins over it, and one after it loses
+    ([GOOD, LOW_ABOVE_HIGH, SHORT], InvariantViolation, "2021-12-27: low: low exceeds high, open, or close"),
+    ([GOOD, SHORT, LOW_ABOVE_HIGH], MalformedRow, "line 3: expected 7 comma-separated fields, got 6"),
+    ([GOOD, "2021-12-27,10.0,12.0,9.0,11.0,11.0,lots", LOW_ABOVE_HIGH], MalformedRow,
+     "line 3: non-numeric field"),
+    # the first row in file order wins among invariants, whatever their field
+    ([GOOD, "2021-12-27,10.0,12.0,9.0,11.0,11.0,-1", LOW_ABOVE_HIGH], InvariantViolation,
+     "2021-12-27: volume: volume must be finite and non-negative"),
+    # a number past float's range reads as inf, which no field takes, and one below it as 0.0
+    ([GOOD, "2021-12-27,10.0,1e999,9.0,11.0,11.0,100"], InvariantViolation,
+     "2021-12-27: high: price must be finite and positive"),
+    ([GOOD, "2021-12-27,10.0,12.0,9.0,11.0,11.0,1e999"], InvariantViolation,
+     "2021-12-27: volume: volume must be finite and non-negative"),
+    ([GOOD, "2021-12-27,10.0,12.0,9.0,11.0,1e-400,100"], InvariantViolation,
+     "2021-12-27: adj_close: price must be finite and positive"),
+    # a flat zero-volume bar is counted only on success; a violation before it still wins
+    ([GOOD, LOW_ABOVE_HIGH, FLAT], InvariantViolation, "2021-12-27: low: low exceeds high, open, or close"),
+    # an invariant wins over out-of-order dates, which are checked once every row is read
+    ([FLAT, GOOD, LOW_ABOVE_HIGH], InvariantViolation, "2021-12-27: low: low exceeds high, open, or close"),
+    ([FLAT, GOOD], NonAscendingDates, "dates not strictly ascending at 2021-12-24"),
+])
+def test_first_failing_row_names_the_error(rows, error, message):
+    assert parse_like_reference("\n".join([CSV_HEADER, *rows]) + "\n") == (error, message)
+
+
+def test_null_row_is_dropped_before_its_date_is_read():
+    text = "\n".join([CSV_HEADER, GOOD, "2021-13-45,null,null,null,null,null,null", FLAT]) + "\n"
+    series = parse_like_reference(text)
+    assert series.dates() == (date(2021, 12, 24), date(2021, 12, 29))
+    assert series.dropped_nulls == 1 and series.flat_zero_volume_bars == 1

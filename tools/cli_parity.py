@@ -1,0 +1,124 @@
+"""Compare the stockcast command line of two source trees byte for byte.
+
+    python tools/cli_parity.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout with the package under src/. The script writes
+seeded random-walk OHLCV CSVs and a few malformed ones, runs one fixed list
+of commands against each tree in a fresh directory of its own, and lists
+every difference in exit code, stdout, stderr or output file. It exits 1
+when anything differs and 0 when nothing does.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
+import numpy as np
+
+HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
+ENTRY = "from stockcast.cli import entrypoint; entrypoint()"
+
+
+def walk_rows(bars: int, seed: int) -> list[str]:
+    """A multiplicative random walk as CSV rows, low <= open, close <= high."""
+    rng = np.random.default_rng(seed)
+    closes = 100.0 * np.cumprod(1.0 + rng.normal(0.0005, 0.01, bars))
+    rows, day = [], date(2015, 1, 2)
+    for close in closes.tolist():
+        open_ = close * (1.0 + float(rng.normal(0.0, 0.003)))
+        high = max(open_, close) * (1.0 + abs(float(rng.normal(0.0, 0.002))))
+        low = min(open_, close) * (1.0 - abs(float(rng.normal(0.0, 0.002))))
+        volume = float(rng.integers(100_000, 5_000_000))
+        rows.append(f"{day.isoformat()},{open_!r},{high!r},{low!r},{close!r},{close!r},{volume!r}")
+        day += timedelta(days=1)
+    return rows
+
+
+def inputs() -> dict[str, list[str]]:
+    """File name -> data rows: two clean walks, then one case per parse rule that competes
+    with another (an edited row replaces the walk's row of the same index)."""
+    walk = walk_rows(1000, 3)
+
+    def row(k: int, fields: str) -> str:  # walk row k's date with other fields
+        return walk[k].split(",")[0] + "," + fields
+
+    low_above_high, flat = "10.0,9.0,9.5,9.0,9.0,100", "11.0,11.0,11.0,11.0,11.0,0.0"
+    edits = {
+        "low_above_high_then_short": {300: row(300, low_above_high), 500: row(500, "1.0")},
+        "short_then_low_above_high": {300: row(300, "1.0"), 500: row(500, low_above_high)},
+        "null_with_bad_date": {300: "2015-13-45,null,null,null,null,null,null"},
+        "overflowing_high": {300: row(300, "10.0,1e999,9.0,11.0,11.0,100")},
+        "flat_bar_after_violation": {300: row(300, low_above_high), 500: row(500, flat)},
+        "flat_bar": {500: row(500, flat)},
+    }
+    files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5)}
+    for name, edited in edits.items():
+        files[name + ".csv"] = [edited.get(k, line) for k, line in enumerate(walk)]
+    return files
+
+
+INPUTS = inputs()
+
+
+MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
+COMMANDS = [
+    ["indicators", "--input", "walk.csv", "--out", "features.csv", "--column-set", "paper_multivariate"],
+    ["indicators", "--input", "walk.csv", "--out", "close.csv", "--use-adj-close"],
+    ["train", "--input", "walk.csv", "--model-out", "m.json", "--history-out", "h.csv", *MODEL],
+    ["evaluate", "--input", "walk.csv", "--model", "m.json", "--report-out", "r.json",
+     "--predictions-out", "p.csv"],
+    ["forecast", "--input", "walk.csv", "--model", "m.json", "--out", "f30.csv", "--horizon", "30"],
+    ["forecast", "--input", "walk.csv", "--model", "m.json", "--out", "f1.csv", "--horizon", "1"],
+    ["backtest", "--input", "short_walk.csv", "--out-dir", "folds", "--folds", "3",
+     "--mode", "univariate", "--epochs", "1", "--clip-scaled"],
+    ["plot", "--series", "actual=p.csv:actual", "--series", "predicted=p.csv:predicted",
+     "--out", "chart.svg", "--merge-out", "merged.csv", "--title", "parity"],
+    *[["indicators", "--input", name, "--out", f"{name}.features.csv"] for name in INPUTS
+      if name not in ("walk.csv", "short_walk.csv")],
+    ["evaluate", "--input", "overflowing_high.csv", "--model", "m.json", "--report-out", "bad.json"],
+    ["indicators", "--input", "missing.csv", "--out", "missing.features.csv"],
+]
+
+
+def run(tree: Path, work: Path) -> list[tuple[int, bytes, bytes]]:
+    work.mkdir()
+    for name, rows in INPUTS.items():
+        (work / name).write_text("\n".join([HEADER, *rows]) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    return [(p.returncode, p.stdout, p.stderr) for p in (
+        subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=work, env=env, capture_output=True)
+        for argv in COMMANDS)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/cli_parity.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 64
+    differences = []
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [Path(tmp, side) for side in ("parent", "change")]
+        results = [run(tree, work) for tree, work in zip(map(Path, argv), works)]
+        for command, (a, b) in zip(COMMANDS, zip(*results)):
+            for what, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+                if x != y:
+                    differences.append(f"{' '.join(command)}: {what} differs: {x!r:.200} != {y!r:.200}")
+        names = sorted({p.relative_to(w) for w in works for p in w.rglob("*") if p.is_file()})
+        for name in names:
+            x, y = (w / name for w in works)
+            if not (x.exists() and y.exists()):
+                differences.append(f"{name}: written by one tree only")
+            elif x.read_bytes() != y.read_bytes():
+                differences.append(f"{name}: contents differ")
+    for line in differences:
+        print(line)
+    print(f"{len(COMMANDS)} commands, {len(names)} files: {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
