@@ -94,7 +94,8 @@ def build_parser() -> _Parser:
     p = _command(sub, "evaluate", cmd_evaluate, "one-step metrics on the held-out test split")
     _flags(p, "input", "model")
     p.add_argument("--report-out", dest="out", default=None)
-    _flags(p, "predictions_out", "train_fraction", "symbol")
+    _flags(p, "predictions_out", "train_fraction", "symbol",
+           train_fraction="the split, for a model file that records none")
 
     p = _command(sub, "forecast", cmd_forecast, "recursive multi-day forecast from a trained model")
     _flags(p, "input", "model", "out", "horizon", "symbol")
@@ -176,8 +177,16 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     series = _load_series(cfg, input_path)
     model = lstm.load_model(model_path)
     matrix = build_features(series, model.indicator_config, model.column_set, model.use_adj_close)
-    split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
-    test_ds = pipeline.held_out_windows(matrix, model.scaler, model.lookback, split_row)
+    if model.contract is None:  # a v1 file, or a model saved without its split
+        split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
+        clip = False
+    elif args.train_fraction is not None:
+        raise _UsageError("--train-fraction is for model files without a recorded split; "
+                          f"{model_path} records split row {model.contract.split_row}")
+    else:
+        split_row = pipeline.contract_split(matrix, model.contract)
+        clip = model.contract.clip_scaled
+    test_ds = pipeline.held_out_windows(matrix, model.scaler, model.lookback, split_row, clip)
     report, rows = evaluation.evaluate_one_step(model, test_ds)
     document = {
         **asdict(report),
@@ -203,7 +212,8 @@ def cmd_forecast(args, cfg: RunConfig) -> int:
     out = _require(cfg.out, "--out")
     series = _load_series(cfg, input_path)
     model = lstm.load_model(model_path)
-    result = evaluation.forecast_recursive(model, series, cfg.horizon)
+    clip = model.contract is not None and model.contract.clip_scaled
+    result = evaluation.forecast_recursive(model, series, cfg.horizon, clip)
     lines = ["day_index,predicted_close"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
     Path(out).write_text("\n".join(lines) + "\n")

@@ -94,6 +94,42 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive")
 
 
+@dataclass(frozen=True)
+class SplitContract:
+    """The train/test split a model was trained under, as its file records it.
+
+    The training span is feature-matrix rows [0, split_row), so split_row is
+    also its row count; row split_row, dated first_test_date, holds the first
+    test target. train_sha256 hashes the span's float64 feature bytes, so a
+    changed close, column set or indicator setting shows. clip_scaled bounds
+    every model input outside training, in evaluate and in forecast, to
+    [-1, 1]; it never touches the closes that get scored.
+    """
+
+    split_row: int
+    clip_scaled: bool
+    train_first_date: str
+    train_last_date: str
+    train_sha256: str
+    first_test_date: str
+
+    def __post_init__(self):
+        from datetime import date  # here, so that --help and plot start without it
+
+        if self.split_row < 1:
+            raise ValueError("split_row must be >= 1")
+        for name in ("train_first_date", "train_last_date", "first_test_date"):
+            value = getattr(self, name)
+            try:
+                canonical = date.fromisoformat(value).isoformat() == value
+            except ValueError:
+                canonical = False
+            if not canonical:
+                raise ValueError(f"{name} must be a YYYY-MM-DD date")
+        if not re.fullmatch(r"[0-9a-f]{64}", self.train_sha256):
+            raise ValueError("train_sha256 must be 64 lowercase hex digits")
+
+
 def mode_for(column_set: str) -> str:
     """The mode a column set implies: univariate exactly for the univariate set."""
     return "univariate" if column_set == UNIVARIATE else "multivariate"

@@ -33,6 +33,19 @@ class DegenerateSplit(DatasetError):
     pass
 
 
+class SplitMismatch(DatasetError):
+    """A CSV whose training span is not the one a model file records."""
+
+    def __init__(self, field: str, recorded, found):
+        super().__init__(f"the model's {field} is {recorded}, the CSV gives {found}")
+        self.field = field
+        self.recorded = recorded
+        self.found = found
+
+    def __reduce__(self):
+        return type(self), (self.field, self.recorded, self.found)
+
+
 @dataclass(frozen=True, eq=False)
 class WindowedDataset:
     inputs: np.ndarray  # (samples, lookback, features)

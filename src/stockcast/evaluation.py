@@ -129,7 +129,8 @@ def _classify_trend(values: list[float]) -> str:
     return "up" if delta > 0 else "down"
 
 
-def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResult:
+def forecast_recursive(model, series: OhlcvSeries, horizon: int,
+                       clip: bool = False) -> ForecastResult:
     """Feed predictions back as inputs for `horizon` steps beyond the series.
 
     Step 0 builds features on all n bars. Step k >= 1 writes the last
@@ -138,7 +139,8 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     O(longest window) per step, not O(n). Each scaled row is pushed once to a
     stream of width W = min(lookback, horizon), one LSTM step per layer for
     every window in flight, so day k equals predict on a W-window chunk that
-    holds its window at k % W.
+    holds its window at k % W. clip bounds every scaled row the model reads to
+    [-1, 1]; the predicted closes fed back as bars stay as the model gave them.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -154,6 +156,8 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry
     history = scaling.transform(model.scaler, matrix).values[-lookback:]
+    if clip:
+        history.clip(-1.0, 1.0, out=history)
     width = min(lookback, horizon)  # windows in flight at once
     stream = model.stream(width)
     values: list[float] = []
@@ -163,6 +167,8 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
             row, carry = build_features(block[:, n + k - tail : n + k], cfg, column_set,
                                         model.use_adj_close, carry)
             row = scaling.scale(model.scaler, row)
+            if clip:
+                row.clip(-1.0, 1.0, out=row)
         else:
             row = history[r]
         if r < horizon:

@@ -38,13 +38,6 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             _emit(value, out)
         out.append("]")
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim:
-            if not np.isfinite(obj).all():
-                raise ValueError("non-finite number in JSON document")
-            out.append(_float_rows(obj.tolist(), obj.ndim))
-        else:
-            _emit(obj.tolist(), out)
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -61,9 +54,3 @@ def _emit(obj, out: list[str]) -> None:
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-
-def _float_rows(rows: list, depth: int) -> str:
-    """Nested float lists as _emit would render them, without per-value dispatch."""
-    if depth == 1:
-        return "[" + ",".join([f"{v:.17g}" for v in rows]) + "]"
-    return "[" + ",".join([_float_rows(row, depth - 1) for row in rows]) + "]"

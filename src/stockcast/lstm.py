@@ -40,13 +40,19 @@ in, and each caller of predict fixes its chunk. Both loops run the same
 shapes: predict at chunk B equals forward_batch at batch B, a stream column
 equals predict at a chunk of W windows, and repeat calls are byte-identical.
 
-The per-gate names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) exist only
-in the model file; gate_view maps each to a writable view of W, through which
-the file is written and read and init_weights fills a layer in file order.
+The model file (format_version 2) holds each layer's W and the head's w as
+one array each: its shape and the standard base64 of its little-endian float64
+bytes, so every weight reads back bit for bit. It writes each fact once and
+records the train/test split the model was trained under (config.SplitContract).
+load_model still reads format_version 1, which stores twelve per-gate arrays
+per layer under the names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) as
+decimal lists. gate_view maps each name to a writable view of W; the v1 reader
+fills a layer through it, and init_weights fills one in that file order.
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
@@ -56,13 +62,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CELL_VARIANTS, MODES, IndicatorConfig, TrainConfig, mode_for
+from .config import (CELL_VARIANTS, COLUMN_SETS, IndicatorConfig, SplitContract, TrainConfig,
+                     mode_for)
+from .indicators import column_names_for
 from .jsonio import dump_json
 from .scaling import ScalerParams
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
-_LAYER_FIELDS = (  # the model file's per-gate arrays in file order; init_weights fills w_* in it
+_LAYER_FIELDS = (  # format_version 1's per-gate arrays in file order; init_weights fills w_* in it
     "w_fx", "w_ix", "w_gx", "w_ox",
     "w_fh", "w_ih", "w_gh", "w_oh",
     "b_f", "b_i", "b_g", "b_o",
@@ -189,6 +197,7 @@ class LstmModel:
     column_set: str = "univariate"
     indicator_config: IndicatorConfig = field(default_factory=IndicatorConfig)
     use_adj_close: bool = False
+    contract: SplitContract | None = None  # the split a trained model records; None for a bare fit
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
@@ -637,34 +646,39 @@ def _config_document(cfg) -> dict:
     return {f.name: list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v for f in fields(cfg)}
 
 
+def _packed_document(arr: np.ndarray) -> dict:
+    """An array as its shape and the standard base64 of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
 def model_to_document(model: LstmModel) -> dict:
+    """The format_version 2 document. Hidden sizes, seed and mode are train_config's and
+    column_set's; the scaler's columns are feature_names."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "mode": model.mode,
         "feature_names": list(model.feature_names),
         "lookback": model.lookback,
-        "hidden_sizes": [int(h) for h in model.hidden_sizes],
         "cell_variant": model.cell_variant,
         "column_set": model.column_set,
         "use_adj_close": model.use_adj_close,
-        "scaler": {
-            "column_names": list(model.scaler.column_names),
-            "mins": model.scaler.mins,
-            "maxs": model.scaler.maxs,
-        },
+        "scaler": {"mins": _packed_document(model.scaler.mins),
+                   "maxs": _packed_document(model.scaler.maxs)},
         "indicator_config": _config_document(model.indicator_config),
         "train_config": _config_document(model.train_config),
-        "rng_seed": model.train_config.seed,
-        "layers": [
-            {name: gate_view(layer, name) for name in _LAYER_FIELDS} for layer in model.layers
-        ],
-        "head": {"w": model.head_w, "b": float(model.head_b[0])},
+        "contract": None if model.contract is None else _config_document(model.contract),
+        "layers": [{"W": _packed_document(layer.W)} for layer in model.layers],
+        "head": {"w": _packed_document(model.head_w), "b": float(model.head_b[0])},
     }
 
 
 def save_model(model: LstmModel, sink) -> None:
-    """Write the model as deterministic JSON (17 significant digits per number)."""
-    for key, arr in model_param_items(model):
+    """Write the model as a format_version 2 JSON document; see model_to_document.
+    A model that load_model would refuse raises ValueError instead."""
+    if model.feature_names != column_names_for(model.indicator_config, model.column_set):
+        raise ValueError("feature_names are not the column set's columns; refusing to serialize")
+    scaler = [("scaler.mins", model.scaler.mins), ("scaler.maxs", model.scaler.maxs)]
+    for key, arr in model_param_items(model) + scaler:
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in {key}; refusing to serialize")
     text = dump_json(model_to_document(model)) + "\n"
@@ -696,14 +710,19 @@ def _need(container, key: str, path: str, kind: type | tuple):
     return value
 
 
+_JSON_KINDS = {"tuple[int, ...]": list, "int": int, "float": float, "bool": bool, "str": str}
+
+
 def _config_from_document(cls, doc, key: str):
-    """Inverse of _config_document; each field must have the JSON type of its default."""
+    """Inverse of _config_document; each field must have the JSON type of its declaration."""
     path = f"$.{key}"
     section = _need(doc, key, "$", dict)
     values = {}
     for f in fields(cls):
-        kind = list if isinstance(f.default, tuple) else type(f.default)
+        kind = _JSON_KINDS[f.type]
         value = _need(section, f.name, path, kind)
+        if kind is list and any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+            raise CorruptModel(f"{path}.{f.name}", "expected a list of integers")
         values[f.name] = tuple(value) if kind is list else value
     try:
         return cls(**values)
@@ -712,6 +731,7 @@ def _config_from_document(cls, doc, key: str):
 
 
 def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A v1 decimal list of the given shape."""
     raw = _need(container, key, path, list)
     try:
         arr = np.array(raw, dtype=np.float64)
@@ -724,8 +744,30 @@ def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray
     return arr
 
 
+def _packed(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of _packed_document, for an array whose shape the rest of the file fixes."""
+    where = f"{path}.{key}"
+    recorded = _need(_need(container, key, path, dict), "shape", where, list)
+    if recorded != list(shape) or any(type(n) is not int for n in recorded):
+        raise CorruptModel(f"{where}.shape", f"{recorded}, but feature_names and the hidden "
+                                             f"sizes give {list(shape)}")
+    text = _need(container[key], "data", where, str)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a str that is not ASCII
+        raise CorruptModel(f"{where}.data", "not standard base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise CorruptModel(f"{where}.data", f"{len(raw)} bytes, shape {recorded} needs "
+                                            f"{8 * math.prod(shape)}")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise CorruptModel(f"{where}.data", "non-finite values")
+    return arr
+
+
 def load_model(source) -> LstmModel:
-    """Inverse of save_model; structural problems raise CorruptModel with a path."""
+    """Inverse of save_model, and the reader of format_version 1; structural problems
+    raise CorruptModel with a path."""
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
         doc = json.loads(text)
@@ -736,8 +778,69 @@ def load_model(source) -> LstmModel:
     except RecursionError:
         raise CorruptModel("$", "nested too deeply to parse") from None
     version = _need(doc, "format_version", "$", int)
-    if version != MODEL_FORMAT_VERSION:
-        raise UnsupportedVersion(f"format_version {version}, supported: {MODEL_FORMAT_VERSION}")
+    readers = {1: _model_from_v1, MODEL_FORMAT_VERSION: _model_from_document}
+    if version not in readers:
+        raise UnsupportedVersion(f"format_version {version}, supported: 1, {MODEL_FORMAT_VERSION}")
+    return readers[version](doc)
+
+
+def _model_from_document(doc: dict) -> LstmModel:
+    """The format_version 2 reader: every array through _packed, at the shape that
+    feature_names and train_config.hidden_sizes give it."""
+    cell_variant = _need(doc, "cell_variant", "$", str)
+    if cell_variant not in CELL_VARIANTS:
+        raise CorruptModel("$.cell_variant", f"unknown variant {cell_variant!r}")
+    column_set = _need(doc, "column_set", "$", str)
+    if column_set not in COLUMN_SETS:
+        raise CorruptModel("$.column_set", f"unknown column set {column_set!r}")
+    use_adj_close = _need(doc, "use_adj_close", "$", bool)
+    lookback = _need(doc, "lookback", "$", int)
+    if lookback < 1:
+        raise CorruptModel("$.lookback", "must be >= 1")
+    indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
+    train_config = _config_from_document(TrainConfig, doc, "train_config")
+    feature_names = tuple(_need(doc, "feature_names", "$", list))
+    if feature_names != (expected := column_names_for(indicator_config, column_set)):
+        raise CorruptModel("$.feature_names", f"{column_set} under $.indicator_config "
+                                              f"gives {list(expected)}")
+    width = len(feature_names)
+    scaler_doc = _need(doc, "scaler", "$", dict)
+    scaler = ScalerParams(column_names=feature_names,
+                          mins=_packed(scaler_doc, "mins", "$.scaler", (width,)),
+                          maxs=_packed(scaler_doc, "maxs", "$.scaler", (width,)))
+    layers_doc = _need(doc, "layers", "$", list)
+    if len(layers_doc) != len(train_config.hidden_sizes):
+        raise CorruptModel("$.layers", "layer count does not match $.train_config.hidden_sizes")
+    layers, in_size = [], width
+    for k, (layer_doc, hidden) in enumerate(zip(layers_doc, train_config.hidden_sizes)):
+        shape = (in_size + hidden + 1, 4 * hidden)
+        layers.append(LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape)))
+        in_size = hidden
+    head_doc = _need(doc, "head", "$", dict)
+    head_w = _packed(head_doc, "w", "$.head", (in_size,))
+    head_b = _need(head_doc, "b", "$.head", float)
+    contract = None
+    if _need(doc, "contract", "$", object) is not None:
+        contract = _config_from_document(SplitContract, doc, "contract")
+    return LstmModel(
+        layers=layers,
+        head_w=head_w,
+        head_b=np.array([head_b]),
+        scaler=scaler,
+        feature_names=feature_names,
+        lookback=lookback,
+        train_config=train_config,
+        cell_variant=cell_variant,
+        column_set=column_set,
+        indicator_config=indicator_config,
+        use_adj_close=use_adj_close,
+        contract=contract,
+    )
+
+
+def _model_from_v1(doc: dict) -> LstmModel:
+    """The format_version 1 reader: twelve per-gate decimal arrays per layer, and five
+    facts written twice, which it cross-checks. The model records no split."""
     mode = _need(doc, "mode", "$", str)
     cell_variant = _need(doc, "cell_variant", "$", str)
     if cell_variant not in CELL_VARIANTS:

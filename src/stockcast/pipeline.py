@@ -7,14 +7,20 @@ is given, so no held-out row reaches the scaler or the model.
 ``held_out_windows`` scales rows [split_row - L, rows) with that scaler and
 windows them; the L rows before split_row are only the first window's inputs.
 Train, evaluate and every walk-forward fold go through these two.
+
+train records its cut in the model as a SplitContract. evaluate takes the
+split and the clip from it, once ``contract_split`` has checked that the
+CSV's training span is the one the model was trained on.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
+
+import numpy as np
 
 from . import dataset, lstm, scaling
-from .config import RunConfig
+from .config import RunConfig, SplitContract
 from .dataset import WindowedDataset
 from .indicators import FeatureMatrix, build_features
 from .market_data import OhlcvSeries
@@ -84,8 +90,37 @@ def held_out_windows(
     return windows
 
 
+def split_contract(matrix: FeatureMatrix, split_row: int, clip_scaled: bool) -> SplitContract:
+    """The SplitContract of a model trained on rows [0, split_row) of matrix."""
+    import hashlib  # only train and evaluate hash, so the other commands skip its import
+
+    span = np.ascontiguousarray(matrix.values[:split_row], dtype="<f8")
+    return SplitContract(
+        split_row=split_row,
+        clip_scaled=clip_scaled,
+        train_first_date=matrix.dates[0].isoformat(),
+        train_last_date=matrix.dates[split_row - 1].isoformat(),
+        train_sha256=hashlib.sha256(span.tobytes()).hexdigest(),
+        first_test_date=matrix.dates[split_row].isoformat(),
+    )
+
+
+def contract_split(matrix: FeatureMatrix, contract: SplitContract) -> int:
+    """contract.split_row, once matrix holds the contract's training span and first test
+    date; SplitMismatch names the first field, in SplitContract's order, that differs."""
+    if matrix.rows <= contract.split_row:
+        raise dataset.SplitMismatch("split_row", contract.split_row, f"{matrix.rows} feature rows")
+    found = split_contract(matrix, contract.split_row, contract.clip_scaled)
+    for f in fields(SplitContract):
+        if getattr(found, f.name) != getattr(contract, f.name):
+            raise dataset.SplitMismatch(f.name, getattr(contract, f.name), getattr(found, f.name))
+    return contract.split_row
+
+
 def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> tuple[lstm.LstmModel, dict]:
-    """The full training pipeline as the train command runs it."""
+    """The full training pipeline as the train command runs it; the model records its split."""
     matrix = build_matrix(series, cfg)
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-    return fit_rows(matrix.row_slice(0, split_row), cfg, cfg.seed)
+    model, history = fit_rows(matrix.row_slice(0, split_row), cfg, cfg.seed)
+    model.contract = split_contract(matrix, split_row, cfg.clip_scaled)
+    return model, history

@@ -10,25 +10,28 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stockcast
-from stockcast import dataset
+from stockcast import dataset, pipeline
 from stockcast.charts import render_line_chart
 from stockcast.cli import SeriesFileError, _read_series_csv, main
 from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
-from stockcast.evaluation import forecast_recursive
-from stockcast.indicators import IndicatorConfig
-from stockcast.lstm import TrainConfig, gate_view, load_model
+from stockcast.evaluation import evaluate_one_step, forecast_recursive
+from stockcast.indicators import IndicatorConfig, build_features
+from stockcast.lstm import TrainConfig, gate_view, load_model, save_model
 from stockcast.market_data import parse_csv, serialize_csv
+from stockcast.scaling import ScalerParams
 
 from conftest import SNAPSHOT_CSV, random_walk_series
 
 
 CLI = "from stockcast.cli import entrypoint; entrypoint()"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_python(*argv, **kwargs):
@@ -137,10 +140,17 @@ def test_train_writes_model_and_history(tmp_path, capsys):
     assert rc == 0
 
     document = json.loads(model_path.read_text())
-    assert document["format_version"] == 1
-    assert document["mode"] == "univariate"
+    assert document["format_version"] == 2
+    assert document["column_set"] == "univariate"
     assert document["lookback"] == 12
     assert document["train_config"]["epochs"] == 3
+    # 300 rows at lookback 12 and train fraction 0.8: rows [0, 242) train
+    dates = parse_csv(data.read_text(), "STOCK").dates()
+    contract = document["contract"]
+    assert (contract["split_row"], contract["clip_scaled"]) == (242, False)
+    assert contract["train_first_date"] == dates[0].isoformat()
+    assert contract["train_last_date"] == dates[241].isoformat()
+    assert contract["first_test_date"] == dates[242].isoformat()
     loaded = load_model(model_path)
     assert loaded.hidden_sizes == (8,)
 
@@ -160,13 +170,16 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_train_clip_scaled_changes_no_byte(tmp_path, capsys):
+def test_train_clip_scaled_changes_only_the_contract(tmp_path, capsys):
     # a scaler maps its own training rows into [-1, 1]; --clip-scaled acts on held-out inputs only
     data = write_walk(tmp_path)
     _, model_a, history_a = run_train(tmp_path, data, model_name="a.json", history_name="a.csv")
     _, model_b, history_b = run_train(tmp_path, data, ["--clip-scaled"], "b.json", "b.csv")
-    assert model_a.read_bytes() == model_b.read_bytes()
     assert history_a.read_bytes() == history_b.read_bytes()
+    doc_a, doc_b = (json.loads(path.read_text()) for path in (model_a, model_b))
+    assert (doc_a["contract"]["clip_scaled"], doc_b["contract"]["clip_scaled"]) == (False, True)
+    doc_b["contract"]["clip_scaled"] = False
+    assert doc_a == doc_b
     capsys.readouterr()
 
 
@@ -225,6 +238,92 @@ def test_evaluate_windows_only_the_held_out_rows(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_evaluate_takes_the_split_and_clip_from_the_model_file(tmp_path, capsys):
+    # the CSV of the benchmarks' ohlcv_csv(700, 5): 640 windows at lookback 60, of which
+    # --train-fraction 0.9 trains on 576; an evaluate that rebuilt the split from its own
+    # default 0.8 scored 128 windows, 64 of them training windows
+    data = write_walk(tmp_path, n=700, seed=5)
+    model_path = tmp_path / "model.json"
+    rc = main(["train", "--input", str(data), "--model-out", str(model_path),
+               "--history-out", str(tmp_path / "history.csv"), "--mode", "univariate",
+               "--epochs", "2", "--batch-size", "7", "--train-fraction", "0.9", "--clip-scaled"])
+    assert rc == 0
+    report_path, predictions_path = tmp_path / "report.json", tmp_path / "predictions.csv"
+    rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+               "--report-out", str(report_path), "--predictions-out", str(predictions_path)])
+    assert rc == 0
+    report = json.loads(report_path.read_text())
+    assert report["n"] == 64
+    model = load_model(model_path)
+    assert (model.contract.split_row, model.contract.clip_scaled) == (636, True)
+    assert predictions_path.read_text().splitlines()[1].startswith(model.contract.first_test_date)
+
+    # the same windows, clipped as training asked, through the library
+    series = parse_csv(data.read_text(), "STOCK")
+    matrix = pipeline.build_matrix(series, resolve_config({}, {"mode": "univariate"}))
+    test_ds = pipeline.held_out_windows(matrix, model.scaler, 60, 636, clip=True)
+    assert test_ds.inputs.max() == 1.0  # the walk climbs past its training maximum
+    expected, _ = evaluate_one_step(model, test_ds)
+    assert report["mape"] == expected.mape
+
+    rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+               "--report-out", str(report_path), "--train-fraction", "0.9"])
+    assert rc == 64
+    assert "records split row 636" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_csv_whose_training_span_differs(tmp_path, capsys):
+    data, model_path = trained_setup(tmp_path)
+    capsys.readouterr()
+    lines = data.read_text().splitlines()
+    bar = lines[101].split(",")
+    bar[1:6] = [repr(float(v) * 1.01) for v in bar[1:6]]  # one training bar's prices
+    cases = {
+        "split_row": lines[:242],
+        "train_first_date": [lines[0], *lines[2:]],
+        "train_sha256": [*lines[:101], ",".join(bar), *lines[102:]],
+    }
+    for field, edited in cases.items():
+        edited_csv = tmp_path / f"{field}.csv"
+        edited_csv.write_text("\n".join(edited) + "\n")
+        rc = main(["evaluate", "--input", str(edited_csv), "--model", str(model_path),
+                   "--report-out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: the model's {field} is ")
+    assert not (tmp_path / "report.json").exists()
+
+    # rows appended since training are more test windows, not a different training span
+    last_day, prices = date.fromisoformat(lines[-1][:10]), lines[-1][10:]
+    longer = tmp_path / "longer.csv"
+    longer.write_text("\n".join([*lines, *[(last_day + timedelta(days=k)).isoformat() + prices
+                                           for k in range(1, 21)]]) + "\n")
+    rc = main(["evaluate", "--input", str(longer), "--model", str(model_path),
+               "--report-out", str(tmp_path / "report.json")])
+    assert rc == 0
+    assert json.loads((tmp_path / "report.json").read_text())["n"] == 320 - 242
+    capsys.readouterr()
+
+
+def test_evaluate_a_file_without_a_split_takes_train_fraction(tmp_path, capsys):
+    # a v1 file records no split, so evaluate cuts one from --train-fraction, as it did
+    data = write_walk(tmp_path)
+    model_path = FIXTURES / "golden_v1_paper_model.json"
+    model = load_model(model_path)
+    assert model.contract is None
+    series = parse_csv(data.read_text(), "STOCK")
+    rows = build_features(series, model.indicator_config, model.column_set,
+                          model.use_adj_close).rows
+    for fraction in (None, 0.9):
+        flag = [] if fraction is None else ["--train-fraction", str(fraction)]
+        split_row = pipeline.split_row_for(rows, model.lookback, fraction or 0.8)
+        report_path = tmp_path / f"report{fraction}.json"
+        rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+                   "--report-out", str(report_path), *flag])
+        assert rc == 0
+        assert json.loads(report_path.read_text())["n"] == rows - split_row
+    capsys.readouterr()
+
+
 def test_evaluate_unparseable_model_is_data_error(tmp_path, capsys):
     data = write_walk(tmp_path)
     model_path = tmp_path / "model.json"
@@ -256,10 +355,10 @@ def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys
     # b_f = -1000 puts exp(-z) past float64's range; the sigmoid is still exactly 0
     data, model_path = trained_setup(tmp_path)
     capsys.readouterr()
-    doc = json.loads(model_path.read_text())
-    doc["layers"][0]["b_f"] = [-1000.0] * len(doc["layers"][0]["b_f"])
+    model = load_model(model_path)
+    gate_view(model.layers[0], "b_f")[...] = -1000.0
     saturated = tmp_path / "saturated.json"
-    saturated.write_text(json.dumps(doc))
+    save_model(model, saturated)
     out = tmp_path / "forecast.csv"
     done = run_python("-c", CLI, "forecast", "--input", str(data), "--model", str(saturated),
                       "--out", str(out), "--horizon", "4")
@@ -278,10 +377,10 @@ def test_forecast_overflowing_scaler_prints_one_typed_line(tmp_path, capsys):
     # a Close span of one subnormal scales every close past float64's range
     data, model_path = trained_setup(tmp_path)
     capsys.readouterr()
-    doc = json.loads(model_path.read_text())
-    doc["scaler"]["mins"], doc["scaler"]["maxs"] = [0.0], [5e-324]
+    model = load_model(model_path)
+    model.scaler = ScalerParams(("Close",), np.array([0.0]), np.array([5e-324]))
     overflowing = tmp_path / "overflowing.json"
-    overflowing.write_text(json.dumps(doc))
+    save_model(model, overflowing)
     out = tmp_path / "forecast.csv"
     done = run_python("-c", CLI, "forecast", "--input", str(data), "--model", str(overflowing),
                       "--out", str(out), "--horizon", "4")
@@ -592,5 +691,5 @@ def test_global_seed_flag_changes_model(tmp_path, capsys):
     )
     assert rc == 0
     assert model_a.read_text() != model_b.read_text()
-    assert json.loads(model_b.read_text())["rng_seed"] == 99
+    assert json.loads(model_b.read_text())["train_config"]["seed"] == 99
     capsys.readouterr()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stockcast import lstm, pipeline, scaling
 from stockcast.config import resolve_config
-from stockcast.dataset import TooFewRows, make_windows
+from stockcast.dataset import SplitMismatch, TooFewRows, make_windows
 from stockcast.evaluation import (
     LengthMismatch,
     MetricsReport,
@@ -35,7 +35,13 @@ from stockcast.market_data import (
     NonAscendingDates,
     OhlcvSeries,
 )
-from stockcast.pipeline import held_out_windows, split_row_for, train_from_series
+from stockcast.pipeline import (
+    contract_split,
+    held_out_windows,
+    split_contract,
+    split_row_for,
+    train_from_series,
+)
 from stockcast.scaling import ScalerParams, fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
@@ -480,6 +486,41 @@ def test_clipped_held_out_scoring_reports_true_closes():
         assert actual == pytest.approx(closes[day], rel=1e-12)
 
 
+def test_forecast_clips_model_inputs_only_when_asked():
+    # the closes climb past the training maximum, so every unclipped row scales above 1
+    series = flat_series([100.0 + 0.5 * i for i in range(60)])
+    matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
+    scaler = fit(matrix.row_slice(0, 40))
+    model = PersistenceModel(("Close",), 8, scaler)  # predicts the last scaled close it reads
+    assert forecast_recursive(model, series, 3).values == (129.5,) * 3
+    assert forecast_recursive(model, series, 3, clip=True).values == (119.5,) * 3
+
+
+def test_contract_split_names_the_first_field_that_differs():
+    series = random_walk_series(160, seed=4)
+    matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
+    contract = split_contract(matrix, 100, clip_scaled=True)
+    assert (contract.split_row, contract.clip_scaled) == (100, True)
+    assert contract.train_last_date == matrix.dates[99].isoformat()
+    assert contract.first_test_date == matrix.dates[100].isoformat()
+    assert contract_split(matrix, contract) == 100
+    assert contract_split(matrix.row_slice(0, 101), contract) == 100
+    moved = replace(matrix, values=matrix.values.copy())
+    moved.values[99, 0] += 1e-9
+    cases = {
+        "split_row": matrix.row_slice(0, 100),
+        "train_first_date": matrix.row_slice(1, 160),
+        "train_sha256": moved,
+        "first_test_date": replace(matrix, dates=(*matrix.dates[:100], date(2030, 1, 1),
+                                                  *matrix.dates[101:])),
+    }
+    for field, other in cases.items():
+        with pytest.raises(SplitMismatch) as err:
+            contract_split(other, contract)
+        assert err.value.field == field
+        assert err.value.recorded == getattr(contract, field)
+
+
 def spy_on_the_split(monkeypatch):
     """Record, per fit_rows call, the last date that scaling.fit and
     scaling.transform receive inside it, and per held_out_windows call the
@@ -599,6 +640,7 @@ def test_walk_forward_guards():
     ZeroActual(3),
     SeriesTooShort(200, 12),
     TooFewRows(30, 4),
+    SplitMismatch("train_last_date", "2021-01-04", "2021-01-05"),
 ], ids=lambda e: type(e).__name__)
 def test_typed_errors_survive_pickling(error):
     # a worker process hands its errors back pickled

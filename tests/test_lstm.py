@@ -1,5 +1,6 @@
 """LSTM internals: PRNG, cell math, gradients, training, serialization."""
 
+import base64
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast import lstm
+from stockcast.config import SplitContract
 from stockcast.dataset import WindowedDataset
 from stockcast.jsonio import dump_json
 from stockcast.lstm import (
@@ -828,33 +830,34 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.feature_names == trained.feature_names
     assert loaded.train_config == trained.train_config
     assert loaded.cell_variant == trained.cell_variant
-    assert np.array_equal(loaded.scaler.mins, trained.scaler.mins)
+    for (_, a), (_, b) in zip(model_param_items(loaded), model_param_items(trained)):
+        assert a.tobytes() == b.tobytes()  # bit for bit, the sign of a zero included
+    assert loaded.scaler.mins.tobytes() == trained.scaler.mins.tobytes()
+    assert loaded.contract is None  # train alone records no split; pipeline does
 
     sink = io.StringIO()
     save_model(loaded, sink)
     assert sink.getvalue() == path.read_text()
 
 
-def test_dump_json_float_arrays_match_generic_path():
-    rng = np.random.default_rng(5)
-    arrays = (
-        rng.normal(size=9) * 1e5,
-        rng.normal(size=(3, 4)),
-        np.array([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1]),
-        np.zeros((2, 0)),
-    )
-    for arr in arrays:
-        assert dump_json({"a": arr}) == dump_json({"a": arr.tolist()})
+def test_dump_json_refuses_arrays_and_non_finite_numbers():
+    # the model file packs its arrays as bytes, so no document holds an ndarray
+    text = dump_json({"a": [-0.0, 5e-324, 0.1], "n": np.int64(3)})
+    assert text == '{"a":[-0,4.9406564584124654e-324,0.10000000000000001],"n":3}'
+    with pytest.raises(TypeError):
+        dump_json({"a": np.ones(3)})
     for bad in (np.nan, np.inf, -np.inf):
-        for arr in (np.ones(4), np.ones((2, 3))):
-            arr.flat[-1] = bad
-            with pytest.raises(ValueError):
-                dump_json(arr)
+        with pytest.raises(ValueError):
+            dump_json([1.0, bad])
 
 
 def test_save_refuses_non_finite(tmp_path):
     trained, _ = trained_pair(tmp_path)
     trained.head_w[0] = np.inf
+    with pytest.raises(ValueError):
+        save_model(trained, tmp_path / "bad.json")
+    trained, _ = trained_pair(tmp_path)
+    trained.scaler.maxs[0] = np.nan
     with pytest.raises(ValueError):
         save_model(trained, tmp_path / "bad.json")
 
@@ -864,12 +867,111 @@ def test_golden_v1_model_resaves_and_predicts():
     path = FIXTURES / "golden_v1_model.json"
     model = load_model(path)
     assert model.hidden_sizes == (4, 3) and model.num_features == 3
-    sink = io.StringIO()
-    save_model(model, sink)
-    assert sink.getvalue() == path.read_text()
+    assert model.contract is None
     X = np.random.default_rng(20241).uniform(-1.0, 1.0, size=(32, 5, 3))
     pinned = json.loads((FIXTURES / "golden_v1_predictions.json").read_text())
     assert np.allclose(model.predict(X, len(X)), pinned, rtol=0.0, atol=1e-12)
+    # its feature_names, [Close, CMA, SMA10], are not paper_multivariate's 13 columns,
+    # which format_version 2 requires; a v1 file whose names agree re-saves as v2
+    with pytest.raises(ValueError):
+        save_model(model, io.StringIO())
+    v1 = load_model(FIXTURES / "golden_v1_paper_model.json")
+    sink = io.StringIO()
+    save_model(v1, sink)
+    assert json.loads(sink.getvalue())["format_version"] == 2
+    v2 = load_model(io.StringIO(sink.getvalue()))
+    for (_, a), (_, b) in zip(model_param_items(v1), model_param_items(v2)):
+        assert a.tobytes() == b.tobytes()
+    for name in ("mins", "maxs"):
+        assert getattr(v1.scaler, name).tobytes() == getattr(v2.scaler, name).tobytes()
+    for name in ("feature_names", "lookback", "train_config", "cell_variant", "column_set",
+                 "indicator_config", "use_adj_close", "contract"):
+        assert getattr(v1, name) == getattr(v2, name), name
+    X = np.random.default_rng(20251).uniform(-1.0, 1.0, size=(16, 4, v1.num_features))
+    assert v1.predict(X, len(X)).tobytes() == v2.predict(X, len(X)).tobytes()
+
+
+def test_golden_v2_model_resaves_and_predicts():
+    # trained through the CLI on random_walk_series(240, seed=23) with sma_periods 5,20,
+    # lookback 4, hidden 3,2, --train-fraction 0.75 and --clip-scaled
+    path = FIXTURES / "golden_v2_model.json"
+    model = load_model(path)
+    assert model.hidden_sizes == (3, 2) and model.num_features == 12
+    assert model.contract == SplitContract(
+        split_row=164, clip_scaled=True, train_first_date="2015-01-24",
+        train_last_date="2015-07-06", first_test_date="2015-07-07",
+        train_sha256="85f7396321ec7ac8238362d044eab23e72881dd7601e6cea327bad6b3c7fcc9e")
+    sink = io.StringIO()
+    save_model(model, sink)
+    assert sink.getvalue() == path.read_text()
+    X = np.random.default_rng(20262).uniform(-1.0, 1.0, size=(16, 4, 12))
+    pinned = json.loads((FIXTURES / "golden_v2_predictions.json").read_text())
+    assert model.predict(X, len(X)).tolist() == pinned
+
+
+def packed(values) -> dict:
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+
+
+@pytest.mark.parametrize("where, edit, path, reason", [
+    ("layers", lambda W: {**W, "data": "not base64!"}, "$.layers[0].W.data", "not standard base64"),
+    ("layers", lambda W: {**W, "data": W["data"] + "\n"}, "$.layers[0].W.data",
+     "not standard base64"),
+    ("layers", lambda W: {**W, "data": packed(np.zeros(W["shape"][0] * W["shape"][1] - 1))["data"]},
+     "$.layers[0].W.data", "bytes, shape"),
+    ("layers", lambda W: {**packed(np.zeros((W["shape"][0] - 1, W["shape"][1])))},
+     "$.layers[0].W.shape", "feature_names and the hidden sizes give"),
+    ("layers", lambda W: {**W, "shape": [float(n) for n in W["shape"]]}, "$.layers[0].W.shape",
+     "feature_names and the hidden sizes give"),
+    ("layers", lambda W: {**W, "data": packed(np.full(W["shape"], np.nan))["data"]},
+     "$.layers[0].W.data", "non-finite values"),
+    ("head", lambda w: packed([np.inf, 0.0]), "$.head.w.data", "non-finite values"),
+    ("scaler", lambda mins: packed(np.zeros(11)), "$.scaler.mins.shape",
+     "feature_names and the hidden sizes give"),
+], ids=["bad-base64", "line-break", "byte-count", "shape", "float-shape", "nan-bytes", "inf-head",
+        "scaler-width"])
+def test_v2_reader_rejects_each_bad_array(tmp_path, where, edit, path, reason):
+    doc = json.loads((FIXTURES / "golden_v2_model.json").read_text())
+    if where == "layers":
+        doc["layers"][0]["W"] = edit(doc["layers"][0]["W"])
+    elif where == "head":
+        doc["head"]["w"] = edit(doc["head"]["w"])
+    else:
+        doc["scaler"]["mins"] = edit(doc["scaler"]["mins"])
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(target)
+    assert err.value.path == path
+    assert reason in err.value.reason
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("feature_names", ["Close", "CMA", "SMA10"], "$.feature_names"),
+    ("column_set", "sideways", "$.column_set"),
+    ("train_config.hidden_sizes", [3], "$.layers"),
+    ("train_config.hidden_sizes", [3, 3], "$.layers[1].W.shape"),
+    ("train_config.hidden_sizes", [3.9, 2], "$.train_config.hidden_sizes"),
+    ("indicator_config.sma_periods", [5, True], "$.indicator_config.sma_periods"),
+    ("indicator_config.sma_periods", [5, 50], "$.feature_names"),
+    ("contract.first_test_date", "2015-7-7", "$.contract"),
+    ("contract.train_sha256", "85F7", "$.contract"),
+    ("contract.split_row", 0, "$.contract"),
+    ("contract.clip_scaled", 1, "$.contract.clip_scaled"),
+])
+def test_v2_reader_rejects_facts_that_disagree(tmp_path, key, value, path):
+    doc = json.loads((FIXTURES / "golden_v2_model.json").read_text())
+    *parents, leaf = key.split(".")
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(target)
+    assert err.value.path == path
 
 
 @pytest.mark.parametrize("key, value", [("hidden_sizes", [7]), ("seed", 99)])
@@ -922,11 +1024,29 @@ def test_load_maps_unparseable_bytes_to_corrupt_model(tmp_path, payload):
     assert err.value.path == "$"
 
 
+def shuffled_keys(value, draw):
+    """value with the keys of every object in it in a drawn order."""
+    if isinstance(value, dict):
+        return {key: shuffled_keys(value[key], draw) for key in draw(st.permutations(list(value)))}
+    if isinstance(value, list):
+        return [shuffled_keys(item, draw) for item in value]
+    return value
+
+
 def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
     _, path = trained_pair(tmp_path)
-    original = path.read_bytes()
+    for original in ((FIXTURES / "golden_v1_paper_model.json").read_bytes(), path.read_bytes()):
+        fuzz_model_file(original, tmp_path / "fuzzed.json")
+
+
+def fuzz_model_file(original: bytes, fuzzed: Path) -> None:
+    """Truncated, bit-flipped and key-shuffled copies of a model file load as a model that
+    predicts finite values or raise an LstmError; a shuffled copy loads as the original."""
     doc = json.loads(original)
-    fuzzed = tmp_path / "fuzzed.json"
+    sink = io.StringIO()
+    save_model(load_model(io.BytesIO(original)), sink)
+    resaved = sink.getvalue().encode()
+    assert (resaved == original) == (doc["format_version"] == 2)  # v1 re-saves as v2
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(st.data())
@@ -940,11 +1060,7 @@ def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
             blob[at] ^= data.draw(st.integers(1, 255))
             blob = bytes(blob)
         else:
-            order = data.draw(st.permutations(list(doc)))
-            layer_order = data.draw(st.permutations(list(doc["layers"][0])))
-            shuffled = {key: doc[key] for key in order}
-            shuffled["layers"] = [{key: layer[key] for key in layer_order} for layer in doc["layers"]]
-            blob = json.dumps(shuffled).encode()
+            blob = json.dumps(shuffled_keys(doc, data.draw)).encode()
         fuzzed.write_bytes(blob)
         try:
             model = load_model(fuzzed)
@@ -957,7 +1073,7 @@ def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
         if kind == "shuffle":
             sink = io.StringIO()
             save_model(model, sink)
-            assert sink.getvalue().encode() == original
+            assert sink.getvalue().encode() == resaved
 
     check()
 
@@ -973,7 +1089,7 @@ def test_load_rejects_truncated(tmp_path):
 def test_load_rejects_future_version(tmp_path):
     _, path = trained_pair(tmp_path)
     doc = json.loads(path.read_text())
-    doc["format_version"] = 2
+    doc["format_version"] = 3
     path.write_text(json.dumps(doc))
     with pytest.raises(UnsupportedVersion):
         load_model(path)
@@ -990,27 +1106,28 @@ def test_load_reports_missing_key_path(tmp_path):
 
 
 def test_load_rejects_bad_shape_and_nan(tmp_path):
-    _, path = trained_pair(tmp_path)
-    doc = json.loads(path.read_text())
+    # the v1 reader's array checks; test_v2_reader_rejects_each_bad_array has v2's
+    doc = json.loads((FIXTURES / "golden_v1_model.json").read_text())
+    path = tmp_path / "model.json"
     doc["layers"][0]["b_f"] = [1.0, 2.0]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel) as err:
         load_model(path)
     assert err.value.path == "$.layers[0].b_f"
 
-    doc = json.loads(path.read_text().replace('"b_f": [1.0, 2.0]', '"b_f": [1.0, NaN, 0.5, 0.2, 0.1]'))
-    doc["layers"][0]["b_f"] = [1.0, float("nan"), 0.5, 0.2, 0.1]
+    doc = json.loads(path.read_text().replace('"b_f": [1.0, 2.0]', '"b_f": [1.0, NaN, 0.5, 0.2]'))
+    doc["layers"][0]["b_f"] = [1.0, float("nan"), 0.5, 0.2]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel):
         load_model(path)
 
-    doc["layers"][0]["b_f"] = [1.0, 10**400, 0.5, 0.2, 0.1]  # an integer no float64 holds
+    doc["layers"][0]["b_f"] = [1.0, 10**400, 0.5, 0.2]  # an integer no float64 holds
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel) as err:
         load_model(path)
     assert err.value.path == "$.layers[0].b_f"
 
-    doc["layers"][0]["b_f"] = [1.0, 0.0, 0.5, 0.2, 0.1]
+    doc["layers"][0]["b_f"] = [1.0, 0.0, 0.5, 0.2]
     for bad in (float("inf"), 10**400):
         doc["head"]["b"] = bad
         path.write_text(json.dumps(doc))
@@ -1020,8 +1137,9 @@ def test_load_rejects_bad_shape_and_nan(tmp_path):
 
 
 def test_load_rejects_scaler_feature_mismatch(tmp_path):
-    _, path = trained_pair(tmp_path)
-    doc = json.loads(path.read_text())
+    # v1 writes the scaler's columns apart from feature_names; v2 writes them once
+    doc = json.loads((FIXTURES / "golden_v1_model.json").read_text())
+    path = tmp_path / "model.json"
     doc["scaler"]["column_names"] = ["Adj"]
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel) as err:

@@ -40,7 +40,7 @@ def walk_rows(bars: int, seed: int) -> list[str]:
 
 
 def inputs() -> dict[str, list[str]]:
-    """File name -> data rows: two clean walks, then one case per parse rule that competes
+    """File name -> data rows: three clean walks, then one case per parse rule that competes
     with another (an edited row replaces the walk's row of the same index)."""
     walk = walk_rows(1000, 3)
 
@@ -56,7 +56,8 @@ def inputs() -> dict[str, list[str]]:
         "flat_bar_after_violation": {300: row(300, low_above_high), 500: row(500, flat)},
         "flat_bar": {500: row(500, flat)},
     }
-    files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5)}
+    # leak_walk.csv is benchmarks/workloads.py's ohlcv_csv(700, 5)
+    files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5), "leak_walk.csv": walk_rows(700, 5)}
     for name, edited in edits.items():
         files[name + ".csv"] = [edited.get(k, line) for k, line in enumerate(walk)]
     return files
@@ -66,6 +67,7 @@ INPUTS = inputs()
 
 
 MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
+CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv")
 COMMANDS = [
     ["indicators", "--input", "walk.csv", "--out", "features.csv", "--column-set", "paper_multivariate"],
     ["indicators", "--input", "walk.csv", "--out", "close.csv", "--use-adj-close"],
@@ -78,8 +80,16 @@ COMMANDS = [
      "--mode", "univariate", "--epochs", "1", "--clip-scaled"],
     ["plot", "--series", "actual=p.csv:actual", "--series", "predicted=p.csv:predicted",
      "--out", "chart.svg", "--merge-out", "merged.csv", "--title", "parity"],
+    # trained on 90% of the windows and clipped; evaluate and forecast run with default flags
+    ["train", "--input", "leak_walk.csv", "--model-out", "leak.json", "--history-out",
+     "leak_h.csv", "--mode", "univariate", "--epochs", "2", "--batch-size", "7",
+     "--train-fraction", "0.9", "--clip-scaled"],
+    ["evaluate", "--input", "leak_walk.csv", "--model", "leak.json", "--report-out", "leak_r.json",
+     "--predictions-out", "leak_p.csv"],
+    ["forecast", "--input", "leak_walk.csv", "--model", "leak.json", "--out", "leak_f.csv",
+     "--horizon", "5"],
     *[["indicators", "--input", name, "--out", f"{name}.features.csv"] for name in INPUTS
-      if name not in ("walk.csv", "short_walk.csv")],
+      if name not in CLEAN],
     ["evaluate", "--input", "overflowing_high.csv", "--model", "m.json", "--report-out", "bad.json"],
     ["indicators", "--input", "missing.csv", "--out", "missing.features.csv"],
 ]
