@@ -44,10 +44,12 @@ The model file (format_version 2) holds each layer's W and the head's w as
 one array each: its shape and the standard base64 of its little-endian float64
 bytes, so every weight reads back bit for bit. It writes each fact once and
 records the train/test split the model was trained under (config.SplitContract).
-load_model still reads format_version 1, which stores twelve per-gate arrays
-per layer under the names above (w_fx (H, I), w_fh (H, H), b_f (H,), ...) as
-decimal lists. gate_view maps each name to a writable view of W; the v1 reader
-fills a layer through it, and init_weights fills one in that file order.
+load_model reads format_version 1 through the same reader. Version 1 stores
+twelve per-gate arrays per layer under the names above (w_fx (H, I), w_fh
+(H, H), b_f (H,), ...) as decimal lists, and writes five facts twice, which the
+reader checks against each other. gate_view maps each name to a writable view
+of W; the reader fills a v1 layer through it, and init_weights fills one in
+that file order.
 """
 
 from __future__ import annotations
@@ -778,15 +780,35 @@ def load_model(source) -> LstmModel:
     except RecursionError:
         raise CorruptModel("$", "nested too deeply to parse") from None
     version = _need(doc, "format_version", "$", int)
-    readers = {1: _model_from_v1, MODEL_FORMAT_VERSION: _model_from_document}
-    if version not in readers:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise UnsupportedVersion(f"format_version {version}, supported: 1, {MODEL_FORMAT_VERSION}")
-    return readers[version](doc)
+    return _model_from_document(doc, version)
 
 
-def _model_from_document(doc: dict) -> LstmModel:
-    """The format_version 2 reader: every array through _packed, at the shape that
-    feature_names and train_config.hidden_sizes give it."""
+def _check_v1_copies(doc: dict, column_set: str, feature_names: tuple,
+                     train_config: TrainConfig) -> None:
+    """format_version 1 writes five facts twice; each copy must agree with the fact."""
+    mode = _need(doc, "mode", "$", str)
+    if mode != mode_for(column_set):
+        raise CorruptModel("$.mode", f"{mode!r}, but column set {column_set!r} is {mode_for(column_set)}")
+    if not feature_names or not all(isinstance(n, str) for n in feature_names):
+        raise CorruptModel("$.feature_names", "expected a list of strings")
+    hidden_sizes = _need(doc, "hidden_sizes", "$", list)
+    if not hidden_sizes or not all(isinstance(h, int) and h >= 1 for h in hidden_sizes):
+        raise CorruptModel("$.hidden_sizes", "expected positive integers")
+    if train_config.hidden_sizes != tuple(hidden_sizes):
+        raise CorruptModel("$.train_config.hidden_sizes", "differs from $.hidden_sizes")
+    if train_config.seed != _need(doc, "rng_seed", "$", int):
+        raise CorruptModel("$.train_config.seed", "differs from $.rng_seed")
+    scaler_cols = _need(_need(doc, "scaler", "$", dict), "column_names", "$.scaler", list)
+    if tuple(scaler_cols) != feature_names:
+        raise CorruptModel("$.scaler.column_names", "scaler columns differ from feature_names")
+
+
+def _model_from_document(doc: dict, version: int) -> LstmModel:
+    """Both format versions. Version 1 stores decimal lists, twelve per-gate arrays per
+    layer and five facts twice (_check_v1_copies), and records no split; version 2 stores
+    every array through _packed and checks feature_names against the column set."""
     cell_variant = _need(doc, "cell_variant", "$", str)
     if cell_variant not in CELL_VARIANTS:
         raise CorruptModel("$.cell_variant", f"unknown variant {cell_variant!r}")
@@ -800,27 +822,38 @@ def _model_from_document(doc: dict) -> LstmModel:
     indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
     train_config = _config_from_document(TrainConfig, doc, "train_config")
     feature_names = tuple(_need(doc, "feature_names", "$", list))
-    if feature_names != (expected := column_names_for(indicator_config, column_set)):
+    if version == 1:
+        _check_v1_copies(doc, column_set, feature_names, train_config)
+    elif feature_names != (expected := column_names_for(indicator_config, column_set)):
         raise CorruptModel("$.feature_names", f"{column_set} under $.indicator_config "
                                               f"gives {list(expected)}")
+    read = _array if version == 1 else _packed
     width = len(feature_names)
     scaler_doc = _need(doc, "scaler", "$", dict)
     scaler = ScalerParams(column_names=feature_names,
-                          mins=_packed(scaler_doc, "mins", "$.scaler", (width,)),
-                          maxs=_packed(scaler_doc, "maxs", "$.scaler", (width,)))
+                          mins=read(scaler_doc, "mins", "$.scaler", (width,)),
+                          maxs=read(scaler_doc, "maxs", "$.scaler", (width,)))
     layers_doc = _need(doc, "layers", "$", list)
     if len(layers_doc) != len(train_config.hidden_sizes):
-        raise CorruptModel("$.layers", "layer count does not match $.train_config.hidden_sizes")
+        raise CorruptModel("$.layers", "layer count does not match " +
+                           ("hidden_sizes" if version == 1 else "$.train_config.hidden_sizes"))
     layers, in_size = [], width
     for k, (layer_doc, hidden) in enumerate(zip(layers_doc, train_config.hidden_sizes)):
-        shape = (in_size + hidden + 1, 4 * hidden)
-        layers.append(LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape)))
+        if version == 1:
+            layer = LstmLayerParams.zeros(in_size, hidden)
+            for name in _LAYER_FIELDS:
+                view = gate_view(layer, name)
+                view[...] = _array(layer_doc, name, f"$.layers[{k}]", view.shape)
+        else:
+            shape = (in_size + hidden + 1, 4 * hidden)
+            layer = LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape))
+        layers.append(layer)
         in_size = hidden
     head_doc = _need(doc, "head", "$", dict)
-    head_w = _packed(head_doc, "w", "$.head", (in_size,))
+    head_w = read(head_doc, "w", "$.head", (in_size,))
     head_b = _need(head_doc, "b", "$.head", float)
     contract = None
-    if _need(doc, "contract", "$", object) is not None:
+    if version == 2 and _need(doc, "contract", "$", object) is not None:
         contract = _config_from_document(SplitContract, doc, "contract")
     return LstmModel(
         layers=layers,
@@ -835,76 +868,4 @@ def _model_from_document(doc: dict) -> LstmModel:
         indicator_config=indicator_config,
         use_adj_close=use_adj_close,
         contract=contract,
-    )
-
-
-def _model_from_v1(doc: dict) -> LstmModel:
-    """The format_version 1 reader: twelve per-gate decimal arrays per layer, and five
-    facts written twice, which it cross-checks. The model records no split."""
-    mode = _need(doc, "mode", "$", str)
-    cell_variant = _need(doc, "cell_variant", "$", str)
-    if cell_variant not in CELL_VARIANTS:
-        raise CorruptModel("$.cell_variant", f"unknown variant {cell_variant!r}")
-    column_set = _need(doc, "column_set", "$", str)
-    if mode != mode_for(column_set):  # v1 writes the mode that column_set implies
-        raise CorruptModel("$.mode", f"{mode!r}, but column set {column_set!r} is {mode_for(column_set)}")
-    use_adj_close = _need(doc, "use_adj_close", "$", bool)
-    feature_names = _need(doc, "feature_names", "$", list)
-    if not feature_names or not all(isinstance(n, str) for n in feature_names):
-        raise CorruptModel("$.feature_names", "expected a list of strings")
-    lookback = _need(doc, "lookback", "$", int)
-    if lookback < 1:
-        raise CorruptModel("$.lookback", "must be >= 1")
-    hidden_sizes = _need(doc, "hidden_sizes", "$", list)
-    if not hidden_sizes or not all(isinstance(h, int) and h >= 1 for h in hidden_sizes):
-        raise CorruptModel("$.hidden_sizes", "expected positive integers")
-
-    scaler_doc = _need(doc, "scaler", "$", dict)
-    scaler_cols = _need(scaler_doc, "column_names", "$.scaler", list)
-    if scaler_cols != feature_names:
-        raise CorruptModel("$.scaler.column_names", "scaler columns differ from feature_names")
-    width = len(feature_names)
-    scaler = ScalerParams(
-        column_names=tuple(scaler_cols),
-        mins=_array(scaler_doc, "mins", "$.scaler", (width,)),
-        maxs=_array(scaler_doc, "maxs", "$.scaler", (width,)),
-    )
-
-    indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
-    train_config = _config_from_document(TrainConfig, doc, "train_config")
-    if train_config.hidden_sizes != tuple(hidden_sizes):
-        raise CorruptModel("$.train_config.hidden_sizes", "differs from $.hidden_sizes")
-    rng_seed = _need(doc, "rng_seed", "$", int)
-    if train_config.seed != rng_seed:
-        raise CorruptModel("$.train_config.seed", "differs from $.rng_seed")
-
-    layers_doc = _need(doc, "layers", "$", list)
-    if len(layers_doc) != len(hidden_sizes):
-        raise CorruptModel("$.layers", "layer count does not match hidden_sizes")
-    layers = []
-    in_size = width
-    for k, (layer_doc, hidden) in enumerate(zip(layers_doc, hidden_sizes)):
-        layer = LstmLayerParams.zeros(in_size, hidden)
-        for name in _LAYER_FIELDS:
-            view = gate_view(layer, name)
-            view[...] = _array(layer_doc, name, f"$.layers[{k}]", view.shape)
-        layers.append(layer)
-        in_size = hidden
-
-    head_doc = _need(doc, "head", "$", dict)
-    head_w = _array(head_doc, "w", "$.head", (hidden_sizes[-1],))
-    head_b = _need(head_doc, "b", "$.head", float)
-
-    return LstmModel(
-        layers=layers,
-        head_w=head_w,
-        head_b=np.array([head_b]),
-        scaler=scaler,
-        feature_names=tuple(feature_names),
-        lookback=lookback,
-        train_config=train_config,
-        cell_variant=cell_variant,
-        column_set=column_set,
-        indicator_config=indicator_config,
-        use_adj_close=use_adj_close,
     )

@@ -5,14 +5,13 @@ daily history: ``Date,Open,High,Low,Close,Adj Close,Volume`` with ISO dates
 and plain decimal numbers. Rows whose numeric fields hold the literal token
 ``null`` (the site's marker for an empty trading day) are dropped and
 counted, never interpolated. A series holds a tuple of dates and one
-read-only (6, n) price block. ``parse_csv`` converts and checks the block
-column by column; it builds a ``Bar`` only to report the first row that
-breaks an invariant. ``OhlcvSeries.bars`` rebuilds bars on request.
+read-only (6, n) price block. ``parse_csv`` converts the block and holds it
+to ``_RULES``, the one table of bar invariants, a whole row of the block per
+rule. ``OhlcvSeries.bars`` rebuilds bars on request.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -88,18 +87,17 @@ class Bar:
 BAR_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")  # Bar's fields after date
 
 
-def check_bar(bar: Bar) -> None:
-    """Raise InvariantViolation if the bar's fields are out of range."""
-    for name in ("open", "high", "low", "close", "adj_close"):
-        value = getattr(bar, name)
-        if not math.isfinite(value) or value <= 0.0:
-            raise InvariantViolation(bar.date, name, "price must be finite and positive")
-    if not math.isfinite(bar.volume) or bar.volume < 0.0:
-        raise InvariantViolation(bar.date, "volume", "volume must be finite and non-negative")
-    if bar.low > bar.high or bar.low > min(bar.open, bar.close):
-        raise InvariantViolation(bar.date, "low", "low exceeds high, open, or close")
-    if bar.high < max(bar.open, bar.close):
-        raise InvariantViolation(bar.date, "high", "high below open or close")
+# The bar invariants in order of precedence: (field, reason, predicate). A predicate
+# takes a (6, n) block in BAR_FIELDS row order and is True for each column that keeps
+# its rule; NaN compares False, so it fails every rule it reaches.
+_RULES = (
+    *((name, "price must be finite and positive", lambda b, k=k: (b[k] > 0.0) & (b[k] < np.inf))
+      for k, name in enumerate(BAR_FIELDS[:5])),
+    ("volume", "volume must be finite and non-negative", lambda b: (b[5] >= 0.0) & (b[5] < np.inf)),
+    ("low", "low exceeds high, open, or close",
+     lambda b: (b[2] <= b[1]) & (b[2] <= np.minimum(b[0], b[3]))),
+    ("high", "high below open or close", lambda b: b[1] >= np.maximum(b[0], b[3])),
+)
 
 
 class OhlcvSeries:
@@ -188,8 +186,9 @@ def parse_csv(text: str, symbol: str) -> OhlcvSeries:
     """Parse a daily-history CSV into a validated OhlcvSeries.
 
     Rows are checked for syntax in turn up to the first malformed one; the rows
-    kept before it are then converted and held to check_bar's rules as whole
-    columns. The first row in file order that fails any check names the error.
+    kept before it are then converted and held to _RULES as whole rows of the
+    block. The first row in file order that fails any check names the error,
+    and the first rule that row fails names the field.
 
     Raises MalformedHeader, MalformedRow, InvariantViolation,
     NonAscendingDates, or EmptySeries. Successful loads satisfy
@@ -223,16 +222,17 @@ def parse_csv(text: str, symbol: str) -> OhlcvSeries:
         rows = [line[11:] for line in kept[start : start + 256]]  # six _NUMBER fields each
         values = np.fromstring(",".join(rows), sep=",", count=6 * len(rows))  # as float() reads
         block[:, start : start + len(rows)] = values.reshape(-1, 6).T
-    prices, (open_, high, low, close, _, volume) = block[:5], block
-    ok = ((prices > 0.0) & (prices < np.inf)).all(axis=0) & (volume >= 0.0) & (volume < np.inf)
-    ok &= (low <= high) & (low <= np.minimum(open_, close)) & (high >= np.maximum(open_, close))
+    passed = np.array([rule(block) for _, _, rule in _RULES])  # (rules, rows)
+    ok = passed.all(axis=0)
     if not ok.all():
         first = int(np.argmin(ok))
-        check_bar(Bar(dates[first], *block[:, first].tolist()))  # raises that row's error
+        field, reason, _ = _RULES[int(np.argmin(passed[:, first]))]
+        raise InvariantViolation(dates[first], field, reason)
     if malformed is not None:
         raise malformed
     if not dates:
         raise EmptySeries("no data rows")
+    open_, high, low, close, _, volume = block
     flat = (volume == 0.0) & (open_ == high) & (high == low) & (low == close)
     return OhlcvSeries.from_columns(symbol, tuple(dates), block, dropped, int(flat.sum()))
 

@@ -335,6 +335,20 @@ def test_evaluate_unparseable_model_is_data_error(tmp_path, capsys):
         assert "corrupt model document at $:" in capsys.readouterr().err
 
 
+def test_evaluate_v1_model_with_unknown_column_set_is_data_error(tmp_path, capsys):
+    data = write_walk(tmp_path)
+    doc = json.loads((FIXTURES / "golden_v1_paper_model.json").read_text())
+    doc["column_set"] = "sideways"  # its mode, multivariate, is what any set but univariate implies
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
+               "--report-out", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: corrupt model document at $.column_set: "
+                                       "unknown column set 'sideways'\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------------- forecast
 
 def test_forecast_output_and_trend(tmp_path, capsys):

@@ -974,6 +974,23 @@ def test_v2_reader_rejects_facts_that_disagree(tmp_path, key, value, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("column_set", "sideways", "$.column_set"),
+    ("cell_variant", "peephole", "$.cell_variant"),
+    ("lookback", 0, "$.lookback"),
+])
+def test_v1_reader_makes_the_shared_checks(tmp_path, key, value, path):
+    # one reader serves both versions, so a v1 file meets each check a v2 file does
+    doc = json.loads((FIXTURES / "golden_v1_paper_model.json").read_text())
+    assert (doc["format_version"], doc["mode"]) == (1, "multivariate")
+    doc[key] = value
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel) as err:
+        load_model(target)
+    assert err.value.path == path
+
+
 @pytest.mark.parametrize("key, value", [("hidden_sizes", [7]), ("seed", 99)])
 def test_load_rejects_train_config_contradicting_its_copies(tmp_path, key, value):
     # v1 repeats hidden_sizes and the seed at the top level; the golden copies agree

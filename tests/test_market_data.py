@@ -1,6 +1,7 @@
 """CSV parsing, bar validation, and serialization."""
 
 import dataclasses
+import math
 from datetime import date
 
 import numpy as np
@@ -20,13 +21,28 @@ from stockcast.market_data import (
     NonAscendingDates,
     OhlcvSeries,
     _NUMBER_FIELDS,
+    _RULES,
     _parse_date,
-    check_bar,
     parse_csv,
     serialize_csv,
 )
 
 from conftest import NARROW_CSV, SNAPSHOT_CSV, flat_series, random_walk_series
+
+
+def reference_check_bar(bar: Bar) -> None:
+    """The bar invariants as scalar tests on one bar, written apart from parse_csv's
+    _RULES table: raise InvariantViolation for the first one the bar breaks."""
+    for name in ("open", "high", "low", "close", "adj_close"):
+        value = getattr(bar, name)
+        if not math.isfinite(value) or value <= 0.0:
+            raise InvariantViolation(bar.date, name, "price must be finite and positive")
+    if not math.isfinite(bar.volume) or bar.volume < 0.0:
+        raise InvariantViolation(bar.date, "volume", "volume must be finite and non-negative")
+    if bar.low > bar.high or bar.low > min(bar.open, bar.close):
+        raise InvariantViolation(bar.date, "low", "low exceeds high, open, or close")
+    if bar.high < max(bar.open, bar.close):
+        raise InvariantViolation(bar.date, "high", "high below open or close")
 
 
 def reference_parse_csv(text: str, symbol: str) -> OhlcvSeries:
@@ -50,7 +66,7 @@ def reference_parse_csv(text: str, symbol: str) -> OhlcvSeries:
         if not _NUMBER_FIELDS.fullmatch(line, len(fields[0]) + 1):
             raise MalformedRow(line_number, "non-numeric field")
         bar = Bar(bar_date, *map(float, fields[1:]))
-        check_bar(bar)
+        reference_check_bar(bar)
         if bar.volume == 0.0 and bar.open == bar.high == bar.low == bar.close:
             flat_flagged += 1
         bars.append(bar)
@@ -186,28 +202,30 @@ def test_null_rows_dropped_and_counted():
 
 
 def test_invariant_violations():
-    base = Bar(date(2021, 1, 4), 10.0, 12.0, 9.0, 11.0, 11.0, 100.0)
-    check_bar(base)
+    base = dict(open=10.0, high=12.0, low=9.0, close=11.0, adj_close=11.0, volume=100.0)
 
-    bad_low = Bar(date(2021, 1, 4), 10.0, 12.0, 11.5, 11.0, 11.0, 100.0)
-    with pytest.raises(InvariantViolation) as err:
-        check_bar(bad_low)
-    assert err.value.field == "low"
-    assert err.value.date == date(2021, 1, 4)
+    def one_row_csv(**edits) -> str:
+        values = {**base, **edits}
+        return f"{CSV_HEADER}\n2021-01-04," + ",".join(repr(values[f]) for f in base) + "\n"
 
-    bad_high = Bar(date(2021, 1, 4), 10.0, 10.5, 9.0, 11.0, 11.0, 100.0)
-    with pytest.raises(InvariantViolation) as err:
-        check_bar(bad_high)
-    assert err.value.field == "high"
+    assert len(parse_csv(one_row_csv(), "X")) == 1
+    price = "price must be finite and positive"
+    for edits, field, reason in [
+        ({"low": 11.5}, "low", "low exceeds high, open, or close"),
+        ({"high": 10.5}, "high", "high below open or close"),
+        ({"open": -1.0}, "open", price),
+        ({"close": 0.0}, "close", price),
+        ({"volume": -5.0}, "volume", "volume must be finite and non-negative"),
+    ]:
+        with pytest.raises(InvariantViolation) as err:
+            parse_csv(one_row_csv(**edits), "X")
+        assert (err.value.date, err.value.field, err.value.reason) == (date(2021, 1, 4), field, reason)
 
-    for field, value in [("open", -1.0), ("close", 0.0), ("high", float("nan"))]:
-        bar = Bar(**{**base.__dict__, field: value})
-        with pytest.raises(InvariantViolation):
-            check_bar(bar)
-
-    with pytest.raises(InvariantViolation) as err:
-        check_bar(Bar(date(2021, 1, 4), 10.0, 12.0, 9.0, 11.0, 11.0, -5.0))
-    assert err.value.field == "volume"
+    # no CSV number reads as NaN, so a NaN high meets the rules on a block of its own
+    block = np.array([[v] for v in base.values()])
+    block[1, 0] = float("nan")
+    failed = [(field, reason) for field, reason, rule in _RULES if not rule(block)[0]]
+    assert failed[0] == ("high", price)
 
 
 def test_invariant_violation_inside_parse():

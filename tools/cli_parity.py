@@ -3,14 +3,17 @@
     python tools/cli_parity.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout with the package under src/. The script writes
-seeded random-walk OHLCV CSVs and a few malformed ones, runs one fixed list
-of commands against each tree in a fresh directory of its own, and lists
-every difference in exit code, stdout, stderr or output file. It exits 1
-when anything differs and 0 when nothing does.
+seeded random-walk OHLCV CSVs and a few malformed ones, copies the tree's own
+format_version 1 model (tests/fixtures/golden_v1_paper_model.json) and a copy
+of it with an unknown column set, runs one fixed list of commands against each
+tree in a fresh directory of its own, and lists every difference in exit code,
+stdout, stderr or output file. It exits 1 when anything differs and 0 when
+nothing does.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -90,6 +93,12 @@ COMMANDS = [
      "--horizon", "5"],
     *[["indicators", "--input", name, "--out", f"{name}.features.csv"] for name in INPUTS
       if name not in CLEAN],
+    # a format_version 1 file, and one whose column set no version knows
+    ["evaluate", "--input", "walk.csv", "--model", "v1.json", "--train-fraction", "0.8",
+     "--report-out", "v1_r.json", "--predictions-out", "v1_p.csv"],
+    ["forecast", "--input", "walk.csv", "--model", "v1.json", "--out", "v1_f.csv", "--horizon", "5"],
+    ["evaluate", "--input", "walk.csv", "--model", "v1_sideways.json", "--train-fraction", "0.8",
+     "--report-out", "v1_sideways_r.json"],
     ["evaluate", "--input", "overflowing_high.csv", "--model", "m.json", "--report-out", "bad.json"],
     ["indicators", "--input", "missing.csv", "--out", "missing.features.csv"],
 ]
@@ -99,6 +108,9 @@ def run(tree: Path, work: Path) -> list[tuple[int, bytes, bytes]]:
     work.mkdir()
     for name, rows in INPUTS.items():
         (work / name).write_text("\n".join([HEADER, *rows]) + "\n")
+    v1 = (tree / "tests" / "fixtures" / "golden_v1_paper_model.json").read_text()
+    (work / "v1.json").write_text(v1)
+    (work / "v1_sideways.json").write_text(json.dumps({**json.loads(v1), "column_set": "sideways"}))
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     return [(p.returncode, p.stdout, p.stderr) for p in (
         subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=work, env=env, capture_output=True)
