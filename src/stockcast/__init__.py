@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
-        "config": "ConfigError IndicatorConfig PAPER_MULTIVARIATE RunConfig TABLE4_ALL "
-        "TrainConfig UNIVARIATE parse_config_text resolve_config",
+        "config": "ConfigError IndicatorConfig PAPER_MULTIVARIATE RunConfig StockcastError "
+        "TABLE4_ALL TrainConfig UNIVARIATE parse_config_text resolve_config",
         "dataset": "WindowedDataset make_windows",
         "evaluation": "ForecastResult MetricsReport compute_metrics evaluate_one_step "
         "forecast_recursive rmse_from_mse walk_forward",

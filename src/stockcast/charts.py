@@ -7,21 +7,27 @@ import io
 import math
 from html import escape
 
+from .config import StockcastError
+
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
     "#9467bd", "#8c564b", "#17becf", "#7f7f7f",
 )
 
 
+class ChartError(StockcastError, ValueError):
+    """Series that cannot be drawn or merged."""
+
+
 def _check_series(series) -> None:
     if not series:
-        raise ValueError("nothing to plot")
+        raise ChartError("nothing to plot")
     for label, values in series:
         if len(values) == 0:
-            raise ValueError(f"series {label!r} is empty")
+            raise ChartError(f"series {label!r} is empty")
         for v in values:
             if not math.isfinite(v):
-                raise ValueError(f"series {label!r} contains a non-finite value")
+                raise ChartError(f"series {label!r} contains a non-finite value")
 
 
 def render_line_chart(series, title: str = "", width: int = 900, height: int = 480) -> str:
@@ -129,7 +135,7 @@ def merge_csv(series) -> str:
     _check_series(series)
     lengths = {len(values) for _, values in series}
     if len(lengths) != 1:
-        raise ValueError(f"ragged series lengths {sorted(lengths)}; cannot merge")
+        raise ChartError(f"ragged series lengths {sorted(lengths)}; cannot merge")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["index"] + [label for label, _ in series])

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: indicators, train, evaluate, forecast, backtest, plot.
-Exit codes: 0 success, 64 usage or config problems, 2 data or schema
-problems, 3 numerical failures. Identical inputs, config, and seed produce
-byte-identical output files.
+Exit codes: 0 success, and a StockcastError's exit_code (64 usage, 2 data,
+3 numerical); a file that cannot be read or written is 2, and any other
+exception is a bug, shown as a traceback with exit 1. Files are UTF-8, and
+identical inputs, config, and seed produce byte-identical output files.
 
-Only the handlers that compute, and the error path, import the numpy
-modules, so ``--help`` and ``plot`` start without numpy. Each handler looks
-its functions up when it runs.
+Only the handlers that compute import the numpy modules, so ``--help`` and
+``plot`` start, and fail, without numpy. Each handler looks its functions
+up when it runs.
 """
 
 from __future__ import annotations
@@ -20,25 +21,20 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import charts
-from .config import FIELD_CHOICES, ConfigError, RunConfig, parse_config_text, resolve_config
+from .config import (FIELD_CHOICES, ConfigError, RunConfig, StockcastError, parse_config_text,
+                     resolve_config)
 
 EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-EXIT_USAGE = 64
+_LABELS = {2: "error", 3: "numerical error", 64: "usage error"}  # by StockcastError.exit_code
 
 
-class _UsageError(Exception):
-    pass
-
-
-class SeriesFileError(ValueError):
+class SeriesFileError(StockcastError, ValueError):
     """A plot --series CSV that cannot be read as a column of numbers."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -81,7 +77,7 @@ def _command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser
 def build_parser() -> _Parser:
     parser = _Parser(prog="stockcast", description="LSTM forecasting for daily stock prices")
     _globals(parser)
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = _command(sub, "indicators", cmd_indicators, "compute a feature CSV from an OHLCV CSV")
     _flags(p, "input", "out", "symbol", "column_set", "use_adj_close")
@@ -115,21 +111,28 @@ def build_parser() -> _Parser:
 def _resolve(args) -> RunConfig:
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
-        file_values = parse_config_text(Path(args.config).read_text())
+        file_values = parse_config_text(Path(args.config).read_text("utf-8"))
     overrides = {name: value for name, value in vars(args).items() if name in _FIELDS}
     return resolve_config(file_values, overrides)
 
 
+def _write_text(path, text: str) -> None:
+    """As UTF-8. An argument the locale could not decode (PEP 383) goes out as its bytes."""
+    data = text.encode("utf-8", "surrogateescape")
+    data.decode("utf-8")  # bytes that are not UTF-8 raise UnicodeDecodeError: exit 2
+    Path(path).write_bytes(data)
+
+
 def _require(value: str, what: str) -> str:
     if not value:
-        raise _UsageError(f"{what} is required (flag or config)")
+        raise ConfigError(f"{what} is required (flag or config)")
     return value
 
 
 def _load_series(cfg: RunConfig, path: str):
     from .market_data import parse_csv
 
-    return parse_csv(Path(path).read_text(), cfg.symbol)
+    return parse_csv(Path(path).read_text("utf-8"), cfg.symbol)
 
 
 def cmd_indicators(args, cfg: RunConfig) -> int:
@@ -140,7 +143,7 @@ def cmd_indicators(args, cfg: RunConfig) -> int:
     out = _require(cfg.out, "--out")
     series = _load_series(cfg, input_path)
     matrix = pipeline.build_matrix(series, cfg)
-    Path(out).write_text(write_feature_csv(matrix))
+    _write_text(out, write_feature_csv(matrix))
     print(matrix.warmup_dropped)
     return EXIT_OK
 
@@ -159,7 +162,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         zip(history["train_mse"], history["val_mse"]), start=1
     ):
         lines.append(f"{epoch},{train_mse:.17g},{val_mse:.17g}")
-    Path(history_out).write_text("\n".join(lines) + "\n")
+    _write_text(history_out, "\n".join(lines) + "\n")
     if args.verbose:
         final = history["train_mse"][-1]
         print(f"trained {cfg.epochs} epochs, final train mse {final:.6g}", file=sys.stderr)
@@ -181,7 +184,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
         clip = False
     elif args.train_fraction is not None:
-        raise _UsageError("--train-fraction is for model files without a recorded split; "
+        raise ConfigError("--train-fraction is for model files without a recorded split; "
                           f"{model_path} records split row {model.contract.split_row}")
     else:
         split_row = pipeline.contract_split(matrix, model.contract)
@@ -194,11 +197,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         "symbol": series.symbol,
         "epochs": model.train_config.epochs,
     }
-    Path(report_out).write_text(dump_json(document) + "\n")
+    _write_text(report_out, dump_json(document) + "\n")
     if cfg.predictions_out:
         lines = ["date,actual,predicted"]
         lines += [f"{day.isoformat()},{a:.17g},{p:.17g}" for day, a, p in rows]
-        Path(cfg.predictions_out).write_text("\n".join(lines) + "\n")
+        _write_text(cfg.predictions_out, "\n".join(lines) + "\n")
     if args.verbose:
         print(f"mape {report.mape:.4f} over {report.n} samples", file=sys.stderr)
     return EXIT_OK
@@ -216,7 +219,7 @@ def cmd_forecast(args, cfg: RunConfig) -> int:
     result = evaluation.forecast_recursive(model, series, cfg.horizon, clip)
     lines = ["day_index,predicted_close"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
-    Path(out).write_text("\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
     print(result.trend)
     return EXIT_OK
 
@@ -233,7 +236,7 @@ def cmd_backtest(args, cfg: RunConfig) -> int:
     directory.mkdir(parents=True, exist_ok=True)
     for j, report in enumerate(reports, start=1):
         document = {"fold": j, **asdict(report)}
-        (directory / f"fold_{j:02d}.json").write_text(dump_json(document) + "\n")
+        _write_text(directory / f"fold_{j:02d}.json", dump_json(document) + "\n")
         print(f"fold {j}: mape={report.mape:.6g} rmse={report.rmse:.6g} n={report.n}")
     return EXIT_OK
 
@@ -253,7 +256,7 @@ def _parse_series_arg(spec: str):
 
 
 def _read_series_csv(path: str, column: str | None) -> list[float]:
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    rows = list(csv.reader(io.StringIO(Path(path).read_text("utf-8"))))
     if not rows:
         raise SeriesFileError(f"{path}: empty file")
     header = rows[0]
@@ -280,62 +283,30 @@ def _read_series_csv(path: str, column: str | None) -> list[float]:
 
 def cmd_plot(args, cfg: RunConfig) -> int:
     if not args.series:
-        raise _UsageError("at least one --series is required")
+        raise ConfigError("at least one --series is required")
     if not cfg.out and not cfg.merge_out:
-        raise _UsageError("--out and/or --merge-out is required")
+        raise ConfigError("--out and/or --merge-out is required")
     series = []
     for spec in args.series:
         label, path, column = _parse_series_arg(spec)
         series.append((label, _read_series_csv(path, column)))
     if cfg.out:
-        Path(cfg.out).write_text(charts.render_line_chart(series, title=args.title))
+        _write_text(cfg.out, charts.render_line_chart(series, title=args.title))
     if cfg.merge_out:
-        Path(cfg.merge_out).write_text(charts.merge_csv(series))
+        _write_text(cfg.merge_out, charts.merge_csv(series))
     return EXIT_OK
 
 
-# An except clause evaluates its types only when an exception reaches it, so
-# these imports cost nothing on a command that succeeds.
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    from .lstm import NonFiniteInput, NonFiniteLoss
-
-    return NonFiniteLoss, NonFiniteInput
-
-
-def _data_errors() -> tuple[type[Exception], ...]:
-    from .dataset import DatasetError
-    from .evaluation import EvalError
-    from .indicators import IndicatorError
-    from .lstm import LstmError
-    from .market_data import MarketDataError
-    from .scaling import ScalingError
-
-    return (MarketDataError, IndicatorError, ScalingError, DatasetError, EvalError, LstmError,
-            OSError, ValueError)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "handler", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _resolve(args)
-        return args.handler(args, cfg)
-    except (_UsageError, ConfigError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _numerical_errors() as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _data_errors() as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args, _resolve(args))
+    except StockcastError as exc:
+        print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, UnicodeError) as exc:  # a file the user named, unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return StockcastError.exit_code
 
 
 def entrypoint() -> None:

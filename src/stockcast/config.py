@@ -23,8 +23,14 @@ CELL_VARIANTS = ("standard", "as_printed")
 MODES = ("univariate", "multivariate")
 
 
-class ConfigError(Exception):
-    pass
+class StockcastError(Exception):
+    """Bad input: the CLI prints it on one line and exits with its class's exit_code."""
+
+    exit_code = 2  # bad data; usage errors are 64 and numerical failures 3
+
+
+class ConfigError(StockcastError):
+    exit_code = 64
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,8 @@ class TrainConfig:
             raise ValueError("hidden_sizes must be non-empty positive integers")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
-        if not self.gradient_clip_norm > 0.0:
-            raise ValueError("gradient_clip_norm must be positive")
+        if not 0.0 < self.gradient_clip_norm < float("inf"):  # the model file holds finite floats
+            raise ValueError("gradient_clip_norm must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -230,6 +236,8 @@ def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; _COMMENT starts a comment; duplicate keys are errors."""
     values: dict[str, str] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
+        if "\0" in raw:  # no file name holds one
+            raise ConfigError(f"line {line_number}: NUL character")
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue

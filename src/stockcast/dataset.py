@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import StockcastError
 from .indicators import FeatureMatrix
 
 
-class DatasetError(Exception):
+class DatasetError(StockcastError):
     pass
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lstm, pipeline, scaling
-from .config import RunConfig
+from .config import RunConfig, StockcastError
 from .dataset import TooFewRows, WindowedDataset
 from .indicators import SeriesTooShort, _min_rows_needed, build_features
 from .market_data import BAR_FIELDS, OhlcvSeries
@@ -27,7 +27,7 @@ from .market_data import BAR_FIELDS, OhlcvSeries
 FLAT_TREND_BAND = 0.001  # |last - first| within 0.1% of first counts as flat
 
 
-class EvalError(Exception):
+class EvalError(StockcastError):
     pass
 
 
@@ -77,15 +77,14 @@ def compute_metrics(real, predict) -> MetricsReport:
     zeros = np.nonzero(r == 0.0)[0]
     if zeros.size:
         raise ZeroActual(int(zeros[0]))
-    abs_err = np.abs(r - p)
-    mse = float(np.mean((r - p) ** 2))
-    return MetricsReport(
-        mape=float(np.mean(abs_err / np.abs(r)) * 100.0),
-        mae=float(np.mean(abs_err)),
-        mse=mse,
-        rmse=rmse_from_mse(mse),
-        n=int(r.size),
-    )
+    with np.errstate(over="ignore"):  # an overflow shows as inf, which is refused below
+        abs_err = np.abs(r - p)
+        mse = float(np.mean((r - p) ** 2))
+        mape = float(np.mean(abs_err / np.abs(r)) * 100.0)
+    if not (math.isfinite(mse) and math.isfinite(mape)):  # a finite mse bounds mae
+        raise EvalError("non-finite error metrics: a prediction or an error overflows float64")
+    return MetricsReport(mape=mape, mae=float(np.mean(abs_err)), mse=mse, rmse=rmse_from_mse(mse),
+                         n=int(r.size))
 
 
 def evaluate_one_step(model, test_ds: WindowedDataset):
@@ -151,7 +150,10 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int,
     needed = lookback + tail - 2
     if n < needed:
         raise SeriesTooShort(needed, n)
-    block = np.empty((len(BAR_FIELDS), n + horizon))
+    try:
+        block = np.empty((len(BAR_FIELDS), n + horizon))
+    except (ValueError, MemoryError):  # numpy's "array is too big", or a failed allocation
+        raise EvalError(f"cannot allocate {n} bars and a {horizon}-day forecast") from None
     block[:, :n] = series.block
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry

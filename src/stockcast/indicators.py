@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import COLUMN_SETS, PAPER_MULTIVARIATE, TABLE4_ALL, UNIVARIATE, IndicatorConfig
+from .config import (COLUMN_SETS, PAPER_MULTIVARIATE, TABLE4_ALL, UNIVARIATE, IndicatorConfig,
+                     StockcastError)
 from .market_data import OhlcvSeries
 
 
-class IndicatorError(Exception):
+class IndicatorError(StockcastError):
     pass
 
 

@@ -64,8 +64,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (CELL_VARIANTS, COLUMN_SETS, IndicatorConfig, SplitContract, TrainConfig,
-                     mode_for)
+from .config import (CELL_VARIANTS, COLUMN_SETS, IndicatorConfig, SplitContract, StockcastError,
+                     TrainConfig, mode_for)
 from .indicators import column_names_for
 from .jsonio import dump_json
 from .scaling import ScalerParams
@@ -80,7 +80,7 @@ _LAYER_FIELDS = (  # format_version 1's per-gate arrays in file order; init_weig
 _GATES = "fiog"  # packed block order: the three sigmoid gates, then the tanh candidate
 
 
-class LstmError(Exception):
+class LstmError(StockcastError):
     pass
 
 
@@ -89,7 +89,7 @@ class ShapeMismatch(LstmError):
 
 
 class NonFiniteInput(LstmError):
-    pass
+    exit_code = 3
 
 
 class CacheMismatch(LstmError):
@@ -101,6 +101,8 @@ class EmptyDataset(LstmError):
 
 
 class NonFiniteLoss(LstmError):
+    exit_code = 3
+
     def __init__(self, epoch: int, batch: int):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
@@ -173,7 +175,11 @@ class LstmLayerParams:
 
     @classmethod
     def zeros(cls, input_size: int, hidden_size: int) -> LstmLayerParams:
-        return cls(np.zeros((input_size + hidden_size + 1, 4 * hidden_size)))
+        try:
+            return cls(np.zeros((input_size + hidden_size + 1, 4 * hidden_size)))
+        except (ValueError, MemoryError):  # numpy's "array is too big", or a failed allocation
+            raise LstmError(f"cannot allocate a layer of input size {input_size}, hidden size "
+                            f"{hidden_size}") from None
 
 
 def gate_view(layer: LstmLayerParams, name: str) -> np.ndarray:
@@ -687,7 +693,7 @@ def save_model(model: LstmModel, sink) -> None:
     if hasattr(sink, "write"):
         sink.write(text)
     else:
-        Path(sink).write_text(text)
+        Path(sink).write_text(text, "utf-8")
 
 
 def _need(container, key: str, path: str, kind: type | tuple):
@@ -773,10 +779,10 @@ def load_model(source) -> LstmModel:
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptModel("$", f"invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise CorruptModel("$", f"not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        raise CorruptModel("$", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise CorruptModel("$", "nested too deeply to parse") from None
     version = _need(doc, "format_version", "$", int)
@@ -839,11 +845,13 @@ def _model_from_document(doc: dict, version: int) -> LstmModel:
                            ("hidden_sizes" if version == 1 else "$.train_config.hidden_sizes"))
     layers, in_size = [], width
     for k, (layer_doc, hidden) in enumerate(zip(layers_doc, train_config.hidden_sizes)):
-        if version == 1:
+        if version == 1:  # every array is read and shape-checked before the layer is allocated
+            shapes = {"x": (hidden, in_size), "h": (hidden, hidden)}  # else a bias, (hidden,)
+            gates = {name: _array(layer_doc, name, f"$.layers[{k}]", shapes.get(name[-1], (hidden,)))
+                     for name in _LAYER_FIELDS}
             layer = LstmLayerParams.zeros(in_size, hidden)
-            for name in _LAYER_FIELDS:
-                view = gate_view(layer, name)
-                view[...] = _array(layer_doc, name, f"$.layers[{k}]", view.shape)
+            for name, arr in gates.items():
+                gate_view(layer, name)[...] = arr
         else:
             shape = (in_size + hidden + 1, 4 * hidden)
             layer = LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape))

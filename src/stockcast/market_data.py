@@ -19,6 +19,8 @@ from datetime import date as Date
 
 import numpy as np
 
+from .config import StockcastError
+
 CSV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
 
 
@@ -29,7 +31,7 @@ _NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _NUMBER_FIELDS = re.compile(",".join([_NUMBER] * 6))
 
 
-class MarketDataError(Exception):
+class MarketDataError(StockcastError):
     """Base class for everything raised by this module."""
 
 

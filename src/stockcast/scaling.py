@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import StockcastError
 from .indicators import FeatureMatrix
 
 
-class ScalingError(Exception):
+class ScalingError(StockcastError):
     pass
 
 

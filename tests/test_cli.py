@@ -34,10 +34,12 @@ CLI = "from stockcast.cli import entrypoint; entrypoint()"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_python(*argv, **kwargs):
-    """Run ``python *argv`` in a fresh process that imports this checkout's stockcast."""
+def run_python(*argv, env=(), **kwargs):
+    """Run ``python *argv`` in a fresh process that imports this checkout's stockcast;
+    env adds variables to this process's environment."""
     src = str(Path(stockcast.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **dict(env),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           timeout=60, **kwargs)
 
@@ -95,6 +97,111 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     rc, _, _ = run_train(tmp_path, tmp_path / "absent.csv")
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A directory of inputs for the exit-code table: broken files, and a trained model."""
+    d = tmp_path_factory.mktemp("bad_inputs")
+    header = "Date,Open,High,Low,Close,Adj Close,Volume\n"
+    texts = {
+        "header.csv": "Date,Open,High,Low,Close\n",
+        "short_row.csv": header + "2021-01-04,1.0,2.0\n",
+        "no_rows.csv": header,
+        "same_day.csv": header + "2021-01-04,1.0,2.0,0.5,1.5,1.5,10\n" * 2,
+        "low_above_high.csv": header + "2021-01-04,1.0,2.0,3.0,1.5,1.5,10\n",
+        "ragged.csv": "a,b\n1.0,2.0\n3.0\n",
+        "nan.csv": "v\n1.0\nnan\n",
+        "two.csv": "v\n1.0\n2.0\n",
+        "three.csv": "v\n1.0\n2.0\n3.0\n",
+        "truncated.json": "{",
+        "nul.cfg": "input = walk\0.csv\n",
+        "v3.json": '{"format_version": 3}',
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    (d / "latin1.csv").write_bytes(header.encode() + b"2021-01-04,caf\xe9\n")
+    walk = write_walk(d)
+    (d / "short.csv").write_text("".join(walk.read_text().splitlines(keepends=True)[:101]))
+    rc, model_path, _ = run_train(d, walk)
+    assert rc == 0
+    model = load_model(model_path)
+    model.scaler = ScalerParams(("Close",), np.array([0.0]), np.array([5e-324]))
+    save_model(model, d / "overflowing.json")  # scales every close past float64's range
+    return d
+
+
+# Each documented bad input: its command, exit code and the start of its one stderr line.
+EXIT_CODE_TABLE = {
+    "MalformedHeader": (["indicators", "--input", "header.csv"], 2, "error: expected header"),
+    "MalformedRow": (["indicators", "--input", "short_row.csv"], 2, "error: line 2: expected 7"),
+    "EmptySeries": (["indicators", "--input", "no_rows.csv"], 2, "error: no data rows"),
+    "NonAscendingDates": (["indicators", "--input", "same_day.csv"], 2,
+                          "error: dates not strictly ascending at 2021-01-04"),
+    "InvariantViolation": (["indicators", "--input", "low_above_high.csv"], 2,
+                           "error: 2021-01-04: low: "),
+    "SeriesTooShort": (["indicators", "--input", "short.csv", "--column-set", "table4_all"], 2,
+                       "error: need at least 200 bars, have 100"),
+    "TooFewRows": (["train", "--input", "walk.csv", "--lookback", "400"], 2,
+                   "error: need at least 401 rows, have 300"),
+    "SplitMismatch": (["evaluate", "--input", "short.csv", "--model", "model.json"], 2,
+                      "error: the model's split_row is "),
+    "CorruptModel": (["evaluate", "--input", "walk.csv", "--model", "truncated.json"], 2,
+                     "error: corrupt model document at $: invalid JSON: "),
+    "UnsupportedVersion": (["evaluate", "--input", "walk.csv", "--model", "v3.json"], 2,
+                           "error: format_version 3, supported: 1, 2"),
+    "LstmError": (["train", "--input", "walk.csv", "--hidden-sizes", "1000000000000"], 2,
+                  "error: cannot allocate a layer of input size 1, hidden size 1000000000000"),
+    "SeriesFileError": (["plot", "--series", "ragged.csv"], 2, "error: ragged.csv: line 3: ragged"),
+    "ChartError, non-finite": (["plot", "--series", "nan.csv"], 2,
+                               "error: series 'nan' contains a non-finite value"),
+    "ChartError, ragged merge": (["plot", "--series", "two.csv", "--series", "three.csv"], 2,
+                                 "error: ragged series lengths [2, 3]; cannot merge"),
+    "missing file": (["indicators", "--input", "absent.csv"], 2,
+                     "error: [Errno 2] No such file or directory: 'absent.csv'"),
+    "missing directory": (["plot", "--series", "two.csv", "--out", "absent/chart.svg"], 2,
+                          "error: [Errno 2] No such file or directory: 'absent/chart.svg'"),
+    "non-UTF-8 file": (["indicators", "--input", "latin1.csv"], 2,
+                       "error: 'utf-8' codec can't decode byte 0xe9"),
+    "ConfigError": (["train", "--input", "walk.csv", "--lookback", "0"], 64,
+                    "usage error: lookback must be >= 1"),
+    "ConfigError, argparse": (["train", "--lookback", "x"], 64,
+                              "usage error: argument --lookback: invalid int value: 'x'"),
+    "ConfigError, NUL": (["indicators", "--config", "nul.cfg"], 64,
+                         "usage error: line 1: NUL character"),
+    "ConfigError, infinite": (["train", "--input", "walk.csv", "--gradient-clip-norm", "inf"], 64,
+                              "usage error: gradient_clip_norm must be positive and finite"),
+    "EvalError, horizon": (["forecast", "--input", "walk.csv", "--model", "model.json",
+                            "--horizon", "1000000000000000000"], 2, "error: cannot allocate "),
+    "NonFiniteInput": (["forecast", "--input", "walk.csv", "--model", "overflowing.json"], 3,
+                       "numerical error: windows contain non-finite values"),
+}
+_DEFAULT_OUTS = {"indicators": ["--out", "out.csv"], "evaluate": ["--report-out", "report.json"],
+                 "forecast": ["--out", "forecast.csv"], "plot": ["--merge-out", "merged.csv"],
+                 "train": ["--model-out", "m.json", "--history-out", "h.csv"]}
+
+
+@pytest.mark.parametrize("case", EXIT_CODE_TABLE)
+def test_each_bad_input_exits_with_its_code(bad_inputs, monkeypatch, capsys, case):
+    argv, code, prefix = EXIT_CODE_TABLE[case]
+    if "--out" not in argv:
+        argv = [*argv, *_DEFAULT_OUTS[argv[0]]]
+    monkeypatch.chdir(bad_inputs)
+    capsys.readouterr()
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_a_value_error_from_a_handler_is_a_bug_not_bad_data(tmp_path, monkeypatch):
+    # only StockcastError and file errors become exit codes; anything else is a traceback
+    def broken(series, cfg):
+        raise ValueError("cannot reshape array")
+
+    monkeypatch.setattr(pipeline, "build_matrix", broken)
+    with pytest.raises(ValueError, match="^cannot reshape array$"):
+        main(["indicators", "--input", str(write_walk(tmp_path)), "--out", str(tmp_path / "f.csv")])
+    assert not (tmp_path / "f.csv").exists()
 
 
 # ----------------------------------------------------------------- indicators
@@ -520,15 +627,31 @@ print(rc, sorted({"numpy", "stockcast.lstm"} & set(sys.modules)))
 """
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["plot"]])
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["plot"], ["plot", "ragged"]])
 def test_help_and_plot_start_without_numpy(tmp_path, argv):
-    if argv == ["plot"]:
+    # a plot that fails sorts its error into an exit code without numpy too
+    rc = 2 if argv == ["plot", "ragged"] else 0
+    if argv[0] == "plot":
         series = tmp_path / "series.csv"
-        series.write_text("day,close\n1,10.5\n2,11.0\n3,10.75\n")
+        series.write_text("day,close\n1,10.5\n2,11.0\n3,10.75\n" + "4\n" * (rc == 2))
         argv = ["plot", "--series", f"close={series}", "--out", str(tmp_path / "chart.svg"),
                 "--merge-out", str(tmp_path / "merged.csv")]
     done = run_python("-c", NUMPY_FREE_PROBE, *argv, cwd=tmp_path, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == f"{rc} []"
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # C locale, without Python's coercion to C.UTF-8 or its UTF-8 mode: argv and the
+    # locale encoding are ASCII, and "café" reaches the program as surrogate escapes
+    env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    (tmp_path / "series.csv").write_text("day,close\n1,10.5\n2,11.0\n")
+    (tmp_path / "run.cfg").write_bytes("symbol = café\nout = chart.svg\n".encode())
+    done = run_python("-c", CLI, "plot", "--config", "run.cfg", "--series", "series.csv",
+                      "--title", "café", cwd=tmp_path, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    svg = (tmp_path / "chart.svg").read_bytes()
+    assert ">café</text>".encode() in svg
+    svg.decode("utf-8")
 
 
 def test_public_names_resolve_to_their_modules_objects():

@@ -17,6 +17,7 @@ from stockcast import lstm, pipeline, scaling
 from stockcast.config import resolve_config
 from stockcast.dataset import SplitMismatch, TooFewRows, make_windows
 from stockcast.evaluation import (
+    EvalError,
     LengthMismatch,
     MetricsReport,
     SchemaMismatch,
@@ -119,6 +120,12 @@ def test_metrics_errors():
     with pytest.raises(ZeroActual) as err:
         compute_metrics([1.0, 0.0, 2.0], [1.0, 1.0, 2.0])
     assert err.value.index == 1
+    # errors past float64's range make no report, which would have to hold inf
+    for predict in ([1e308, -1e308], [2.0, np.inf], [2.0, np.nan]):
+        with pytest.raises(EvalError, match="^non-finite error metrics"):
+            compute_metrics([1.0, 2.0], predict)
+    with pytest.raises(EvalError):
+        compute_metrics([5e-324, 2.0], [1.0, 2.0])  # an absolute percentage error of 2e325
 
 
 def test_rmse_from_mse_published_pairs():
@@ -257,6 +264,8 @@ def test_forecast_horizon_validation_and_short_series():
     series, scaler, _, model = persistence_setup()
     with pytest.raises(ValueError):
         forecast_recursive(model, series, 0)
+    with pytest.raises(EvalError, match="-day forecast$"):  # numpy refuses it before allocating
+        forecast_recursive(model, series, 10**18)
     short = random_walk_series(6, seed=2)
     with pytest.raises(SeriesTooShort):
         forecast_recursive(model, short, 3)

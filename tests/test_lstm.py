@@ -4,6 +4,7 @@ import base64
 import io
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from datetime import date, timedelta
@@ -978,12 +979,16 @@ def test_v2_reader_rejects_facts_that_disagree(tmp_path, key, value, path):
     ("column_set", "sideways", "$.column_set"),
     ("cell_variant", "peephole", "$.cell_variant"),
     ("lookback", 0, "$.lookback"),
+    # a layer numpy refuses to allocate: the reader checks the arrays' shapes first
+    ("hidden_sizes", [10**12, 2], "$.layers[0].w_fx"),
 ])
 def test_v1_reader_makes_the_shared_checks(tmp_path, key, value, path):
     # one reader serves both versions, so a v1 file meets each check a v2 file does
     doc = json.loads((FIXTURES / "golden_v1_paper_model.json").read_text())
     assert (doc["format_version"], doc["mode"]) == (1, "multivariate")
     doc[key] = value
+    if key == "hidden_sizes":  # and its copy, which the reader checks against it first
+        doc["train_config"][key] = value
     target = tmp_path / "model.json"
     target.write_text(json.dumps(doc))
     with pytest.raises(CorruptModel) as err:
@@ -1031,8 +1036,12 @@ def test_load_rejects_mode_contradicting_column_set(tmp_path, key, value):
     assert err.value.path == "$.mode"
 
 
-@pytest.mark.parametrize("payload", [b'{"mode": "caf\xe9"}', b"[" * 100000],
-                         ids=["not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("payload", [
+    b'{"mode": "caf\xe9"}', b"[" * 100000,
+    pytest.param(b'{"format_version": ' + b"1" * 5000 + b"}",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python parses integers of any length")),
+], ids=["not-utf8", "deeply-nested", "past-the-int-digit-limit"])
 def test_load_maps_unparseable_bytes_to_corrupt_model(tmp_path, payload):
     path = tmp_path / "model.json"
     path.write_bytes(payload)

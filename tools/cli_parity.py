@@ -3,7 +3,8 @@
     python tools/cli_parity.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout with the package under src/. The script writes
-seeded random-walk OHLCV CSVs and a few malformed ones, copies the tree's own
+seeded random-walk OHLCV CSVs and a few malformed ones, files for the error
+paths (text that is not UTF-8, series a chart refuses), copies the tree's own
 format_version 1 model (tests/fixtures/golden_v1_paper_model.json) and a copy
 of it with an unknown column set, runs one fixed list of commands against each
 tree in a fresh directory of its own, and lists every difference in exit code,
@@ -67,6 +68,14 @@ def inputs() -> dict[str, list[str]]:
 
 
 INPUTS = inputs()
+# error-path files, written as these bytes
+RAW_FILES = {
+    "latin1.csv": f"{HEADER}\n2015-01-02,caf\xe9,1,1,1,1,1\n".encode("latin-1"),
+    "latin1.cfg": "symbol = caf\xe9\n".encode("latin-1"),
+    "nan_series.csv": b"v\n1.0\nnan\n",
+    "two_series.csv": b"v\n1.0\n2.0\n",
+    "three_series.csv": b"v\n1.0\n2.0\n3.0\n",
+}
 
 
 MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
@@ -101,6 +110,15 @@ COMMANDS = [
      "--report-out", "v1_sideways_r.json"],
     ["evaluate", "--input", "overflowing_high.csv", "--model", "m.json", "--report-out", "bad.json"],
     ["indicators", "--input", "missing.csv", "--out", "missing.features.csv"],
+    # error paths: files that are not UTF-8, a missing config, series a chart refuses, and an
+    # output in a directory that does not exist
+    ["indicators", "--input", "latin1.csv", "--out", "latin1.features.csv"],
+    ["indicators", "--config", "latin1.cfg", "--input", "walk.csv", "--out", "cfg.features.csv"],
+    ["indicators", "--config", "missing.cfg", "--input", "walk.csv", "--out", "cfg.features.csv"],
+    ["plot", "--series", "nan_series.csv", "--out", "nan.svg"],
+    ["plot", "--series", "two_series.csv", "--series", "three_series.csv", "--merge-out",
+     "ragged.csv"],
+    ["indicators", "--input", "walk.csv", "--out", "missing/features.csv"],
 ]
 
 
@@ -108,6 +126,8 @@ def run(tree: Path, work: Path) -> list[tuple[int, bytes, bytes]]:
     work.mkdir()
     for name, rows in INPUTS.items():
         (work / name).write_text("\n".join([HEADER, *rows]) + "\n")
+    for name, data in RAW_FILES.items():
+        (work / name).write_bytes(data)
     v1 = (tree / "tests" / "fixtures" / "golden_v1_paper_model.json").read_text()
     (work / "v1.json").write_text(v1)
     (work / "v1_sideways.json").write_text(json.dumps({**json.loads(v1), "column_set": "sideways"}))
