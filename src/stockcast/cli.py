@@ -182,15 +182,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     matrix = build_features(series, model.indicator_config, model.column_set, model.use_adj_close)
     if model.contract is None:  # a v1 file, or a model saved without its split
         split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
-        clip = False
+        model.contract = pipeline.split_contract(matrix, split_row, False)
     elif args.train_fraction is not None:
         raise ConfigError("--train-fraction is for model files without a recorded split; "
                           f"{model_path} records split row {model.contract.split_row}")
-    else:
-        split_row = pipeline.contract_split(matrix, model.contract)
-        clip = model.contract.clip_scaled
-    test_ds = pipeline.held_out_windows(matrix, model.scaler, model.lookback, split_row, clip)
-    report, rows = evaluation.evaluate_one_step(model, test_ds)
+    report, rows = evaluation.evaluate_one_step(model, pipeline.held_out_windows(matrix, model))
     document = {
         **asdict(report),
         "mode": model.mode,
@@ -215,8 +211,7 @@ def cmd_forecast(args, cfg: RunConfig) -> int:
     out = _require(cfg.out, "--out")
     series = _load_series(cfg, input_path)
     model = lstm.load_model(model_path)
-    clip = model.contract is not None and model.contract.clip_scaled
-    result = evaluation.forecast_recursive(model, series, cfg.horizon, clip)
+    result = evaluation.forecast_recursive(model, series, cfg.horizon)
     lines = ["day_index,predicted_close"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
     _write_text(out, "\n".join(lines) + "\n")

@@ -128,8 +128,7 @@ def _classify_trend(values: list[float]) -> str:
     return "up" if delta > 0 else "down"
 
 
-def forecast_recursive(model, series: OhlcvSeries, horizon: int,
-                       clip: bool = False) -> ForecastResult:
+def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResult:
     """Feed predictions back as inputs for `horizon` steps beyond the series.
 
     Step 0 builds features on all n bars. Step k >= 1 writes the last
@@ -138,8 +137,10 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int,
     O(longest window) per step, not O(n). Each scaled row is pushed once to a
     stream of width W = min(lookback, horizon), one LSTM step per layer for
     every window in flight, so day k equals predict on a W-window chunk that
-    holds its window at k % W. clip bounds every scaled row the model reads to
-    [-1, 1]; the predicted closes fed back as bars stay as the model gave them.
+    holds its window at k % W. A model whose contract records clip_scaled reads
+    every scaled row bounded to [-1, 1]; one with no contract reads them as
+    scaled. The predicted closes fed back as bars stay as the model gave them,
+    and a day whose price is not finite raises NonFiniteInput.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -158,6 +159,7 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int,
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry
     history = scaling.transform(model.scaler, matrix).values[-lookback:]
+    clip = model.contract is not None and model.contract.clip_scaled
     if clip:
         history.clip(-1.0, 1.0, out=history)
     width = min(lookback, horizon)  # windows in flight at once
@@ -178,7 +180,10 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int,
         heads = stream.push(row)
         if k < 0:
             continue
-        price = float(scaling.inverse_close(model.scaler, heads[k % width]))
+        with np.errstate(over="ignore"):  # an overflow shows as inf, which is refused below
+            price = float(scaling.inverse_close(model.scaler, heads[k % width]))
+        if not math.isfinite(price):
+            raise lstm.NonFiniteInput(f"forecast day {k + 1}: the predicted close is {price}")
         values.append(price)
         block[:, n + k] = price  # synthetic next bar: the prediction in every price field
         block[-1, n + k] = block[-1, n + k - 1]  # and the volume carried forward
@@ -199,12 +204,8 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[Metric
         raise TooFewRows(needed, rows)
     reports: list[MetricsReport] = []
     for j in range(1, folds + 1):
-        train_end = rows * j // (folds + 1)
-        test_end = rows * (j + 1) // (folds + 1)
-        model, _ = pipeline.fit_rows(matrix.row_slice(0, train_end), cfg, cfg.seed + j)
-        test_ds = pipeline.held_out_windows(
-            matrix.row_slice(0, test_end), model.scaler, cfg.lookback, train_end, cfg.clip_scaled
-        )
-        report, _ = evaluate_one_step(model, test_ds)
+        fold = matrix.row_slice(0, rows * (j + 1) // (folds + 1))
+        model, _ = pipeline.fit_rows(fold, rows * j // (folds + 1), cfg, cfg.seed + j)
+        report, _ = evaluate_one_step(model, pipeline.held_out_windows(fold, model))
         reports.append(report)
     return reports

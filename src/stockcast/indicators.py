@@ -326,20 +326,25 @@ def build_features(
     closes = src.closes()
     columns: dict[str, np.ndarray] = {"Close": closes.copy()}
     recurrences = ()
-    if column_set != UNIVARIATE:
-        columns.update(_window_columns(src, cfg, column_set))
-        columns["CMA"] = cma(closes)
-        columns[f"EMA_{cfg.ema_alpha:g}"] = ema_values = ema(closes, cfg.ema_alpha)
-        columns["RSI"], gain, loss = _rsi(closes, cfg.rsi_period)
-        fast, slow, diff, signal = _macd_lines(closes, cfg.macd_fast, cfg.macd_slow,
-                                               cfg.macd_signal)
-        columns["macd"], columns["macd_s"], columns["macd_h"] = diff, signal, diff - signal
-        recurrences = (ema_values, fast, slow, signal, gain, loss)  # in Carry's field order
+    # a value past float64's range shows as inf or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if column_set != UNIVARIATE:
+            columns.update(_window_columns(src, cfg, column_set))
+            columns["CMA"] = cma(closes)
+            columns[f"EMA_{cfg.ema_alpha:g}"] = ema_values = ema(closes, cfg.ema_alpha)
+            columns["RSI"], gain, loss = _rsi(closes, cfg.rsi_period)
+            fast, slow, diff, signal = _macd_lines(closes, cfg.macd_fast, cfg.macd_slow,
+                                                   cfg.macd_signal)
+            columns["macd"], columns["macd_s"], columns["macd_h"] = diff, signal, diff - signal
+            recurrences = (ema_values, fast, slow, signal, gain, loss)  # in Carry's field order
     values = np.column_stack([columns[name] for name in names])
     finite_rows = np.all(np.isfinite(values), axis=1)
     defined = np.nonzero(finite_rows)[0]
     if defined.size == 0:
-        raise SeriesTooShort(_min_rows_needed(cfg, column_set), len(series))
+        needed = _min_rows_needed(cfg, column_set)
+        if len(series) >= needed:
+            raise IndicatorError("no feature row is finite: a feature value overflows float64")
+        raise SeriesTooShort(needed, len(series))
     first = int(defined[0])
     if not finite_rows[first:].all():
         # cannot happen for finite bar inputs; guard against silent nan leaks

@@ -205,7 +205,7 @@ class LstmModel:
     column_set: str = "univariate"
     indicator_config: IndicatorConfig = field(default_factory=IndicatorConfig)
     use_adj_close: bool = False
-    contract: SplitContract | None = None  # the split a trained model records; None for a bare fit
+    contract: SplitContract | None = None  # from pipeline.fit_rows; None for v1 or a bare new_model
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:

@@ -206,8 +206,8 @@ def test_sine_wave_learning():
         assert history[-1] < 0.1 * history[0]
         matrix = build_matrix(series, cfg)
         split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-        test_ds = held_out_windows(matrix, model.scaler, cfg.lookback, split_row, cfg.clip_scaled)
-        report, _ = evaluate_one_step(model, test_ds)
+        assert model.contract.split_row == split_row
+        report, _ = evaluate_one_step(model, held_out_windows(matrix, model))
         assert report.mape < 5.0, f"test MAPE {report.mape}"
 
 
@@ -267,8 +267,8 @@ def test_dataset_hygiene():
             assert ds.targets[s] == matrix.values[s + lookback, close_idx]
             assert ds.dates[s] == matrix.dates[s + lookback]
         split_row = split_row_for(matrix.rows, lookback, 0.8)
-        train_part, scaler = fit_windows(matrix.row_slice(0, split_row), lookback)
-        test_part = held_out_windows(matrix, scaler, lookback, split_row)
+        train_part, model = fit_windows(matrix, split_row, lookback)
+        test_part = held_out_windows(matrix, model)
         assert len(train_part) == int(0.8 * len(ds))
         assert len(train_part) + len(test_part) == len(ds)
         assert train_part.dates[-1] < test_part.dates[0]

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -368,7 +368,7 @@ def test_evaluate_takes_the_split_and_clip_from_the_model_file(tmp_path, capsys)
     # the same windows, clipped as training asked, through the library
     series = parse_csv(data.read_text(), "STOCK")
     matrix = pipeline.build_matrix(series, resolve_config({}, {"mode": "univariate"}))
-    test_ds = pipeline.held_out_windows(matrix, model.scaler, 60, 636, clip=True)
+    test_ds = pipeline.held_out_windows(matrix, model)
     assert test_ds.inputs.max() == 1.0  # the walk climbs past its training maximum
     expected, _ = evaluate_one_step(model, test_ds)
     assert report["mape"] == expected.mape
@@ -492,6 +492,26 @@ def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys
     lines = ["day_index,predicted_close"]
     lines += [f"{i},{v:.17g}" for i, v in enumerate(result.values, start=1)]
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("clip_scaled", [False, True])
+def test_forecast_overflowing_price_prints_one_typed_line(tmp_path, capsys, clip_scaled):
+    # a head bias of 1e308 unscales past float64's range on the first day; with --clip-scaled
+    # the fed-back row would clip to 1.0, so the price itself must be checked
+    data, model_path = trained_setup(tmp_path)
+    capsys.readouterr()
+    model = load_model(model_path)
+    model.head_b[...] = 1e308
+    model.contract = replace(model.contract, clip_scaled=clip_scaled)
+    overflowing = tmp_path / "overflowing.json"
+    save_model(model, overflowing)
+    out = tmp_path / "forecast.csv"
+    for horizon in ("1", "3"):
+        done = run_python("-c", CLI, "forecast", "--input", str(data), "--model", str(overflowing),
+                          "--out", str(out), "--horizon", horizon)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "numerical error: forecast day 1: the predicted close is inf\n")
+        assert not out.exists()
 
 
 def test_forecast_overflowing_scaler_prints_one_typed_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Windowing and the chronological train/test split by row."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from stockcast import lstm, scaling
 from stockcast.config import ConfigError, resolve_config
-from stockcast.dataset import DatasetError, DegenerateSplit, TooFewRows, make_windows
-from stockcast.pipeline import fit_rows, held_out_windows, split_row_for
+from stockcast.dataset import DatasetError, DegenerateSplit, SplitMismatch, TooFewRows, make_windows
+from stockcast.pipeline import fit_rows, held_out_windows, split_contract, split_row_for
 from stockcast.scaling import ScalerParams
 
 from test_scaling import matrix_of
@@ -56,9 +57,9 @@ def test_close_column_required():
         make_windows(matrix, lookback=1)
 
 
-def fit_windows(train_rows, lookback, clip=False):
-    """(training windows, fitted scaler) of fit_rows on train_rows; lstm.train
-    is stubbed out, so nothing trains."""
+def fit_windows(matrix, split_row, lookback, clip=False):
+    """(training windows, untrained model) of fit_rows on rows [0, split_row) of
+    matrix; lstm.train is stubbed out, so nothing trains."""
     cfg = resolve_config({}, {
         "lookback": str(lookback), "hidden_sizes": "1", "clip_scaled": str(clip).lower(),
     })
@@ -69,9 +70,9 @@ def fit_windows(train_rows, lookback, clip=False):
         return model_init, {}
 
     with mock.patch.object(lstm, "train", capture):
-        model, _ = fit_rows(train_rows, cfg, cfg.seed)
+        model, _ = fit_rows(matrix, split_row, cfg, cfg.seed)
     (train_ds,) = seen
-    return train_ds, model.scaler
+    return train_ds, model
 
 
 def unit_scaler(matrix):
@@ -85,8 +86,8 @@ def split(matrix, lookback, train_fraction):
     unit = unit_scaler(matrix)
     split_row = split_row_for(matrix.rows, lookback, train_fraction)
     with mock.patch.object(scaling, "fit", lambda rows: unit):
-        train, _ = fit_windows(matrix.row_slice(0, split_row), lookback)
-    return train, held_out_windows(matrix, unit, lookback, split_row)
+        train, model = fit_windows(matrix, split_row, lookback)
+    return train, held_out_windows(matrix, model)
 
 
 def test_split_sizes():
@@ -118,18 +119,29 @@ def test_degenerate_split():
 
 
 def test_held_out_windows_rejects_a_split_row_that_empties_a_side():
-    matrix = matrix_of(np.arange(10.0))
+    # lookback 3, 10 rows: split rows 3..9 leave a held-out window
+    longer = matrix_of(np.arange(12.0))
+    matrix = longer.row_slice(0, 10)
     unit = unit_scaler(matrix)
-    for split_row in (-1, 0, 2, 10, 11):  # lookback 3, 10 rows: 3..9 leave a held-out window
-        with pytest.raises(DegenerateSplit, match=f"split row {split_row}"):
-            held_out_windows(matrix, unit, 3, split_row)
+
+    def held_out(contract):  # a model that records contract, as a crafted file can
+        return held_out_windows(matrix, SimpleNamespace(contract=contract, lookback=3, scaler=unit))
+
+    for split_row in (-1, 0):  # no contract holds these, so no model reaches held_out_windows
+        with pytest.raises(ValueError, match="split_row must be >= 1"):
+            split_contract(longer, split_row, False)
+    with pytest.raises(DegenerateSplit, match="split row 2"):
+        held_out(split_contract(matrix, 2, False))
+    for split_row in (10, 11):  # the contract is checked first: these rows are not in matrix
+        with pytest.raises(SplitMismatch, match=f"split_row is {split_row}, the CSV gives 10 "):
+            held_out(split_contract(longer, split_row, False))
     with pytest.raises(TooFewRows):  # split row 3 leaves no training window
-        fit_windows(matrix.row_slice(0, 3), 3)
+        fit_windows(matrix, 3, 3)
     for split_row, sizes in ((4, (1, 6)), (9, (6, 1))):
-        train, _ = fit_windows(matrix.row_slice(0, split_row), 3)
-        test = held_out_windows(matrix, unit, 3, split_row)
+        train, model = fit_windows(matrix, split_row, 3)
+        test = held_out_windows(matrix, model)
         assert (len(train), len(test)) == sizes
-    assert len(held_out_windows(matrix, unit, 3, 3)) == 7
+    assert len(held_out(split_contract(matrix, 3, False))) == 7
 
 
 def stack_and_slice(scaled, lookback, split_row):
@@ -171,10 +183,11 @@ def test_fit_rows_and_held_out_windows_match_stack_and_slice(
         return scaled_out[-1]
 
     with mock.patch.object(scaling, "transform", capture):
-        train, fitted = fit_windows(matrix.row_slice(0, split_row), lookback, clip)
-        test = held_out_windows(matrix, scaler, lookback, split_row, clip)
-    assert fitted.mins.tobytes() == scaler.mins.tobytes()
-    assert fitted.maxs.tobytes() == scaler.maxs.tobytes()
+        train, model = fit_windows(matrix, split_row, lookback, clip)
+        test = held_out_windows(matrix, model)
+    assert model.contract == split_contract(matrix, split_row, clip)
+    assert model.scaler.mins.tobytes() == scaler.mins.tobytes()
+    assert model.scaler.maxs.tobytes() == scaler.maxs.tobytes()
     unclipped = transform(scaler, matrix)
     scaled = replace(unclipped, values=np.clip(unclipped.values, -1, 1)) if clip else unclipped
     train_scaled, test_scaled = scaled_out

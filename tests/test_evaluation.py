@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
+import warnings
 from datetime import date, timedelta
 from dataclasses import replace
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from stockcast import lstm, pipeline, scaling
 from stockcast.config import resolve_config
-from stockcast.dataset import SplitMismatch, TooFewRows, make_windows
+from stockcast.dataset import DegenerateSplit, SplitMismatch, TooFewRows, make_windows
 from stockcast.evaluation import (
     EvalError,
     LengthMismatch,
@@ -37,7 +38,6 @@ from stockcast.market_data import (
     OhlcvSeries,
 )
 from stockcast.pipeline import (
-    contract_split,
     held_out_windows,
     split_contract,
     split_row_for,
@@ -68,6 +68,7 @@ class PersistenceModel:
     column_set = UNIVARIATE
     use_adj_close = False
     indicator_config = IndicatorConfig()
+    contract = None
 
     def __init__(self, feature_names, lookback, scaler):
         self.feature_names = tuple(feature_names)
@@ -153,10 +154,15 @@ def persistence_setup(n=120, lookback=10, seed=6):
     series = random_walk_series(n, seed=seed)
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
     split_row = split_row_for(matrix.rows, lookback, 0.8)
-    scaler = fit(matrix.row_slice(0, split_row))
-    test_ds = held_out_windows(matrix, scaler, lookback, split_row)
-    model = PersistenceModel(("Close",), lookback, scaler)
-    return series, scaler, test_ds, model
+    model = persistence_model(matrix, lookback, split_row)
+    return series, model.scaler, held_out_windows(matrix, model), model
+
+
+def persistence_model(matrix, lookback, split_row, clip_scaled=False):
+    """A PersistenceModel fitted on rows [0, split_row) of matrix that records that split."""
+    model = PersistenceModel(("Close",), lookback, fit(matrix.row_slice(0, split_row)))
+    model.contract = split_contract(matrix, split_row, clip_scaled)
+    return model
 
 
 def test_persistence_evaluation_matches_direct_baseline():
@@ -183,11 +189,8 @@ def test_persistence_evaluation_matches_direct_baseline():
 
 def test_constant_series_scores_exact_zero():
     matrix = build_features(flat_series([42.0] * 30), IndicatorConfig(), UNIVARIATE)
-    split_row = split_row_for(matrix.rows, 5, 0.8)
-    scaler = fit(matrix.row_slice(0, split_row))
-    test_ds = held_out_windows(matrix, scaler, 5, split_row)
-    model = PersistenceModel(("Close",), 5, scaler)
-    report, _ = evaluate_one_step(model, test_ds)
+    model = persistence_model(matrix, 5, split_row_for(matrix.rows, 5, 0.8))
+    report, _ = evaluate_one_step(model, held_out_windows(matrix, model))
     assert report == MetricsReport(0.0, 0.0, 0.0, 0.0, report.n)
 
 
@@ -464,7 +467,8 @@ def test_single_path_keeps_test_rows_out_of_training():
     (train_ds,) = trained
     matrix = pipeline.build_matrix(series, cfg)
     split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
-    test_ds = held_out_windows(matrix, model.scaler, cfg.lookback, split_row, cfg.clip_scaled)
+    assert model.contract == split_contract(matrix, split_row, cfg.clip_scaled)
+    test_ds = held_out_windows(matrix, model)
     assert test_ds.dates[0] == matrix.dates[split_row]
     assert all(day < test_ds.dates[0] for day in train_ds.dates)
     assert np.array_equal(model.scaler.mins, matrix.values[:split_row].min(axis=0))
@@ -474,8 +478,8 @@ def test_single_path_keeps_test_rows_out_of_training():
 
     train_end, test_end = 60, 100
     truncated = matrix.row_slice(0, test_end)
-    scaler = fit(truncated.row_slice(0, train_end))
-    test_ds = held_out_windows(truncated, scaler, cfg.lookback, train_end, clip=True)
+    fold_model = persistence_model(truncated, cfg.lookback, train_end, clip_scaled=True)
+    test_ds = held_out_windows(truncated, fold_model)
     assert test_ds.dates == matrix.dates[train_end:test_end]
 
 
@@ -484,11 +488,10 @@ def test_clipped_held_out_scoring_reports_true_closes():
     # what the model reads, not the prices it is scored against
     series = flat_series([100.0 + 0.5 * i for i in range(200)])
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
-    split_row = split_row_for(matrix.rows, 8, 0.8)
-    scaler = fit(matrix.row_slice(0, split_row))
-    test_ds = held_out_windows(matrix, scaler, 8, split_row, clip=True)
+    model = persistence_model(matrix, 8, split_row_for(matrix.rows, 8, 0.8), clip_scaled=True)
+    test_ds = held_out_windows(matrix, model)
     assert test_ds.inputs.max() == 1.0
-    _, rows = evaluate_one_step(PersistenceModel(("Close",), 8, scaler), test_ds)
+    _, rows = evaluate_one_step(model, test_ds)
     closes = dict(zip(series.dates(), series.closes().tolist()))
     assert len(rows) == 39 and rows[-1][1] == pytest.approx(199.5, rel=1e-12)
     for day, actual, _ in rows:
@@ -499,35 +502,66 @@ def test_forecast_clips_model_inputs_only_when_asked():
     # the closes climb past the training maximum, so every unclipped row scales above 1
     series = flat_series([100.0 + 0.5 * i for i in range(60)])
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
-    scaler = fit(matrix.row_slice(0, 40))
-    model = PersistenceModel(("Close",), 8, scaler)  # predicts the last scaled close it reads
+    model = persistence_model(matrix, 8, 40)  # predicts the last scaled close it reads
     assert forecast_recursive(model, series, 3).values == (129.5,) * 3
-    assert forecast_recursive(model, series, 3, clip=True).values == (119.5,) * 3
+    model.contract = replace(model.contract, clip_scaled=True)
+    assert forecast_recursive(model, series, 3).values == (119.5,) * 3
+    model.contract = None  # a model that records no split is not clipped
+    assert forecast_recursive(model, series, 3).values == (129.5,) * 3
 
 
-def test_contract_split_names_the_first_field_that_differs():
+@pytest.mark.parametrize("horizon", [1, 3])
+@pytest.mark.parametrize("clip_scaled", [None, False, True])
+def test_forecast_refuses_a_price_that_overflows(horizon, clip_scaled):
+    # unscaling a head output near 1e308 overflows float64; clipping the fed-back row to 1.0
+    # must not hide it, and the last day, which is never fed back, is checked too
+    series, model = trained_univariate()
+    model.head_b[...] = 1e308
+    model.contract = None if clip_scaled is None else replace(model.contract,
+                                                              clip_scaled=clip_scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lstm.NonFiniteInput) as err:
+            forecast_recursive(model, series, horizon)
+    assert str(err.value) == "forecast day 1: the predicted close is inf"
+
+
+def test_held_out_windows_names_the_first_field_that_differs():
     series = random_walk_series(160, seed=4)
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
-    contract = split_contract(matrix, 100, clip_scaled=True)
+    model = persistence_model(matrix, 10, 100, clip_scaled=True)
+    contract = model.contract
     assert (contract.split_row, contract.clip_scaled) == (100, True)
     assert contract.train_last_date == matrix.dates[99].isoformat()
     assert contract.first_test_date == matrix.dates[100].isoformat()
-    assert contract_split(matrix, contract) == 100
-    assert contract_split(matrix.row_slice(0, 101), contract) == 100
+    assert held_out_windows(matrix, model).dates == matrix.dates[100:]
+    assert held_out_windows(matrix.row_slice(0, 101), model).dates == (matrix.dates[100],)
     moved = replace(matrix, values=matrix.values.copy())
     moved.values[99, 0] += 1e-9
+
+    def redated(row):
+        return replace(matrix, dates=(*matrix.dates[:row], date(2030, 1, 1),
+                                      *matrix.dates[row + 1:]))
+
+    # clip_scaled is read from the contract, not found in the matrix, so no matrix differs in it
     cases = {
         "split_row": matrix.row_slice(0, 100),
         "train_first_date": matrix.row_slice(1, 160),
+        "train_last_date": redated(99),
         "train_sha256": moved,
-        "first_test_date": replace(matrix, dates=(*matrix.dates[:100], date(2030, 1, 1),
-                                                  *matrix.dates[101:])),
+        "first_test_date": redated(100),
     }
     for field, other in cases.items():
         with pytest.raises(SplitMismatch) as err:
-            contract_split(other, contract)
+            held_out_windows(other, model)
         assert err.value.field == field
         assert err.value.recorded == getattr(contract, field)
+    # a recorded split that leaves the first window short is refused only once the contract holds
+    model.lookback = 101
+    with pytest.raises(SplitMismatch, match="split_row"):
+        held_out_windows(matrix.row_slice(0, 100), model)
+    with pytest.raises(DegenerateSplit, match="split row 100 needs 101 rows before it"):
+        held_out_windows(matrix, model)
 
 
 def spy_on_the_split(monkeypatch):
@@ -592,6 +626,30 @@ def walk_cfg(**over):
     }
     base.update(over)
     return resolve_config({}, {k: str(v) for k, v in base.items()})
+
+
+def test_every_walk_forward_fold_model_records_its_contract(monkeypatch):
+    series = random_walk_series(120, seed=14)
+    cfg = walk_cfg(clip_scaled="true")
+    fold_models = []
+    real = pipeline.fit_rows
+
+    def capture(*args, **kwargs):
+        model, history = real(*args, **kwargs)
+        fold_models.append(model)
+        return model, history
+
+    monkeypatch.setattr(pipeline, "fit_rows", capture)
+    walk_forward(series, cfg, 3)
+    matrix = pipeline.build_matrix(series, cfg)
+    assert len(fold_models) == 3
+    for j, model in enumerate(fold_models, start=1):
+        split_row = matrix.rows * j // (3 + 1)
+        contract = model.contract
+        assert contract.split_row == split_row
+        assert contract.first_test_date == matrix.dates[split_row].isoformat()
+        assert contract.clip_scaled is cfg.clip_scaled is True
+        assert contract == split_contract(matrix, split_row, True)
 
 
 def test_walk_forward_fold_arithmetic():

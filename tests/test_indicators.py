@@ -1,6 +1,7 @@
 """Indicator math against naive loop oracles, hand cases, and invariances."""
 
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,6 +15,7 @@ from stockcast.indicators import (
     TABLE4_ALL,
     UNIVARIATE,
     IndicatorConfig,
+    IndicatorError,
     SeriesTooShort,
     _min_rows_needed,
     ad,
@@ -442,6 +444,18 @@ def test_too_short_series_reports_requirement():
         build_features(series, IndicatorConfig(), PAPER_MULTIVARIATE)
     assert err.value.needed == 200
     assert err.value.have == 100
+
+
+def test_an_overflowing_indicator_is_blamed_on_its_values_not_the_length():
+    # the sums behind SMA, WMA and CMA pass float64's range on bars of 1e308, so no row is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IndicatorError, match="^no feature row is finite: a feature value "
+                                                 "overflows float64$") as err:
+            build_features(flat_series([1e308] * 400), IndicatorConfig(), TABLE4_ALL)
+        assert not isinstance(err.value, SeriesTooShort)
+        with pytest.raises(SeriesTooShort, match="^need at least 200 bars, have 100$"):
+            build_features(random_walk_series(100, seed=1), IndicatorConfig(), TABLE4_ALL)
 
 
 def test_adj_close_switch_changes_close_column(snapshot_series):

@@ -60,8 +60,14 @@ def inputs() -> dict[str, list[str]]:
         "flat_bar_after_violation": {300: row(300, low_above_high), 500: row(500, flat)},
         "flat_bar": {500: row(500, flat)},
     }
-    # leak_walk.csv is benchmarks/workloads.py's ohlcv_csv(700, 5)
-    files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5), "leak_walk.csv": walk_rows(700, 5)}
+    # leak_walk.csv is benchmarks/workloads.py's ohlcv_csv(700, 5); nudged_walk.csv moves one
+    # training-span close to the midpoint of its open and close, inside the bar's high and low
+    date_, open_, high, low, close, _, volume = walk[300].split(",")
+    mid = repr((float(open_) + float(close)) / 2.0)
+    nudged = {300: ",".join([date_, open_, high, low, mid, mid, volume])}
+    files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5),
+             "leak_walk.csv": walk_rows(700, 5),
+             "nudged_walk.csv": [nudged.get(k, line) for k, line in enumerate(walk)]}
     for name, edited in edits.items():
         files[name + ".csv"] = [edited.get(k, line) for k, line in enumerate(walk)]
     return files
@@ -79,7 +85,7 @@ RAW_FILES = {
 
 
 MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
-CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv")
+CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv", "nudged_walk.csv")
 COMMANDS = [
     ["indicators", "--input", "walk.csv", "--out", "features.csv", "--column-set", "paper_multivariate"],
     ["indicators", "--input", "walk.csv", "--out", "close.csv", "--use-adj-close"],
@@ -90,6 +96,15 @@ COMMANDS = [
     ["forecast", "--input", "walk.csv", "--model", "m.json", "--out", "f1.csv", "--horizon", "1"],
     ["backtest", "--input", "short_walk.csv", "--out-dir", "folds", "--folds", "3",
      "--mode", "univariate", "--epochs", "1", "--clip-scaled"],
+    ["backtest", "--input", "short_walk.csv", "--out-dir", "mv_folds", "--folds", "3",
+     "--mode", "multivariate", "--epochs", "1"],
+    # m.json's recorded split: a CSV too short to hold it, a CSV whose training span differs,
+    # and a --train-fraction that a file recording its split refuses
+    ["evaluate", "--input", "short_walk.csv", "--model", "m.json", "--report-out", "short_r.json"],
+    ["evaluate", "--input", "nudged_walk.csv", "--model", "m.json", "--report-out",
+     "nudged_r.json"],
+    ["evaluate", "--input", "walk.csv", "--model", "m.json", "--report-out", "tf_r.json",
+     "--train-fraction", "0.8"],
     ["plot", "--series", "actual=p.csv:actual", "--series", "predicted=p.csv:predicted",
      "--out", "chart.svg", "--merge-out", "merged.csv", "--title", "parity"],
     # trained on 90% of the windows and clipped; evaluate and forecast run with default flags
