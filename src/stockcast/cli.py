@@ -186,7 +186,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     elif args.train_fraction is not None:
         raise ConfigError("--train-fraction is for model files without a recorded split; "
                           f"{model_path} records split row {model.contract.split_row}")
-    report, rows = evaluation.evaluate_one_step(model, pipeline.held_out_windows(matrix, model))
+    report, rows = evaluation.evaluate_one_step(model, matrix)
     document = {
         **asdict(report),
         "mode": model.mode,
@@ -226,7 +226,7 @@ def cmd_backtest(args, cfg: RunConfig) -> int:
     input_path = _require(cfg.input, "--input")
     out_dir = _require(cfg.out_dir, "--out-dir")
     series = _load_series(cfg, input_path)
-    reports = evaluation.walk_forward(series, cfg, cfg.folds)
+    reports = evaluation.walk_forward(series, cfg)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for j, report in enumerate(reports, start=1):

@@ -12,6 +12,7 @@ run without it; indicators and lstm import their settings from here.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field, fields, make_dataclass
 
@@ -21,6 +22,7 @@ TABLE4_ALL = "table4_all"
 COLUMN_SETS = (UNIVARIATE, PAPER_MULTIVARIATE, TABLE4_ALL)
 CELL_VARIANTS = ("standard", "as_printed")
 MODES = ("univariate", "multivariate")
+path = str  # the type of the seven file-name settings; _TYPE_PARSERS reads it
 
 
 class StockcastError(Exception):
@@ -156,13 +158,13 @@ class _RunSettings:
     folds: int = 5
     use_adj_close: bool = False
     clip_scaled: bool = False
-    input: str = ""
-    out: str = ""
-    model: str = ""
-    out_dir: str = ""
-    history_out: str = ""
-    predictions_out: str = ""
-    merge_out: str = ""
+    input: path = ""
+    out: path = ""
+    model: path = ""
+    out_dir: path = ""
+    history_out: path = ""
+    predictions_out: path = ""
+    merge_out: path = ""
 
     def effective_column_set(self) -> str:
         if self.column_set:
@@ -225,6 +227,8 @@ _TYPE_PARSERS = {
     "float": _parse_float,
     "bool": _parse_bool,
     "str": lambda raw: raw,
+    # raw's UTF-8 bytes, whatever the locale; undecodable argv bytes are surrogates (PEP 383)
+    "path": lambda raw: os.fsdecode(raw.encode("utf-8", "surrogateescape")),
 }
 FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 

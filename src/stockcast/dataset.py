@@ -52,8 +52,6 @@ class WindowedDataset:
     inputs: np.ndarray  # (samples, lookback, features)
     targets: np.ndarray  # (samples,) scaled Close at the row after each window
     dates: tuple  # target date per sample
-    lookback: int
-    feature_names: tuple[str, ...]
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -75,5 +73,5 @@ def make_windows(matrix: FeatureMatrix, lookback: int) -> WindowedDataset:
     inputs = sliding_window_view(values[:-1], lookback, axis=0).transpose(0, 2, 1).copy()
     targets = values[lookback:, close_idx].copy()
     dates = tuple(matrix.dates[lookback:])
-    return WindowedDataset(inputs, targets, dates, lookback, tuple(matrix.column_names))
+    return WindowedDataset(inputs, targets, dates)
 

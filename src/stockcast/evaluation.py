@@ -1,6 +1,8 @@
 """Error metrics, one-step test evaluation, recursive forecasting, walk-forward.
 
-All metrics compare prices in the original scale, never scaled values. The
+All metrics compare prices in the original scale, never scaled values.
+evaluate_one_step scores a model on the rows of a feature matrix that its
+SplitContract holds out, for evaluate and for every walk-forward fold. The
 recursive forecaster runs one loop for every mode: it feeds each prediction
 back as the next synthetic bar (open = high = low = close = adj close =
 prediction, volume carried forward), extends the model's feature columns by
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import lstm, pipeline, scaling
 from .config import RunConfig, StockcastError
-from .dataset import TooFewRows, WindowedDataset
-from .indicators import SeriesTooShort, _min_rows_needed, build_features
+from .dataset import TooFewRows
+from .indicators import FeatureMatrix, SeriesTooShort, _min_rows_needed, build_features
 from .market_data import BAR_FIELDS, OhlcvSeries
 
 FLAT_TREND_BAND = 0.001  # |last - first| within 0.1% of first counts as flat
@@ -42,10 +44,6 @@ class ZeroActual(EvalError):
 
     def __reduce__(self):
         return type(self), (self.index,)
-
-
-class SchemaMismatch(EvalError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,37 +85,17 @@ def compute_metrics(real, predict) -> MetricsReport:
                          n=int(r.size))
 
 
-def evaluate_one_step(model, test_ds: WindowedDataset):
-    """Metrics plus per-date (actual, predicted) prices on held-out samples.
+def evaluate_one_step(model, matrix: FeatureMatrix):
+    """Metrics plus per-date (actual, predicted) prices on the model's held-out rows of matrix.
 
-    Each prediction consumes only the rows strictly before its target date;
-    that is guaranteed by the window construction, not rechecked here.
+    pipeline.held_out_windows checks the model's contract against matrix and windows
+    those rows, so each prediction consumes only the rows strictly before its target date.
     """
-    if tuple(test_ds.feature_names) != tuple(model.feature_names):
-        offending = next(
-            (b for a, b in zip(model.feature_names, test_ds.feature_names) if a != b),
-            None,
-        )
-        if offending is None:
-            detail = f"{len(test_ds.feature_names)} columns, model has {len(model.feature_names)}"
-        else:
-            detail = f"column {offending!r} does not match the model's features"
-        raise SchemaMismatch(detail)
-    if test_ds.lookback != model.lookback:
-        raise SchemaMismatch(
-            f"dataset lookback {test_ds.lookback}, model lookback {model.lookback}"
-        )
-    if len(test_ds) == 0:
-        raise LengthMismatch("test dataset is empty")
-    preds_scaled = model.predict(test_ds.inputs)
-    predicted = np.asarray(scaling.inverse_close(model.scaler, preds_scaled), dtype=np.float64)
-    actual = np.asarray(scaling.inverse_close(model.scaler, test_ds.targets), dtype=np.float64)
+    test_ds = pipeline.held_out_windows(matrix, model)
+    predicted = scaling.inverse_close(model.scaler, model.predict(test_ds.inputs))
+    actual = scaling.inverse_close(model.scaler, test_ds.targets)
     report = compute_metrics(actual, predicted)
-    rows = [
-        (day, float(a), float(p))
-        for day, a, p in zip(test_ds.dates, actual, predicted)
-    ]
-    return report, rows
+    return report, list(zip(test_ds.dates, actual.tolist(), predicted.tolist()))
 
 
 def _classify_trend(values: list[float]) -> str:
@@ -190,11 +168,12 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     return ForecastResult(horizon=horizon, values=tuple(values), trend=_classify_trend(values))
 
 
-def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[MetricsReport]:
-    """Expanding-window backtest: fold j trains on the first j/(folds+1) of the
-    feature rows and takes one-step predictions on the next segment, retraining
-    from scratch with seed cfg.seed + j."""
-    if folds < 2:
+def walk_forward(series: OhlcvSeries, cfg: RunConfig) -> list[MetricsReport]:
+    """Expanding-window backtest over cfg.folds folds: fold j trains on the first
+    j/(folds+1) of the feature rows and takes one-step predictions on the next
+    segment, retraining from scratch with seed cfg.seed + j."""
+    folds = cfg.folds
+    if folds < 2:  # a RunConfig built directly skips resolve_config's check
         raise ValueError("folds must be >= 2")
     matrix = pipeline.build_matrix(series, cfg)
     rows = matrix.rows
@@ -206,6 +185,6 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig, folds: int) -> list[Metric
     for j in range(1, folds + 1):
         fold = matrix.row_slice(0, rows * (j + 1) // (folds + 1))
         model, _ = pipeline.fit_rows(fold, rows * j // (folds + 1), cfg, cfg.seed + j)
-        report, _ = evaluate_one_step(model, pipeline.held_out_windows(fold, model))
+        report, _ = evaluate_one_step(model, fold)
         reports.append(report)
     return reports

@@ -235,6 +235,7 @@ class LstmModel:
             for rows in seq:
                 stream._advance(rows)
             out[start : start + chunk] = stream._heads()
+            del stream  # else it lives on while the next chunk's stream is built
         return out
 
     def stream(self, width: int) -> WindowStream:

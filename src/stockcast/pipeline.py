@@ -7,8 +7,9 @@ so the scaler and the model see training rows alone, and records the
 contract on the model it returns. ``held_out_windows`` reads the split, the
 clip and the scaler from that model, once the contract matches the matrix it
 is given, and scales and windows rows [split_row - L, rows); the L rows
-before split_row are only the first window's inputs. Train, evaluate and
-every walk-forward fold go through these two.
+before split_row are only the first window's inputs. Train and every
+walk-forward fold fit through fit_rows; evaluate and every fold score through
+evaluation.evaluate_one_step(model, matrix), which calls held_out_windows.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def fit_rows(matrix: FeatureMatrix, split_row: int, cfg: RunConfig,
     train_ds = dataset.make_windows(scaling.transform(scaler, train_rows), cfg.lookback)
     tcfg = replace(cfg.train_config(), seed=seed)
     model_init = lstm.new_model(
-        train_ds.feature_names,
+        train_rows.column_names,
         cfg.lookback,
         scaler,
         tcfg,

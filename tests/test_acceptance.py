@@ -207,7 +207,7 @@ def test_sine_wave_learning():
         matrix = build_matrix(series, cfg)
         split_row = split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)
         assert model.contract.split_row == split_row
-        report, _ = evaluate_one_step(model, held_out_windows(matrix, model))
+        report, _ = evaluate_one_step(model, matrix)
         assert report.mape < 5.0, f"test MAPE {report.mape}"
 
 
@@ -280,7 +280,7 @@ def test_model_round_trip_predictions(tmp_path):
         rng = np.random.default_rng(61)
         inputs = rng.uniform(-1.0, 1.0, size=(120, 6, 1))
         targets = inputs[:, -1, 0].copy()
-        ds = windows_dataset(inputs, targets, 6)
+        ds = windows_dataset(inputs, targets)
         cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(5,), seed=3)
         trained, _ = train(tiny_model(lookback=6, hidden=(5,), seed=3), ds, cfg)
         path = tmp_path / "model.json"

@@ -368,9 +368,9 @@ def test_evaluate_takes_the_split_and_clip_from_the_model_file(tmp_path, capsys)
     # the same windows, clipped as training asked, through the library
     series = parse_csv(data.read_text(), "STOCK")
     matrix = pipeline.build_matrix(series, resolve_config({}, {"mode": "univariate"}))
-    test_ds = pipeline.held_out_windows(matrix, model)
-    assert test_ds.inputs.max() == 1.0  # the walk climbs past its training maximum
-    expected, _ = evaluate_one_step(model, test_ds)
+    # the walk climbs past its training maximum
+    assert pipeline.held_out_windows(matrix, model).inputs.max() == 1.0
+    expected, _ = evaluate_one_step(model, matrix)
     assert report["mape"] == expected.mape
 
     rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
@@ -665,13 +665,15 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     # locale encoding are ASCII, and "café" reaches the program as surrogate escapes
     env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     (tmp_path / "series.csv").write_text("day,close\n1,10.5\n2,11.0\n")
-    (tmp_path / "run.cfg").write_bytes("symbol = café\nout = chart.svg\n".encode())
+    # a path from the config file opens as its UTF-8 bytes, and one from argv as given
+    (tmp_path / "run.cfg").write_bytes("symbol = café\nout = café.svg\n".encode())
     done = run_python("-c", CLI, "plot", "--config", "run.cfg", "--series", "series.csv",
-                      "--title", "café", cwd=tmp_path, env=env)
+                      "--title", "café", "--merge-out", "naïve.csv", cwd=tmp_path, env=env)
     assert (done.returncode, done.stderr) == (0, "")
-    svg = (tmp_path / "chart.svg").read_bytes()
+    svg = (tmp_path / "café.svg").read_bytes()
     assert ">café</text>".encode() in svg
     svg.decode("utf-8")
+    assert (tmp_path / "naïve.csv").read_bytes().decode("utf-8").startswith("index,")
 
 
 def test_public_names_resolve_to_their_modules_objects():

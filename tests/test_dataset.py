@@ -27,7 +27,6 @@ def test_window_contract_five_rows():
     assert ds.inputs[0].ravel().tolist() == [1.0, 2.0]
     assert ds.inputs[2].ravel().tolist() == [3.0, 4.0]
     assert ds.dates == matrix.dates[2:]
-    assert ds.feature_names == ("Close",)
 
 
 def test_no_look_ahead():
@@ -204,8 +203,6 @@ def test_fit_rows_and_held_out_windows_match_stack_and_slice(
         assert side.targets.tobytes() == targets.tobytes()
         assert side.dates == dates
         assert side.inputs.flags.c_contiguous
-        assert side.lookback == lookback
-        assert side.feature_names == matrix.column_names
     arrays = (train.inputs, test.inputs, train_scaled.values, test_scaled.values, matrix.values)
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:

@@ -21,7 +21,6 @@ from stockcast.evaluation import (
     EvalError,
     LengthMismatch,
     MetricsReport,
-    SchemaMismatch,
     ZeroActual,
     compute_metrics,
     evaluate_one_step,
@@ -46,7 +45,7 @@ from stockcast.pipeline import (
 from stockcast.scaling import ScalerParams, fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
-from test_lstm import windows_dataset
+from test_scaling import matrix_of
 
 
 class RowStream:
@@ -155,7 +154,7 @@ def persistence_setup(n=120, lookback=10, seed=6):
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
     split_row = split_row_for(matrix.rows, lookback, 0.8)
     model = persistence_model(matrix, lookback, split_row)
-    return series, model.scaler, held_out_windows(matrix, model), model
+    return series, model.scaler, matrix, model
 
 
 def persistence_model(matrix, lookback, split_row, clip_scaled=False):
@@ -166,8 +165,8 @@ def persistence_model(matrix, lookback, split_row, clip_scaled=False):
 
 
 def test_persistence_evaluation_matches_direct_baseline():
-    series, scaler, test_ds, model = persistence_setup()
-    report, rows = evaluate_one_step(model, test_ds)
+    series, scaler, matrix, model = persistence_setup()
+    report, rows = evaluate_one_step(model, matrix)
 
     closes = series.closes()
     n_samples = len(series) - model.lookback
@@ -177,7 +176,7 @@ def test_persistence_evaluation_matches_direct_baseline():
     predicted = closes[target_rows - 1]
     direct = compute_metrics(actual, predicted)
 
-    assert report.n == direct.n == len(test_ds)
+    assert report.n == direct.n == len(held_out_windows(matrix, model))
     assert report.mape == pytest.approx(direct.mape, rel=1e-9)
     assert report.mae == pytest.approx(direct.mae, rel=1e-9)
     assert report.rmse == pytest.approx(direct.rmse, rel=1e-9)
@@ -190,43 +189,25 @@ def test_persistence_evaluation_matches_direct_baseline():
 def test_constant_series_scores_exact_zero():
     matrix = build_features(flat_series([42.0] * 30), IndicatorConfig(), UNIVARIATE)
     model = persistence_model(matrix, 5, split_row_for(matrix.rows, 5, 0.8))
-    report, _ = evaluate_one_step(model, held_out_windows(matrix, model))
+    report, _ = evaluate_one_step(model, matrix)
     assert report == MetricsReport(0.0, 0.0, 0.0, 0.0, report.n)
 
 
-def test_schema_mismatch_names_column():
-    _, scaler, test_ds, model = persistence_setup()
-    model.feature_names = ("CMA",)
-    with pytest.raises(SchemaMismatch, match="Close"):
-        evaluate_one_step(model, test_ds)
-
-
-def test_lookback_mismatch_and_empty():
-    _, scaler, test_ds, model = persistence_setup()
-    model.lookback = 99
-    with pytest.raises(SchemaMismatch, match="lookback"):
-        evaluate_one_step(model, test_ds)
-    model.lookback = test_ds.lookback
-    empty = windows_dataset(np.zeros((0, test_ds.lookback, 1)), np.zeros(0), test_ds.lookback)
-    with pytest.raises(LengthMismatch):
-        evaluate_one_step(model, empty)
-
-
 def test_evaluate_one_step_memory_peak_at_paper_scale():
-    # predict keeps one step per layer, a WindowStream's (input + hidden + 1, chunk) slab and its
-    # gates, c and tanh(c), whatever the lookback, so evaluate peaks near 1.6 MB here; the bound
-    # catches a return to training's all-step buffers, which peak near 11 MB at chunk 128
+    # the 255 held-out windows take 1.6 MB; predict adds one WindowStream at a time, one step
+    # per layer, a (input + hidden + 1, chunk) slab and its gates, c and tanh(c), whatever the
+    # lookback, so evaluate peaks near 2.4 MB here; the bound catches a second stream alive at
+    # once, and a return to training's all-step buffers, which peak near 11 MB at chunk 128
     names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
     model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
                       column_set=PAPER_MULTIVARIATE)
-    rng = np.random.default_rng(255)
-    test_ds = windows_dataset(rng.uniform(-1.0, 1.0, size=(255, 60, 13)),
-                              rng.uniform(0.0, 1.0, size=255), 60, names)
+    matrix = matrix_of(np.random.default_rng(255).uniform(0.0, 1.0, size=(315, 13)), names)
+    model.contract = split_contract(matrix, 60, False)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report, _ = evaluate_one_step(model, test_ds)
+        report, _ = evaluate_one_step(model, matrix)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -489,9 +470,8 @@ def test_clipped_held_out_scoring_reports_true_closes():
     series = flat_series([100.0 + 0.5 * i for i in range(200)])
     matrix = build_features(series, IndicatorConfig(), UNIVARIATE)
     model = persistence_model(matrix, 8, split_row_for(matrix.rows, 8, 0.8), clip_scaled=True)
-    test_ds = held_out_windows(matrix, model)
-    assert test_ds.inputs.max() == 1.0
-    _, rows = evaluate_one_step(model, test_ds)
+    assert held_out_windows(matrix, model).inputs.max() == 1.0
+    _, rows = evaluate_one_step(model, matrix)
     closes = dict(zip(series.dates(), series.closes().tolist()))
     assert len(rows) == 39 and rows[-1][1] == pytest.approx(199.5, rel=1e-12)
     for day, actual, _ in rows:
@@ -609,7 +589,7 @@ def test_fit_path_sees_no_held_out_row(monkeypatch):
     train_from_series(series, cfg)
     matrix = pipeline.build_matrix(series, cfg)
     first_targets = [matrix.dates[split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction)]]
-    walk_forward(series, cfg, 2)
+    walk_forward(series, cfg)
     first_targets += held_out
     assert len(fitted) == len(first_targets) == 3  # train, then two folds
     for dates, first_target in zip(fitted, first_targets):
@@ -630,7 +610,7 @@ def walk_cfg(**over):
 
 def test_every_walk_forward_fold_model_records_its_contract(monkeypatch):
     series = random_walk_series(120, seed=14)
-    cfg = walk_cfg(clip_scaled="true")
+    cfg = walk_cfg(clip_scaled="true", folds=3)
     fold_models = []
     real = pipeline.fit_rows
 
@@ -640,7 +620,7 @@ def test_every_walk_forward_fold_model_records_its_contract(monkeypatch):
         return model, history
 
     monkeypatch.setattr(pipeline, "fit_rows", capture)
-    walk_forward(series, cfg, 3)
+    walk_forward(series, cfg)
     matrix = pipeline.build_matrix(series, cfg)
     assert len(fold_models) == 3
     for j, model in enumerate(fold_models, start=1):
@@ -654,7 +634,7 @@ def test_every_walk_forward_fold_model_records_its_contract(monkeypatch):
 
 def test_walk_forward_fold_arithmetic():
     series = random_walk_series(120, seed=14)
-    reports = walk_forward(series, walk_cfg(), 2)
+    reports = walk_forward(series, walk_cfg())
     assert [r.n for r in reports] == [40, 40]
     assert all(r.mape < 50.0 for r in reports)
     assert all(math.isfinite(r.rmse) for r in reports)
@@ -662,7 +642,7 @@ def test_walk_forward_fold_arithmetic():
 
 def test_walk_forward_constant_series_is_exact():
     series = flat_series([50.0] * 90)
-    reports = walk_forward(series, walk_cfg(), 2)
+    reports = walk_forward(series, walk_cfg())
     assert [r.n for r in reports] == [30, 30]
     for report in reports:
         assert report.mape == 0.0
@@ -671,8 +651,8 @@ def test_walk_forward_constant_series_is_exact():
 
 def test_walk_forward_is_deterministic():
     series = random_walk_series(100, seed=3)
-    a = walk_forward(series, walk_cfg(), 2)
-    b = walk_forward(series, walk_cfg(), 2)
+    a = walk_forward(series, walk_cfg())
+    b = walk_forward(series, walk_cfg())
     assert a == b
 
 
@@ -681,18 +661,18 @@ def test_walk_forward_names_the_rows_its_first_fold_needs(fraction, needed):
     # 3 segments, each lookback 5 plus the fewest windows that leave a validation tail
     cfg = walk_cfg(validation_fraction=fraction)
     with pytest.raises(TooFewRows) as err:
-        walk_forward(random_walk_series(needed - 1, seed=3), cfg, 2)
+        walk_forward(random_walk_series(needed - 1, seed=3), cfg)
     assert (err.value.needed, err.value.have) == (needed, needed - 1)
-    reports = walk_forward(random_walk_series(needed, seed=3), cfg, 2)
+    reports = walk_forward(random_walk_series(needed, seed=3), cfg)
     assert [r.n for r in reports] == [needed // 3, needed - 2 * needed // 3]
 
 
 def test_walk_forward_guards():
     series = random_walk_series(100, seed=3)
-    with pytest.raises(ValueError):
-        walk_forward(series, walk_cfg(), 1)
+    with pytest.raises(ValueError, match="folds must be >= 2"):  # resolve_config would refuse it
+        walk_forward(series, replace(walk_cfg(), folds=1))
     with pytest.raises(TooFewRows):
-        walk_forward(random_walk_series(12, seed=3), walk_cfg(), 3)
+        walk_forward(random_walk_series(12, seed=3), walk_cfg(folds=3))
 
 
 # ------------------------------------------------------ errors across processes

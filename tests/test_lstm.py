@@ -64,15 +64,13 @@ def tiny_model(num_features=1, lookback=5, hidden=(4,), seed=42, variant="standa
     return new_model(names, lookback, scaler, cfg, cell_variant=variant, column_set=column_set)
 
 
-def windows_dataset(inputs, targets, lookback, names=("Close",)):
+def windows_dataset(inputs, targets):
     day = date(2020, 1, 6)
     dates = tuple(day + timedelta(days=i) for i in range(len(targets)))
     return WindowedDataset(
         inputs=np.asarray(inputs, dtype=np.float64),
         targets=np.asarray(targets, dtype=np.float64),
         dates=dates,
-        lookback=lookback,
-        feature_names=tuple(names),
     )
 
 
@@ -644,7 +642,7 @@ def memorization_data(n=220, lookback=8, seed=4):
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-1.0, 1.0, size=(n, lookback, 1))
     targets = inputs[:, -1, 0].copy()
-    return windows_dataset(inputs, targets, lookback)
+    return windows_dataset(inputs, targets)
 
 
 def test_training_learns_last_input_memorization():
@@ -786,7 +784,7 @@ def test_non_finite_loss_carries_position():
 
 def test_empty_or_tiny_dataset_rejected():
     cfg = TrainConfig(epochs=1, hidden_sizes=(3,), seed=1)
-    empty = windows_dataset(np.zeros((0, 8, 1)), np.zeros(0), 8)
+    empty = windows_dataset(np.zeros((0, 8, 1)), np.zeros(0))
     with pytest.raises(EmptyDataset):
         train(tiny_model(lookback=8, hidden=(3,), seed=1), empty, cfg)
     small = memorization_data(n=5)
