@@ -90,8 +90,7 @@ def build_parser() -> _Parser:
     p = _command(sub, "evaluate", cmd_evaluate, "one-step metrics on the held-out test split")
     _flags(p, "input", "model")
     p.add_argument("--report-out", dest="out", default=None)
-    _flags(p, "predictions_out", "train_fraction", "symbol",
-           train_fraction="the split, for a model file that records none")
+    _flags(p, "predictions_out", "symbol")
 
     p = _command(sub, "forecast", cmd_forecast, "recursive multi-day forecast from a trained model")
     _flags(p, "input", "model", "out", "horizon", "symbol")
@@ -170,7 +169,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    from . import evaluation, lstm, pipeline
+    from . import evaluation, lstm
     from .indicators import build_features
     from .jsonio import dump_json
 
@@ -180,12 +179,6 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     series = _load_series(cfg, input_path)
     model = lstm.load_model(model_path)
     matrix = build_features(series, model.indicator_config, model.column_set, model.use_adj_close)
-    if model.contract is None:  # a v1 file, or a model saved without its split
-        split_row = pipeline.split_row_for(matrix.rows, model.lookback, cfg.train_fraction)
-        model.contract = pipeline.split_contract(matrix, split_row, False)
-    elif args.train_fraction is not None:
-        raise ConfigError("--train-fraction is for model files without a recorded split; "
-                          f"{model_path} records split row {model.contract.split_row}")
     report, rows = evaluation.evaluate_one_step(model, matrix)
     document = {
         **asdict(report),

@@ -116,9 +116,9 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     stream of width W = min(lookback, horizon), one LSTM step per layer for
     every window in flight, so day k equals predict on a W-window chunk that
     holds its window at k % W. A model whose contract records clip_scaled reads
-    every scaled row bounded to [-1, 1]; one with no contract reads them as
-    scaled. The predicted closes fed back as bars stay as the model gave them,
-    and a day whose price is not finite raises NonFiniteInput.
+    every scaled row bounded to [-1, 1]. The predicted closes fed back as bars
+    stay as the model gave them, and a day whose price is not finite raises
+    NonFiniteInput.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -137,7 +137,7 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry
     history = scaling.transform(model.scaler, matrix).values[-lookback:]
-    clip = model.contract is not None and model.contract.clip_scaled
+    clip = model.contract.clip_scaled
     if clip:
         history.clip(-1.0, 1.0, out=history)
     width = min(lookback, horizon)  # windows in flight at once

@@ -42,14 +42,13 @@ equals predict at a chunk of W windows, and repeat calls are byte-identical.
 
 The model file (format_version 2) holds each layer's W and the head's w as
 one array each: its shape and the standard base64 of its little-endian float64
-bytes, so every weight reads back bit for bit. It writes each fact once and
-records the train/test split the model was trained under (config.SplitContract).
-load_model reads format_version 1 through the same reader. Version 1 stores
-twelve per-gate arrays per layer under the names above (w_fx (H, I), w_fh
-(H, H), b_f (H,), ...) as decimal lists, and writes five facts twice, which the
-reader checks against each other. gate_view maps each name to a writable view
-of W; the reader fills a v1 layer through it, and init_weights fills one in
-that file order.
+bytes, so every weight reads back bit for bit. It writes each fact once,
+including the train/test split the model was trained under (config.SplitContract),
+which every LstmModel carries. load_model reads format_version 2 alone;
+tools/upgrade_model.py converts a version 1 file, which stored twelve per-gate
+arrays per layer (w_fx (H, I), w_fh (H, H), b_f (H,), ...) and no split.
+gate_view maps each such name to a writable view of W, and init_weights fills
+a layer's weights in that order.
 """
 
 from __future__ import annotations
@@ -72,10 +71,9 @@ from .scaling import ScalerParams
 
 MODEL_FORMAT_VERSION = 2
 
-_LAYER_FIELDS = (  # format_version 1's per-gate arrays in file order; init_weights fills w_* in it
+_LAYER_FIELDS = (  # init_weights' fill order, which fixes the initial weights' bits
     "w_fx", "w_ix", "w_gx", "w_ox",
     "w_fh", "w_ih", "w_gh", "w_oh",
-    "b_f", "b_i", "b_g", "b_o",
 )
 _GATES = "fiog"  # packed block order: the three sigmoid gates, then the tanh candidate
 
@@ -201,11 +199,11 @@ class LstmModel:
     feature_names: tuple[str, ...]
     lookback: int
     train_config: TrainConfig
+    contract: SplitContract  # the split it was trained under; pipeline.fit_rows cuts it
     cell_variant: str = "standard"
     column_set: str = "univariate"
     indicator_config: IndicatorConfig = field(default_factory=IndicatorConfig)
     use_adj_close: bool = False
-    contract: SplitContract | None = None  # from pipeline.fit_rows; None for v1 or a bare new_model
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
@@ -256,7 +254,7 @@ def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParam
     rng = SplitMix64(seed)
     bound = 1.0 / math.sqrt(hidden_size)
     layer = LstmLayerParams.zeros(input_size, hidden_size)
-    for name in _LAYER_FIELDS[:8]:
+    for name in _LAYER_FIELDS:
         view = gate_view(layer, name)
         view[...] = rng.fill(view.shape, -bound, bound)
     gate_view(layer, "b_f")[:] = 1.0
@@ -268,6 +266,7 @@ def new_model(
     lookback: int,
     scaler: ScalerParams,
     cfg: TrainConfig,
+    contract: SplitContract,
     cell_variant: str = "standard",
     column_set: str = "univariate",
     indicator_config: IndicatorConfig | None = None,
@@ -296,6 +295,7 @@ def new_model(
         feature_names=feature_names,
         lookback=lookback,
         train_config=cfg,
+        contract=contract,
         cell_variant=cell_variant,
         column_set=column_set,
         indicator_config=indicator_config if indicator_config is not None else IndicatorConfig(),
@@ -675,7 +675,7 @@ def model_to_document(model: LstmModel) -> dict:
                    "maxs": _packed_document(model.scaler.maxs)},
         "indicator_config": _config_document(model.indicator_config),
         "train_config": _config_document(model.train_config),
-        "contract": None if model.contract is None else _config_document(model.contract),
+        "contract": _config_document(model.contract),
         "layers": [{"W": _packed_document(layer.W)} for layer in model.layers],
         "head": {"w": _packed_document(model.head_w), "b": float(model.head_b[0])},
     }
@@ -739,20 +739,6 @@ def _config_from_document(cls, doc, key: str):
         raise CorruptModel(path, str(exc)) from None
 
 
-def _array(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A v1 decimal list of the given shape."""
-    raw = _need(container, key, path, list)
-    try:
-        arr = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise CorruptModel(f"{path}.{key}", "not a numeric array") from None
-    if arr.shape != shape:
-        raise CorruptModel(f"{path}.{key}", f"shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise CorruptModel(f"{path}.{key}", "non-finite values")
-    return arr
-
-
 def _packed(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of _packed_document, for an array whose shape the rest of the file fixes."""
     where = f"{path}.{key}"
@@ -775,8 +761,7 @@ def _packed(container, key: str, path: str, shape: tuple[int, ...]) -> np.ndarra
 
 
 def load_model(source) -> LstmModel:
-    """Inverse of save_model, and the reader of format_version 1; structural problems
-    raise CorruptModel with a path."""
+    """Inverse of save_model; structural problems raise CorruptModel with a path."""
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text("utf-8")
         doc = json.loads(text)
@@ -787,35 +772,17 @@ def load_model(source) -> LstmModel:
     except RecursionError:
         raise CorruptModel("$", "nested too deeply to parse") from None
     version = _need(doc, "format_version", "$", int)
-    if version not in (1, MODEL_FORMAT_VERSION):
-        raise UnsupportedVersion(f"format_version {version}, supported: 1, {MODEL_FORMAT_VERSION}")
-    return _model_from_document(doc, version)
+    if version != MODEL_FORMAT_VERSION:
+        older = ("; tools/upgrade_model.py converts version 1"
+                 if version < MODEL_FORMAT_VERSION else "")
+        raise UnsupportedVersion(f"format_version {version}, supported: "
+                                 f"{MODEL_FORMAT_VERSION}{older}")
+    return _model_from_document(doc)
 
 
-def _check_v1_copies(doc: dict, column_set: str, feature_names: tuple,
-                     train_config: TrainConfig) -> None:
-    """format_version 1 writes five facts twice; each copy must agree with the fact."""
-    mode = _need(doc, "mode", "$", str)
-    if mode != mode_for(column_set):
-        raise CorruptModel("$.mode", f"{mode!r}, but column set {column_set!r} is {mode_for(column_set)}")
-    if not feature_names or not all(isinstance(n, str) for n in feature_names):
-        raise CorruptModel("$.feature_names", "expected a list of strings")
-    hidden_sizes = _need(doc, "hidden_sizes", "$", list)
-    if not hidden_sizes or not all(isinstance(h, int) and h >= 1 for h in hidden_sizes):
-        raise CorruptModel("$.hidden_sizes", "expected positive integers")
-    if train_config.hidden_sizes != tuple(hidden_sizes):
-        raise CorruptModel("$.train_config.hidden_sizes", "differs from $.hidden_sizes")
-    if train_config.seed != _need(doc, "rng_seed", "$", int):
-        raise CorruptModel("$.train_config.seed", "differs from $.rng_seed")
-    scaler_cols = _need(_need(doc, "scaler", "$", dict), "column_names", "$.scaler", list)
-    if tuple(scaler_cols) != feature_names:
-        raise CorruptModel("$.scaler.column_names", "scaler columns differ from feature_names")
-
-
-def _model_from_document(doc: dict, version: int) -> LstmModel:
-    """Both format versions. Version 1 stores decimal lists, twelve per-gate arrays per
-    layer and five facts twice (_check_v1_copies), and records no split; version 2 stores
-    every array through _packed and checks feature_names against the column set."""
+def _model_from_document(doc: dict) -> LstmModel:
+    """Every array through _packed, at the shape the other facts fix; feature_names must be
+    the column set's columns under indicator_config, and the contract is required."""
     cell_variant = _need(doc, "cell_variant", "$", str)
     if cell_variant not in CELL_VARIANTS:
         raise CorruptModel("$.cell_variant", f"unknown variant {cell_variant!r}")
@@ -829,52 +796,34 @@ def _model_from_document(doc: dict, version: int) -> LstmModel:
     indicator_config = _config_from_document(IndicatorConfig, doc, "indicator_config")
     train_config = _config_from_document(TrainConfig, doc, "train_config")
     feature_names = tuple(_need(doc, "feature_names", "$", list))
-    if version == 1:
-        _check_v1_copies(doc, column_set, feature_names, train_config)
-    elif feature_names != (expected := column_names_for(indicator_config, column_set)):
+    if feature_names != (expected := column_names_for(indicator_config, column_set)):
         raise CorruptModel("$.feature_names", f"{column_set} under $.indicator_config "
                                               f"gives {list(expected)}")
-    read = _array if version == 1 else _packed
     width = len(feature_names)
     scaler_doc = _need(doc, "scaler", "$", dict)
     scaler = ScalerParams(column_names=feature_names,
-                          mins=read(scaler_doc, "mins", "$.scaler", (width,)),
-                          maxs=read(scaler_doc, "maxs", "$.scaler", (width,)))
+                          mins=_packed(scaler_doc, "mins", "$.scaler", (width,)),
+                          maxs=_packed(scaler_doc, "maxs", "$.scaler", (width,)))
     layers_doc = _need(doc, "layers", "$", list)
     if len(layers_doc) != len(train_config.hidden_sizes):
-        raise CorruptModel("$.layers", "layer count does not match " +
-                           ("hidden_sizes" if version == 1 else "$.train_config.hidden_sizes"))
+        raise CorruptModel("$.layers", "layer count does not match $.train_config.hidden_sizes")
     layers, in_size = [], width
     for k, (layer_doc, hidden) in enumerate(zip(layers_doc, train_config.hidden_sizes)):
-        if version == 1:  # every array is read and shape-checked before the layer is allocated
-            shapes = {"x": (hidden, in_size), "h": (hidden, hidden)}  # else a bias, (hidden,)
-            gates = {name: _array(layer_doc, name, f"$.layers[{k}]", shapes.get(name[-1], (hidden,)))
-                     for name in _LAYER_FIELDS}
-            layer = LstmLayerParams.zeros(in_size, hidden)
-            for name, arr in gates.items():
-                gate_view(layer, name)[...] = arr
-        else:
-            shape = (in_size + hidden + 1, 4 * hidden)
-            layer = LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape))
-        layers.append(layer)
+        shape = (in_size + hidden + 1, 4 * hidden)
+        layers.append(LstmLayerParams(_packed(layer_doc, "W", f"$.layers[{k}]", shape)))
         in_size = hidden
     head_doc = _need(doc, "head", "$", dict)
-    head_w = read(head_doc, "w", "$.head", (in_size,))
-    head_b = _need(head_doc, "b", "$.head", float)
-    contract = None
-    if version == 2 and _need(doc, "contract", "$", object) is not None:
-        contract = _config_from_document(SplitContract, doc, "contract")
     return LstmModel(
         layers=layers,
-        head_w=head_w,
-        head_b=np.array([head_b]),
+        head_w=_packed(head_doc, "w", "$.head", (in_size,)),
+        head_b=np.array([_need(head_doc, "b", "$.head", float)]),
         scaler=scaler,
         feature_names=feature_names,
         lookback=lookback,
         train_config=train_config,
+        contract=_config_from_document(SplitContract, doc, "contract"),
         cell_variant=cell_variant,
         column_set=column_set,
         indicator_config=indicator_config,
         use_adj_close=use_adj_close,
-        contract=contract,
     )

@@ -62,14 +62,13 @@ def fit_rows(matrix: FeatureMatrix, split_row: int, cfg: RunConfig,
         cfg.lookback,
         scaler,
         tcfg,
+        split_contract(matrix, split_row, cfg.clip_scaled),
         cell_variant=cfg.cell_variant,
         column_set=cfg.effective_column_set(),
         indicator_config=cfg.indicator_config(),
         use_adj_close=cfg.use_adj_close,
     )
-    model, history = lstm.train(model_init, train_ds, tcfg)
-    model.contract = split_contract(matrix, split_row, cfg.clip_scaled)
-    return model, history
+    return lstm.train(model_init, train_ds, tcfg)
 
 
 def held_out_windows(matrix: FeatureMatrix, model: lstm.LstmModel) -> WindowedDataset:

@@ -22,7 +22,7 @@ from stockcast.charts import render_line_chart
 from stockcast.cli import SeriesFileError, _read_series_csv, main
 from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
 from stockcast.evaluation import evaluate_one_step, forecast_recursive
-from stockcast.indicators import IndicatorConfig, build_features
+from stockcast.indicators import IndicatorConfig
 from stockcast.lstm import TrainConfig, gate_view, load_model, save_model
 from stockcast.market_data import parse_csv, serialize_csv
 from stockcast.scaling import ScalerParams
@@ -32,6 +32,7 @@ from conftest import SNAPSHOT_CSV, random_walk_series
 
 CLI = "from stockcast.cli import entrypoint; entrypoint()"
 FIXTURES = Path(__file__).parent / "fixtures"
+UPGRADE_TOOL = Path(__file__).parents[1] / "tools" / "upgrade_model.py"
 
 
 def run_python(*argv, env=(), **kwargs):
@@ -121,6 +122,7 @@ def bad_inputs(tmp_path_factory):
     for name, text in texts.items():
         (d / name).write_text(text)
     (d / "latin1.csv").write_bytes(header.encode() + b"2021-01-04,caf\xe9\n")
+    (d / "v1.json").write_bytes((FIXTURES / "golden_v1_paper_model.json").read_bytes())
     walk = write_walk(d)
     (d / "short.csv").write_text("".join(walk.read_text().splitlines(keepends=True)[:101]))
     rc, model_path, _ = run_train(d, walk)
@@ -149,7 +151,10 @@ EXIT_CODE_TABLE = {
     "CorruptModel": (["evaluate", "--input", "walk.csv", "--model", "truncated.json"], 2,
                      "error: corrupt model document at $: invalid JSON: "),
     "UnsupportedVersion": (["evaluate", "--input", "walk.csv", "--model", "v3.json"], 2,
-                           "error: format_version 3, supported: 1, 2"),
+                           "error: format_version 3, supported: 2\n"),
+    "UnsupportedVersion, v1": (["forecast", "--input", "walk.csv", "--model", "v1.json"], 2,
+                               "error: format_version 1, supported: 2; tools/upgrade_model.py "
+                               "converts version 1\n"),
     "LstmError": (["train", "--input", "walk.csv", "--hidden-sizes", "1000000000000"], 2,
                   "error: cannot allocate a layer of input size 1, hidden size 1000000000000"),
     "SeriesFileError": (["plot", "--series", "ragged.csv"], 2, "error: ragged.csv: line 3: ragged"),
@@ -373,10 +378,11 @@ def test_evaluate_takes_the_split_and_clip_from_the_model_file(tmp_path, capsys)
     expected, _ = evaluate_one_step(model, matrix)
     assert report["mape"] == expected.mape
 
+    # the split is the file's alone, so evaluate has no flag that could state another
     rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
                "--report-out", str(report_path), "--train-fraction", "0.9"])
     assert rc == 64
-    assert "records split row 636" in capsys.readouterr().err
+    assert "unrecognized arguments: --train-fraction 0.9" in capsys.readouterr().err
 
 
 def test_evaluate_refuses_a_csv_whose_training_span_differs(tmp_path, capsys):
@@ -411,26 +417,6 @@ def test_evaluate_refuses_a_csv_whose_training_span_differs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_evaluate_a_file_without_a_split_takes_train_fraction(tmp_path, capsys):
-    # a v1 file records no split, so evaluate cuts one from --train-fraction, as it did
-    data = write_walk(tmp_path)
-    model_path = FIXTURES / "golden_v1_paper_model.json"
-    model = load_model(model_path)
-    assert model.contract is None
-    series = parse_csv(data.read_text(), "STOCK")
-    rows = build_features(series, model.indicator_config, model.column_set,
-                          model.use_adj_close).rows
-    for fraction in (None, 0.9):
-        flag = [] if fraction is None else ["--train-fraction", str(fraction)]
-        split_row = pipeline.split_row_for(rows, model.lookback, fraction or 0.8)
-        report_path = tmp_path / f"report{fraction}.json"
-        rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
-                   "--report-out", str(report_path), *flag])
-        assert rc == 0
-        assert json.loads(report_path.read_text())["n"] == rows - split_row
-    capsys.readouterr()
-
-
 def test_evaluate_unparseable_model_is_data_error(tmp_path, capsys):
     data = write_walk(tmp_path)
     model_path = tmp_path / "model.json"
@@ -451,9 +437,16 @@ def test_evaluate_v1_model_with_unknown_column_set_is_data_error(tmp_path, capsy
     rc = main(["evaluate", "--input", str(data), "--model", str(model_path),
                "--report-out", str(tmp_path / "report.json")])
     assert rc == 2
-    assert capsys.readouterr().err == ("error: corrupt model document at $.column_set: "
-                                       "unknown column set 'sideways'\n")
+    assert capsys.readouterr().err.startswith("error: format_version 1, supported: 2; ")
     assert not (tmp_path / "report.json").exists()
+    # the conversion tool reads version 1, and refuses the column set as the package would
+    upgraded = tmp_path / "upgraded.json"
+    done = run_python(str(UPGRADE_TOOL), str(model_path), str(data), "--train-fraction", "0.8",
+                      "--out", str(upgraded))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: corrupt model document at $.column_set: "
+                           "unknown column set 'sideways'\n")
+    assert not upgraded.exists()
 
 
 # ------------------------------------------------------------------- forecast

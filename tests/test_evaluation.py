@@ -45,6 +45,7 @@ from stockcast.pipeline import (
 from stockcast.scaling import ScalerParams, fit, inverse_close, transform
 
 from conftest import flat_series, random_walk_series
+from test_lstm import CONTRACT
 from test_scaling import matrix_of
 
 
@@ -67,7 +68,7 @@ class PersistenceModel:
     column_set = UNIVARIATE
     use_adj_close = False
     indicator_config = IndicatorConfig()
-    contract = None
+    contract = CONTRACT  # persistence_model records a real split; a forecast reads clip_scaled
 
     def __init__(self, feature_names, lookback, scaler):
         self.feature_names = tuple(feature_names)
@@ -200,10 +201,9 @@ def test_evaluate_one_step_memory_peak_at_paper_scale():
     # once, and a return to training's all-step buffers, which peak near 11 MB at chunk 128
     names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
-    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
-                      column_set=PAPER_MULTIVARIATE)
     matrix = matrix_of(np.random.default_rng(255).uniform(0.0, 1.0, size=(315, 13)), names)
-    model.contract = split_contract(matrix, 60, False)
+    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
+                      split_contract(matrix, 60, False), column_set=PAPER_MULTIVARIATE)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -486,19 +486,16 @@ def test_forecast_clips_model_inputs_only_when_asked():
     assert forecast_recursive(model, series, 3).values == (129.5,) * 3
     model.contract = replace(model.contract, clip_scaled=True)
     assert forecast_recursive(model, series, 3).values == (119.5,) * 3
-    model.contract = None  # a model that records no split is not clipped
-    assert forecast_recursive(model, series, 3).values == (129.5,) * 3
 
 
 @pytest.mark.parametrize("horizon", [1, 3])
-@pytest.mark.parametrize("clip_scaled", [None, False, True])
+@pytest.mark.parametrize("clip_scaled", [False, True])
 def test_forecast_refuses_a_price_that_overflows(horizon, clip_scaled):
     # unscaling a head output near 1e308 overflows float64; clipping the fed-back row to 1.0
     # must not hide it, and the last day, which is never fed back, is checked too
     series, model = trained_univariate()
     model.head_b[...] = 1e308
-    model.contract = None if clip_scaled is None else replace(model.contract,
-                                                              clip_scaled=clip_scaled)
+    model.contract = replace(model.contract, clip_scaled=clip_scaled)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(lstm.NonFiniteInput) as err:

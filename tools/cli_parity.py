@@ -9,7 +9,9 @@ format_version 1 model (tests/fixtures/golden_v1_paper_model.json) and a copy
 of it with an unknown column set, runs one fixed list of commands against each
 tree in a fresh directory of its own, and lists every difference in exit code,
 stdout, stderr or output file. It exits 1 when anything differs and 0 when
-nothing does.
+nothing does. The version 1 files go to evaluate and forecast with no split
+flag, so each tree shows what its reader does with them: a tree that reads
+version 2 alone refuses them and names tools/upgrade_model.py.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ COMMANDS = [
     ["backtest", "--input", "short_walk.csv", "--out-dir", "mv_folds", "--folds", "3",
      "--mode", "multivariate", "--epochs", "1"],
     # m.json's recorded split: a CSV too short to hold it, a CSV whose training span differs,
-    # and a --train-fraction that a file recording its split refuses
+    # and a --train-fraction, which evaluate refuses because the split is the file's
     ["evaluate", "--input", "short_walk.csv", "--model", "m.json", "--report-out", "short_r.json"],
     ["evaluate", "--input", "nudged_walk.csv", "--model", "m.json", "--report-out",
      "nudged_r.json"],
@@ -118,11 +120,11 @@ COMMANDS = [
     *[["indicators", "--input", name, "--out", f"{name}.features.csv"] for name in INPUTS
       if name not in CLEAN],
     # a format_version 1 file, and one whose column set no version knows
-    ["evaluate", "--input", "walk.csv", "--model", "v1.json", "--train-fraction", "0.8",
-     "--report-out", "v1_r.json", "--predictions-out", "v1_p.csv"],
+    ["evaluate", "--input", "walk.csv", "--model", "v1.json", "--report-out", "v1_r.json",
+     "--predictions-out", "v1_p.csv"],
     ["forecast", "--input", "walk.csv", "--model", "v1.json", "--out", "v1_f.csv", "--horizon", "5"],
-    ["evaluate", "--input", "walk.csv", "--model", "v1_sideways.json", "--train-fraction", "0.8",
-     "--report-out", "v1_sideways_r.json"],
+    ["evaluate", "--input", "walk.csv", "--model", "v1_sideways.json", "--report-out",
+     "v1_sideways_r.json"],
     ["evaluate", "--input", "overflowing_high.csv", "--model", "m.json", "--report-out", "bad.json"],
     ["indicators", "--input", "missing.csv", "--out", "missing.features.csv"],
     # error paths: files that are not UTF-8, a missing config, series a chart refuses, and an
