@@ -13,9 +13,10 @@ PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e",
     "#9467bd", "#8c564b", "#17becf", "#7f7f7f",
 )
+WIDTH, HEIGHT = 900, 480  # the chart's size in pixels
 
 
-class ChartError(StockcastError, ValueError):
+class ChartError(StockcastError):
     """Series that cannot be drawn or merged."""
 
 
@@ -30,8 +31,8 @@ def _check_series(series) -> None:
                 raise ChartError(f"series {label!r} contains a non-finite value")
 
 
-def render_line_chart(series, title: str = "", width: int = 900, height: int = 480) -> str:
-    """SVG with axes, y grid, a legend, and one polyline per (label, values).
+def render_line_chart(series, title: str = "") -> str:
+    """WIDTH x HEIGHT SVG with axes, y grid, a legend, and one polyline per (label, values).
 
     The x axis is the sample index. Output depends only on the inputs, so
     identical calls produce identical bytes.
@@ -49,8 +50,8 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
     m_left, m_right = 70.0, 24.0
     m_top = 44.0 if title else 24.0
     m_bottom = 48.0
-    plot_w = width - m_left - m_right
-    plot_h = height - m_top - m_bottom
+    plot_w = WIDTH - m_left - m_right
+    plot_h = HEIGHT - m_top - m_bottom
 
     def px(index: float) -> float:
         return m_left + (index / x_max) * plot_w
@@ -59,13 +60,13 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
         return m_top + (1.0 - (value - y_min) / (y_max - y_min)) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="24" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.2f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title, quote=False)}</text>'
         )
     # y grid and labels
@@ -73,7 +74,7 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
         value = y_min + (y_max - y_min) * k / 4.0
         y = py(value)
         parts.append(
-            f'<line x1="{m_left:.2f}" y1="{y:.2f}" x2="{width - m_right:.2f}" y2="{y:.2f}" '
+            f'<line x1="{m_left:.2f}" y1="{y:.2f}" x2="{WIDTH - m_right:.2f}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
@@ -85,21 +86,21 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
     for index in tick_indices:
         x = px(index)
         parts.append(
-            f'<line x1="{x:.2f}" y1="{height - m_bottom:.2f}" x2="{x:.2f}" '
-            f'y2="{height - m_bottom + 5:.2f}" stroke="#444444" stroke-width="1"/>'
+            f'<line x1="{x:.2f}" y1="{HEIGHT - m_bottom:.2f}" x2="{x:.2f}" '
+            f'y2="{HEIGHT - m_bottom + 5:.2f}" stroke="#444444" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x:.2f}" y="{height - m_bottom + 20:.2f}" text-anchor="middle" '
+            f'<text x="{x:.2f}" y="{HEIGHT - m_bottom + 20:.2f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11" fill="#444444">{index}</text>'
         )
     # axes
     parts.append(
         f'<line x1="{m_left:.2f}" y1="{m_top:.2f}" x2="{m_left:.2f}" '
-        f'y2="{height - m_bottom:.2f}" stroke="#444444" stroke-width="1"/>'
+        f'y2="{HEIGHT - m_bottom:.2f}" stroke="#444444" stroke-width="1"/>'
     )
     parts.append(
-        f'<line x1="{m_left:.2f}" y1="{height - m_bottom:.2f}" x2="{width - m_right:.2f}" '
-        f'y2="{height - m_bottom:.2f}" stroke="#444444" stroke-width="1"/>'
+        f'<line x1="{m_left:.2f}" y1="{HEIGHT - m_bottom:.2f}" x2="{WIDTH - m_right:.2f}" '
+        f'y2="{HEIGHT - m_bottom:.2f}" stroke="#444444" stroke-width="1"/>'
     )
     # series
     for idx, (label, values) in enumerate(series):
@@ -114,7 +115,7 @@ def render_line_chart(series, title: str = "", width: int = 900, height: int = 4
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
     # legend, top right inside the plot area
-    legend_x = width - m_right - 170
+    legend_x = WIDTH - m_right - 170
     for idx, (label, _) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         y = m_top + 14 + idx * 17

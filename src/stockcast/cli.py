@@ -28,7 +28,7 @@ EXIT_OK = 0
 _LABELS = {2: "error", 3: "numerical error", 64: "usage error"}  # by StockcastError.exit_code
 
 
-class SeriesFileError(StockcastError, ValueError):
+class SeriesFileError(StockcastError):
     """A plot --series CSV that cannot be read as a column of numbers."""
 
 

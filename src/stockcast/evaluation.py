@@ -16,7 +16,7 @@ k mod that width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def walk_forward(series: OhlcvSeries, cfg: RunConfig) -> list[MetricsReport]:
     reports: list[MetricsReport] = []
     for j in range(1, folds + 1):
         fold = matrix.row_slice(0, rows * (j + 1) // (folds + 1))
-        model, _ = pipeline.fit_rows(fold, rows * j // (folds + 1), cfg, cfg.seed + j)
+        model, _ = pipeline.fit_rows(fold, rows * j // (folds + 1), replace(cfg, seed=cfg.seed + j))
         report, _ = evaluate_one_step(model, fold)
         reports.append(report)
     return reports

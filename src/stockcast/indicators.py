@@ -238,7 +238,8 @@ def stochastic_d(k_values, m: int) -> np.ndarray:
     return out
 
 
-def macd(closes, fast: int = 12, slow: int = 26, signal_n: int = 9):
+def macd(closes, fast: int = IndicatorConfig.macd_fast, slow: int = IndicatorConfig.macd_slow,
+         signal_n: int = IndicatorConfig.macd_signal):
     """MACD line, signal line, histogram.
 
     diff = EMA(alpha=2/(fast+1)) - EMA(alpha=2/(slow+1)); the signal line is

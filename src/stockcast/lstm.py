@@ -4,6 +4,8 @@ Everything is plain numpy: the cell equations, the unrolled forward pass over
 a window, reverse-mode gradients, gradient-norm clipping, the Adam update,
 and a versioned JSON serialization of the whole model. No autograd framework
 is involved, which keeps training bit-reproducible for a fixed seed.
+new_model(cfg, scaler, contract) builds a model from one config.RunConfig, and
+train(model, windows) fits it by the TrainConfig that the model records.
 
 Two cell variants exist. "standard" is the usual formulation:
 
@@ -58,13 +60,13 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import (CELL_VARIANTS, COLUMN_SETS, IndicatorConfig, SplitContract, StockcastError,
-                     TrainConfig, mode_for)
+from .config import (CELL_VARIANTS, COLUMN_SETS, IndicatorConfig, RunConfig, SplitContract,
+                     StockcastError, TrainConfig, mode_for)
 from .indicators import column_names_for
 from .jsonio import dump_json
 from .scaling import ScalerParams
@@ -196,14 +198,14 @@ class LstmModel:
     head_w: np.ndarray  # (last_hidden,)
     head_b: np.ndarray  # shape (1,)
     scaler: ScalerParams
-    feature_names: tuple[str, ...]
     lookback: int
-    train_config: TrainConfig
+    train_config: TrainConfig  # what train fits by
     contract: SplitContract  # the split it was trained under; pipeline.fit_rows cuts it
-    cell_variant: str = "standard"
-    column_set: str = "univariate"
-    indicator_config: IndicatorConfig = field(default_factory=IndicatorConfig)
-    use_adj_close: bool = False
+    cell_variant: str
+    column_set: str
+    indicator_config: IndicatorConfig
+    use_adj_close: bool
+    feature_names = property(lambda self: self.scaler.column_names, doc="the input columns: the scaler's")
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
@@ -261,45 +263,33 @@ def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParam
     return layer
 
 
-def new_model(
-    feature_names,
-    lookback: int,
-    scaler: ScalerParams,
-    cfg: TrainConfig,
-    contract: SplitContract,
-    cell_variant: str = "standard",
-    column_set: str = "univariate",
-    indicator_config: IndicatorConfig | None = None,
-    use_adj_close: bool = False,
-) -> LstmModel:
-    """Freshly initialized stacked model; layer k seeds from cfg.seed + k."""
-    if cell_variant not in CELL_VARIANTS:
+def new_model(cfg: RunConfig, scaler: ScalerParams, contract: SplitContract) -> LstmModel:
+    """A freshly initialized stacked model over scaler's columns that records every run-level
+    fact of cfg and its train_config, which train fits by; layer k seeds from cfg.seed + k."""
+    if cfg.cell_variant not in CELL_VARIANTS:
         raise ValueError(f"cell_variant must be one of {CELL_VARIANTS}")
-    if lookback < 1:
+    if cfg.lookback < 1:
         raise ValueError("lookback must be >= 1")
-    feature_names = tuple(feature_names)
-    if not feature_names:
-        raise ValueError("feature_names must not be empty")
+    tcfg = cfg.train_config()
     layers = []
-    in_size = len(feature_names)
-    for k, hidden in enumerate(cfg.hidden_sizes):
-        layers.append(init_weights(in_size, hidden, cfg.seed + k))
+    in_size = len(scaler.column_names)
+    for k, hidden in enumerate(tcfg.hidden_sizes):
+        layers.append(init_weights(in_size, hidden, tcfg.seed + k))
         in_size = hidden
-    head_rng = SplitMix64(cfg.seed + len(cfg.hidden_sizes))
+    head_rng = SplitMix64(tcfg.seed + len(tcfg.hidden_sizes))
     bound = 1.0 / math.sqrt(in_size)
     return LstmModel(
         layers=layers,
         head_w=head_rng.fill((in_size,), -bound, bound),
         head_b=np.zeros(1),
         scaler=scaler,
-        feature_names=feature_names,
-        lookback=lookback,
-        train_config=cfg,
+        lookback=cfg.lookback,
+        train_config=tcfg,
         contract=contract,
-        cell_variant=cell_variant,
-        column_set=column_set,
-        indicator_config=indicator_config if indicator_config is not None else IndicatorConfig(),
-        use_adj_close=use_adj_close,
+        cell_variant=cfg.cell_variant,
+        column_set=cfg.effective_column_set(),
+        indicator_config=cfg.indicator_config(),
+        use_adj_close=cfg.use_adj_close,
     )
 
 
@@ -591,14 +581,17 @@ def min_train_windows(validation_fraction: float) -> int:
     return n if int(n * validation_fraction) >= 1 else n + 1
 
 
-def train(model_init: LstmModel, train_ds, cfg: TrainConfig):
-    """Mini-batch Adam over chronological batches; no shuffling anywhere.
+def train(model_init: LstmModel, train_ds):
+    """Mini-batch Adam over chronological batches, by model_init.train_config (cfg here);
+    no shuffling anywhere.
 
     The chronological tail of train_ds (cfg.validation_fraction of it) is held out for the
-    per-epoch validation curve. Returns a trained copy of model_init and a history dict with
-    exactly cfg.epochs entries per curve. An epoch's train MSE is the mean, over its fitting
-    windows, of each window's squared error taken before its batch's update.
+    per-epoch validation curve. Returns a trained copy of model_init, which records the cfg it
+    was trained by, and a history dict with exactly cfg.epochs entries per curve. An epoch's
+    train MSE is the mean, over its fitting windows, of each window's squared error taken
+    before its batch's update.
     """
+    cfg = model_init.train_config
     n = len(train_ds)
     if n == 0:
         raise EmptyDataset("no training samples")
@@ -663,7 +656,7 @@ def _packed_document(arr: np.ndarray) -> dict:
 
 def model_to_document(model: LstmModel) -> dict:
     """The format_version 2 document. Hidden sizes, seed and mode are train_config's and
-    column_set's; the scaler's columns are feature_names."""
+    column_set's; feature_names are the scaler's columns."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "feature_names": list(model.feature_names),
@@ -818,7 +811,6 @@ def _model_from_document(doc: dict) -> LstmModel:
         head_w=_packed(head_doc, "w", "$.head", (in_size,)),
         head_b=np.array([_need(head_doc, "b", "$.head", float)]),
         scaler=scaler,
-        feature_names=feature_names,
         lookback=lookback,
         train_config=train_config,
         contract=_config_from_document(SplitContract, doc, "contract"),

@@ -4,17 +4,19 @@ A model's split is stated once, in the SplitContract it records: a sample
 trains when its target row lies before contract.split_row and is held out
 otherwise. ``fit_rows`` makes the cut: it slices rows [0, split_row) first,
 so the scaler and the model see training rows alone, and records the
-contract on the model it returns. ``held_out_windows`` reads the split, the
-clip and the scaler from that model, once the contract matches the matrix it
-is given, and scales and windows rows [split_row - L, rows); the L rows
-before split_row are only the first window's inputs. Train and every
-walk-forward fold fit through fit_rows; evaluate and every fold score through
+contract on the model it returns; the model takes every other setting from
+the RunConfig, and lstm.train fits it by the train_config it records.
+``held_out_windows`` reads the split, the clip and the scaler from that
+model, once the contract matches the matrix it is given, and scales and
+windows rows [split_row - L, rows); the L rows before split_row are only the
+first window's inputs. Train and every walk-forward fold fit through
+fit_rows; evaluate and every fold score through
 evaluation.evaluate_one_step(model, matrix), which calls held_out_windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,28 +49,16 @@ def split_row_for(matrix_rows: int, lookback: int, train_fraction: float) -> int
     return lookback + k
 
 
-def fit_rows(matrix: FeatureMatrix, split_row: int, cfg: RunConfig,
-             seed: int) -> tuple[lstm.LstmModel, dict]:
-    """Train a fresh model from seed on rows [0, split_row) of matrix alone; the
-    model records that cut, and cfg.clip_scaled, as its contract.
+def fit_rows(matrix: FeatureMatrix, split_row: int, cfg: RunConfig) -> tuple[lstm.LstmModel, dict]:
+    """Train a fresh model from cfg on rows [0, split_row) of matrix alone; the model records
+    that cut, and cfg.clip_scaled, as its contract.
 
     The rows need no clip: a scaler maps the rows it was fitted on into [-1, 1]."""
     train_rows = matrix.row_slice(0, split_row)
     scaler = scaling.fit(train_rows)
     train_ds = dataset.make_windows(scaling.transform(scaler, train_rows), cfg.lookback)
-    tcfg = replace(cfg.train_config(), seed=seed)
-    model_init = lstm.new_model(
-        train_rows.column_names,
-        cfg.lookback,
-        scaler,
-        tcfg,
-        split_contract(matrix, split_row, cfg.clip_scaled),
-        cell_variant=cfg.cell_variant,
-        column_set=cfg.effective_column_set(),
-        indicator_config=cfg.indicator_config(),
-        use_adj_close=cfg.use_adj_close,
-    )
-    return lstm.train(model_init, train_ds, tcfg)
+    model_init = lstm.new_model(cfg, scaler, split_contract(matrix, split_row, cfg.clip_scaled))
+    return lstm.train(model_init, train_ds)
 
 
 def held_out_windows(matrix: FeatureMatrix, model: lstm.LstmModel) -> WindowedDataset:
@@ -114,5 +104,4 @@ def split_contract(matrix: FeatureMatrix, split_row: int, clip_scaled: bool) -> 
 def train_from_series(series: OhlcvSeries, cfg: RunConfig) -> tuple[lstm.LstmModel, dict]:
     """The full training pipeline as the train command runs it; the model records its split."""
     matrix = build_matrix(series, cfg)
-    return fit_rows(matrix, split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction), cfg,
-                    cfg.seed)
+    return fit_rows(matrix, split_row_for(matrix.rows, cfg.lookback, cfg.train_fraction), cfg)

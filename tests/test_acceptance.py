@@ -36,7 +36,6 @@ from stockcast.indicators import (
     wma,
 )
 from stockcast.lstm import (
-    TrainConfig,
     forward_batch,
     load_model,
     model_param_items,
@@ -212,6 +211,7 @@ def test_sine_wave_learning():
 
 
 def test_cli_pipeline_parity(tmp_path):
+    # same-machine pin: two train-and-forecast runs in one process
     with criterion("cli-pipeline-parity", 600.0):
         series = random_walk_series(1530, seed=42)
         data = tmp_path / "walk.csv"
@@ -281,8 +281,8 @@ def test_model_round_trip_predictions(tmp_path):
         inputs = rng.uniform(-1.0, 1.0, size=(120, 6, 1))
         targets = inputs[:, -1, 0].copy()
         ds = windows_dataset(inputs, targets)
-        cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(5,), seed=3)
-        trained, _ = train(tiny_model(lookback=6, hidden=(5,), seed=3), ds, cfg)
+        trained, _ = train(tiny_model(lookback=6, hidden=(5,), seed=3, epochs=2, batch_size=16),
+                           ds)
         path = tmp_path / "model.json"
         save_model(trained, path)
         loaded = load_model(path)

@@ -20,7 +20,8 @@ import stockcast
 from stockcast import dataset, pipeline
 from stockcast.charts import render_line_chart
 from stockcast.cli import SeriesFileError, _read_series_csv, main
-from stockcast.config import FIELD_PARSERS, RunConfig, parse_config_text, resolve_config
+from stockcast.config import (FIELD_PARSERS, RunConfig, StockcastError, parse_config_text,
+                              resolve_config)
 from stockcast.evaluation import evaluate_one_step, forecast_recursive
 from stockcast.indicators import IndicatorConfig
 from stockcast.lstm import TrainConfig, gate_view, load_model, save_model
@@ -83,6 +84,7 @@ def test_help_text_matches_fixture(monkeypatch, capsys):
     The fixture was written by Python 3.11's argparse; other minor versions
     may lay help out differently.
     """
+    # fixture pin: argparse's text, no arithmetic, so it holds under the blas-kernels matrix
     monkeypatch.setenv("COLUMNS", "80")
     pages = []
     for command in HELP_COMMANDS:
@@ -274,6 +276,7 @@ def test_train_writes_model_and_history(tmp_path, capsys):
 
 
 def test_train_is_byte_deterministic(tmp_path, capsys):
+    # same-machine pin: two trains in one process
     data = write_walk(tmp_path)
     _, model_a, history_a = run_train(tmp_path, data, model_name="a.json", history_name="a.csv")
     _, model_b, history_b = run_train(tmp_path, data, model_name="b.json", history_name="b.csv")
@@ -284,6 +287,7 @@ def test_train_is_byte_deterministic(tmp_path, capsys):
 
 def test_train_clip_scaled_changes_only_the_contract(tmp_path, capsys):
     # a scaler maps its own training rows into [-1, 1]; --clip-scaled acts on held-out inputs only
+    # same-machine pin: two trains in one process
     data = write_walk(tmp_path)
     _, model_a, history_a = run_train(tmp_path, data, model_name="a.json", history_name="a.csv")
     _, model_b, history_b = run_train(tmp_path, data, ["--clip-scaled"], "b.json", "b.csv")
@@ -467,6 +471,7 @@ def test_forecast_output_and_trend(tmp_path, capsys):
 
 def test_forecast_with_saturated_forget_gate_keeps_stderr_empty(tmp_path, capsys):
     # b_f = -1000 puts exp(-z) past float64's range; the sigmoid is still exactly 0
+    # same-machine pin: a forecast in a child process against one in this process
     data, model_path = trained_setup(tmp_path)
     capsys.readouterr()
     model = load_model(model_path)
@@ -544,6 +549,7 @@ def test_backtest_writes_fold_reports(tmp_path, capsys):
 # ----------------------------------------------------------------------- plot
 
 def test_plot_svg_and_merge(tmp_path, capsys):
+    # same-machine pin: two renders in one process
     data, model_path = trained_setup(tmp_path)
     forecast_csv = tmp_path / "forecast.csv"
     main(["forecast", "--input", str(data), "--model", str(model_path),
@@ -624,7 +630,8 @@ def test_plot_csv_errors_are_typed_value_errors_with_exit_2(tmp_path, capsys, te
     message = message.format(path=path)
     with pytest.raises(SeriesFileError, match="^" + re.escape(message) + "$") as err:
         _read_series_csv(str(path), column)
-    assert isinstance(err.value, ValueError)
+    # typed as a StockcastError alone: no handler may catch it as a ValueError
+    assert isinstance(err.value, StockcastError) and not isinstance(err.value, ValueError)
     spec = f"s={path}" + (f":{column}" if column else "")
     assert main(["plot", "--series", spec, "--out", str(tmp_path / "chart.svg")]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -64,12 +64,12 @@ def fit_windows(matrix, split_row, lookback, clip=False):
     })
     seen = []
 
-    def capture(model_init, train_ds, tcfg):
+    def capture(model_init, train_ds):
         seen.append(train_ds)
         return model_init, {}
 
     with mock.patch.object(lstm, "train", capture):
-        model, _ = fit_rows(matrix, split_row, cfg, cfg.seed)
+        model, _ = fit_rows(matrix, split_row, cfg)
     (train_ds,) = seen
     return train_ds, model
 
@@ -169,6 +169,7 @@ def stack_and_slice(scaled, lookback, split_row):
 def test_fit_rows_and_held_out_windows_match_stack_and_slice(
     rows, lookback, columns, split_pick, clip, seed
 ):
+    # same-machine pin: fit_rows against a reference slicing in one process
     lookback = min(lookback, rows - 2)
     split_row = lookback + 1 + split_pick % (rows - lookback - 1)
     values = np.random.default_rng(seed).normal(size=(rows, columns))

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stockcast import lstm, pipeline, scaling
-from stockcast.config import resolve_config
+from stockcast.config import RunConfig, resolve_config
 from stockcast.dataset import DegenerateSplit, SplitMismatch, TooFewRows, make_windows
 from stockcast.evaluation import (
     EvalError,
@@ -29,7 +29,7 @@ from stockcast.evaluation import (
     walk_forward,
 )
 from stockcast.indicators import COLUMN_SETS, PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, SeriesTooShort, build_features, column_names_for
-from stockcast.lstm import CorruptModel, NonFiniteLoss, TrainConfig, new_model
+from stockcast.lstm import CorruptModel, NonFiniteLoss, new_model
 from stockcast.market_data import (
     InvariantViolation,
     MalformedRow,
@@ -202,8 +202,8 @@ def test_evaluate_one_step_memory_peak_at_paper_scale():
     names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
     matrix = matrix_of(np.random.default_rng(255).uniform(0.0, 1.0, size=(315, 13)), names)
-    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)),
-                      split_contract(matrix, 60, False), column_set=PAPER_MULTIVARIATE)
+    model = new_model(RunConfig(mode="multivariate", lookback=60, hidden_sizes=(50, 50)), scaler,
+                      split_contract(matrix, 60, False))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -439,9 +439,9 @@ def test_single_path_keeps_test_rows_out_of_training():
     trained = []
     train = lstm.train
 
-    def capture(model_init, train_ds, tcfg):
+    def capture(model_init, train_ds):
         trained.append(train_ds)
-        return train(model_init, train_ds, tcfg)
+        return train(model_init, train_ds)
 
     with mock.patch.object(lstm, "train", capture):
         model, _ = train_from_series(series, cfg)
@@ -647,6 +647,7 @@ def test_walk_forward_constant_series_is_exact():
 
 
 def test_walk_forward_is_deterministic():
+    # same-machine pin: two backtests in one process
     series = random_walk_series(100, seed=3)
     a = walk_forward(series, walk_cfg())
     b = walk_forward(series, walk_cfg())

@@ -464,6 +464,7 @@ def test_adj_close_switch_changes_close_column(snapshot_series):
 
 
 def test_feature_csv_deterministic():
+    # same-machine pin: two feature builds in one process
     series = random_walk_series(260, seed=12)
     cfg = IndicatorConfig()
     a = write_feature_csv(build_features(series, cfg, PAPER_MULTIVARIATE))
@@ -522,6 +523,7 @@ appended_bars = st.lists(
        st.integers(0, 30), appended_bars)
 @example(cfg=IndicatorConfig(), seed=5, extra=0, bars=[("synthetic", 0.0, 0.0)] * 4)
 def test_carried_row_equals_full_rebuild_exactly(cfg, seed, extra, bars):
+    # same-machine pin: a carried row against a full rebuild in one process
     walk = random_walk_series(_min_rows_needed(cfg, TABLE4_ALL) + extra, seed=seed)
     n = len(walk)
     block = np.empty((6, n + len(bars)))

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast import lstm
-from stockcast.config import SplitContract
+from stockcast.config import PAPER_MULTIVARIATE, IndicatorConfig, RunConfig, SplitContract
 from stockcast.dataset import WindowedDataset
+from stockcast.indicators import column_names_for
 from stockcast.jsonio import dump_json
 from stockcast.lstm import (
     CacheMismatch,
@@ -63,10 +64,9 @@ def tiny_model(num_features=1, lookback=5, hidden=(4,), seed=42, variant="standa
         mins=np.zeros(num_features),
         maxs=np.ones(num_features),
     )
-    cfg = TrainConfig(hidden_sizes=hidden, seed=seed, **cfg_kwargs)
-    column_set = "univariate" if mode == "univariate" else "paper_multivariate"
-    return new_model(names, lookback, scaler, cfg, CONTRACT, cell_variant=variant,
-                     column_set=column_set)
+    cfg = RunConfig(mode=mode, lookback=lookback, cell_variant=variant, hidden_sizes=hidden,
+                    seed=seed, **cfg_kwargs)
+    return new_model(cfg, scaler, CONTRACT)
 
 
 def windows_dataset(inputs, targets):
@@ -188,6 +188,25 @@ def test_new_model_layer_seed_schedule():
     assert np.array_equal(model.head_w, SplitMix64(44).fill((3,), -bound, bound))
     assert model.head_b.tolist() == [0.0]
     assert model.hidden_sizes == (4, 3)
+
+
+def test_new_model_takes_every_run_level_fact_from_its_config():
+    # mode alone is set, so the column set is the one effective_column_set() resolves
+    cfg = RunConfig(mode="multivariate", lookback=7, cell_variant="as_printed", use_adj_close=True,
+                    sma_periods=(5, 20, 100), hidden_sizes=(3,), seed=9, epochs=4,
+                    learning_rate=0.02)
+    names = column_names_for(cfg.indicator_config(), PAPER_MULTIVARIATE)
+    scaler = ScalerParams(column_names=names, mins=np.zeros(len(names)), maxs=np.ones(len(names)))
+    model = new_model(cfg, scaler, CONTRACT)
+    assert cfg.column_set == "" and model.column_set == PAPER_MULTIVARIATE
+    assert (model.lookback, model.cell_variant, model.use_adj_close) == (7, "as_printed", True)
+    assert model.indicator_config == IndicatorConfig(sma_periods=(5, 20, 100))
+    assert model.train_config == TrainConfig(epochs=4, learning_rate=0.02, hidden_sizes=(3,), seed=9)
+    assert model.feature_names is scaler.column_names and model.num_features == len(names)
+    assert model.contract is CONTRACT
+    scaler = ScalerParams(("Close",), np.zeros(1), np.ones(1))
+    univariate = new_model(RunConfig(hidden_sizes=(3,)), scaler, CONTRACT)
+    assert (univariate.column_set, univariate.mode) == ("univariate", "univariate")
 
 
 # --------------------------------------------------------------------- cell
@@ -328,6 +347,7 @@ def test_forward_guards():
 
 
 def test_predict_batch_matches_predict():
+    # same-machine pin: repeat calls in one process
     model = tiny_model(num_features=2, lookback=6, hidden=(5, 3), mode="multivariate")
     X = np.random.default_rng(3).normal(size=(9, 6, 2))
     batch = model.predict(X, len(X))
@@ -495,8 +515,8 @@ def test_predict_path_matches_forward_batch(batch, variant, num_features):
 def test_predict_batch_keeps_no_backward_caches():
     names = tuple(f"x{j}" for j in range(13))
     scaler = ScalerParams(column_names=names, mins=np.zeros(13), maxs=np.ones(13))
-    model = new_model(names, 60, scaler, TrainConfig(hidden_sizes=(50, 50)), CONTRACT,
-                      column_set="paper_multivariate")
+    model = new_model(RunConfig(mode="multivariate", lookback=60, hidden_sizes=(50, 50)), scaler,
+                      CONTRACT)
     X = np.random.default_rng(6).uniform(-1.0, 1.0, size=(256, 60, 13))
 
     def peak_bytes(run):
@@ -652,10 +672,9 @@ def memorization_data(n=220, lookback=8, seed=4):
 
 def test_training_learns_last_input_memorization():
     ds = memorization_data()
-    cfg = TrainConfig(epochs=50, batch_size=32, learning_rate=0.01, hidden_sizes=(8,), seed=3)
     model = tiny_model(lookback=8, hidden=(8,), seed=3, learning_rate=0.01,
                        epochs=50, batch_size=32)
-    trained, history = train(model, ds, cfg)
+    trained, history = train(model, ds)
     assert len(history["train_mse"]) == 50
     assert len(history["val_mse"]) == 50
     assert history["train_mse"][-1] < 0.1 * history["train_mse"][0]
@@ -670,11 +689,11 @@ def test_train_matches_a_loop_over_the_public_steps():
     # 68 fitting windows at batch 16 leave a tail batch of 4, which gets its own cache;
     # the clip norm of 0.5 scales 2 of the 15 batches' gradients
     ds = memorization_data(n=75)
-    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, hidden_sizes=(5, 3), seed=6,
-                      gradient_clip_norm=0.5)
-    model = tiny_model(lookback=8, hidden=(5, 3), seed=6)
-    trained, history = train(model, ds, cfg)
+    model = tiny_model(lookback=8, hidden=(5, 3), seed=6, epochs=3, batch_size=16,
+                       learning_rate=0.01, gradient_clip_norm=0.5)
+    trained, history = train(model, ds)
 
+    cfg = model.train_config
     fit_n = len(ds) - int(len(ds) * cfg.validation_fraction)
     ref = tiny_model(lookback=8, hidden=(5, 3), seed=6)
     params = model_param_items(ref)
@@ -706,7 +725,8 @@ def test_train_matches_a_loop_over_the_public_steps():
 def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
     # 68 fitting windows at batch 16: four full batches and a tail of 4 in each epoch
     ds = memorization_data(n=75)
-    cfg = TrainConfig(epochs=3, batch_size=16, hidden_sizes=(5, 3), seed=6)
+    model = tiny_model(lookback=8, hidden=(5, 3), seed=6, epochs=3, batch_size=16)
+    cfg = model.train_config
     caches, blocks, sizes = [], [], []  # weakrefs to each ForwardCache and block in turn; batch sizes
     real = lstm.forward_batch
 
@@ -723,7 +743,7 @@ def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
         return preds, cache
 
     monkeypatch.setattr(lstm, "forward_batch", tracked)
-    train(tiny_model(lookback=8, hidden=(5, 3), seed=6), ds, cfg)
+    train(model, ds)
     assert sizes == ([16] * 4 + [4]) * cfg.epochs
     assert len(caches) == 2 * cfg.epochs  # a new ForwardCache at each change of batch size
     assert len(blocks) == 1  # every one of them a view of the first, full-size batch's block
@@ -732,8 +752,9 @@ def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
 def test_last_val_mse_is_the_returned_models_chunked_validation_error():
     # 22 validation windows at batch 16: a full chunk and a tail of 6, each summed apart
     ds = memorization_data(n=220)
-    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.01, hidden_sizes=(5,), seed=8)
-    trained, history = train(tiny_model(lookback=8, hidden=(5,), seed=8), ds, cfg)
+    model = tiny_model(lookback=8, hidden=(5,), seed=8, epochs=2, batch_size=16, learning_rate=0.01)
+    trained, history = train(model, ds)
+    cfg = model.train_config
     val_n = int(len(ds) * cfg.validation_fraction)
     val_x, val_y = ds.inputs[-val_n:], ds.targets[-val_n:]
     preds = trained.predict(val_x, cfg.batch_size)
@@ -745,12 +766,13 @@ def test_last_val_mse_is_the_returned_models_chunked_validation_error():
 
 
 def test_training_is_bit_reproducible():
+    # same-machine pin: two trains in one process
     ds = memorization_data(n=80)
-    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.005, hidden_sizes=(6,), seed=21)
     runs = []
     for _ in range(2):
-        model = tiny_model(lookback=8, hidden=(6,), seed=21)
-        trained, history = train(model, ds, cfg)
+        model = tiny_model(lookback=8, hidden=(6,), seed=21, epochs=3, batch_size=16,
+                           learning_rate=0.005)
+        trained, history = train(model, ds)
         sink = io.StringIO()
         save_model(trained, sink)
         runs.append((sink.getvalue(), history))
@@ -760,18 +782,16 @@ def test_training_is_bit_reproducible():
 
 def test_training_does_not_mutate_input_model():
     ds = memorization_data(n=60)
-    cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(4,), seed=5)
-    model = tiny_model(lookback=8, hidden=(4,), seed=5)
+    model = tiny_model(lookback=8, hidden=(4,), seed=5, epochs=2, batch_size=16)
     before = model.layers[0].W_x.copy()
-    trained, _ = train(model, ds, cfg)
+    trained, _ = train(model, ds)
     assert np.array_equal(model.layers[0].W_x, before)
     assert not np.array_equal(trained.layers[0].W_x, before)
 
 
 def test_single_epoch_history():
     ds = memorization_data(n=40)
-    cfg = TrainConfig(epochs=1, batch_size=8, hidden_sizes=(3,), seed=1)
-    _, history = train(tiny_model(lookback=8, hidden=(3,), seed=1), ds, cfg)
+    _, history = train(tiny_model(lookback=8, hidden=(3,), seed=1, epochs=1, batch_size=8), ds)
     assert len(history["train_mse"]) == 1
     assert len(history["val_mse"]) == 1
     assert math.isfinite(history["train_mse"][0])
@@ -780,21 +800,20 @@ def test_single_epoch_history():
 def test_non_finite_loss_carries_position():
     ds = memorization_data(n=40)
     ds.inputs[2, 0, 0] = np.nan
-    cfg = TrainConfig(epochs=2, batch_size=8, hidden_sizes=(3,), seed=1)
     with pytest.raises(NonFiniteLoss) as err:
-        train(tiny_model(lookback=8, hidden=(3,), seed=1), ds, cfg)
+        train(tiny_model(lookback=8, hidden=(3,), seed=1, epochs=2, batch_size=8), ds)
     assert err.value.epoch == 1
     assert err.value.batch == 1
 
 
 def test_empty_or_tiny_dataset_rejected():
-    cfg = TrainConfig(epochs=1, hidden_sizes=(3,), seed=1)
+    model = tiny_model(lookback=8, hidden=(3,), seed=1, epochs=1)
     empty = windows_dataset(np.zeros((0, 8, 1)), np.zeros(0))
     with pytest.raises(EmptyDataset):
-        train(tiny_model(lookback=8, hidden=(3,), seed=1), empty, cfg)
+        train(model, empty)
     small = memorization_data(n=5)
     with pytest.raises(EmptyDataset):
-        train(tiny_model(lookback=8, hidden=(3,), seed=1), small, cfg)
+        train(model, small)
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
@@ -818,15 +837,15 @@ def test_train_config_validation():
 
 def trained_pair(tmp_path):
     ds = memorization_data(n=60)
-    cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(5, 3), seed=13)
-    model = tiny_model(lookback=8, hidden=(5, 3), seed=13)
-    trained, _ = train(model, ds, cfg)
+    model = tiny_model(lookback=8, hidden=(5, 3), seed=13, epochs=2, batch_size=16)
+    trained, _ = train(model, ds)
     path = tmp_path / "model.json"
     save_model(trained, path)
     return trained, path
 
 
 def test_save_load_round_trip(tmp_path):
+    # same-machine pin: a save and a load in one process
     trained, path = trained_pair(tmp_path)
     loaded = load_model(path)
     X = np.random.default_rng(30).uniform(-1.0, 1.0, size=(100, 8, 1))
@@ -842,6 +861,37 @@ def test_save_load_round_trip(tmp_path):
     sink = io.StringIO()
     save_model(loaded, sink)
     assert sink.getvalue() == path.read_text()
+
+
+def test_a_saved_model_records_the_config_it_was_trained_by(tmp_path):
+    ds = memorization_data(n=60)
+    model = tiny_model(lookback=8, hidden=(4,), seed=1, epochs=2, batch_size=8, learning_rate=0.05)
+    trained, history = train(model, ds)
+    path = tmp_path / "model.json"
+    save_model(trained, path)
+    assert json.loads(path.read_text())["train_config"] == {
+        "epochs": 2, "batch_size": 8, "learning_rate": 0.05, "hidden_sizes": [4],
+        "validation_fraction": 0.1, "seed": 1, "gradient_clip_norm": 5.0,
+    }
+    assert load_model(path).train_config == trained.train_config == model.train_config
+    assert len(history["train_mse"]) == len(history["val_mse"]) == 2
+
+
+def test_training_a_reloaded_untrained_model_repeats_the_fit(tmp_path):
+    # same-machine pin: two trains in one process
+    ds = memorization_data(n=60)
+    model = tiny_model(lookback=8, hidden=(5, 3), seed=13, epochs=2, batch_size=16,
+                       learning_rate=0.01)
+    path = tmp_path / "untrained.json"
+    save_model(model, path)
+    runs = []
+    for start in (model, load_model(path)):
+        trained, history = train(start, ds)
+        sink = io.StringIO()
+        save_model(trained, sink)
+        runs.append((sink.getvalue(), history))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
 
 
 def test_dump_json_refuses_arrays_and_non_finite_numbers():
@@ -869,6 +919,7 @@ def test_save_refuses_non_finite(tmp_path):
 def test_golden_v2_model_resaves_and_predicts():
     # trained through the CLI on random_walk_series(240, seed=23) with sma_periods 5,20,
     # lookback 4, hidden 3,2, --train-fraction 0.75 and --clip-scaled
+    # fixture pin: the file's bytes hold on any kernel, its predictions within atol=1e-12
     path = FIXTURES / "golden_v2_model.json"
     model = load_model(path)
     assert model.hidden_sizes == (3, 2) and model.num_features == 12
@@ -990,6 +1041,7 @@ def shuffled_keys(value, draw):
 
 
 def test_load_fuzzed_file_gives_model_or_typed_error(tmp_path):
+    # fixture pin: golden_v2_model.json re-saves to its own bytes with no arithmetic, on any kernel
     _, path = trained_pair(tmp_path)
     for original in ((FIXTURES / "golden_v2_model.json").read_bytes(), path.read_bytes()):
         fuzz_model_file(original, tmp_path / "fuzzed.json")

@@ -250,6 +250,7 @@ def test_flat_zero_volume_bar_kept_but_counted():
 
 
 def test_serialize_round_trip(snapshot_series):
+    # same-machine pin: a write and a parse in one process
     text = serialize_csv(snapshot_series)
     assert text.splitlines()[0] == CSV_HEADER
     again = parse_csv(text, snapshot_series.symbol)
@@ -259,6 +260,7 @@ def test_serialize_round_trip(snapshot_series):
 
 @pytest.mark.parametrize("n", [255, 256, 257, 700])  # rows are converted 256 at a time
 def test_long_csv_parses_like_the_reference(n):
+    # same-machine pin: the parser against a reference in one process
     series = random_walk_series(n, n)
     lines = serialize_csv(series).splitlines()
     lines.insert(200, "2010-01-01,null,null,null,null,null,null")  # shifts the rows after it

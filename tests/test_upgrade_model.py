@@ -9,7 +9,7 @@ import pytest
 
 from stockcast import pipeline
 from stockcast.cli import main as stockcast_main
-from stockcast.indicators import build_features
+from stockcast.indicators import IndicatorConfig, build_features
 from stockcast.lstm import (CorruptModel, LstmModel, TrainConfig, gate_view, load_model,
                             model_param_items)
 from stockcast.market_data import parse_csv, serialize_csv
@@ -47,14 +47,16 @@ def run_tool(tmp_path, model_path, fraction="0.8"):
 def test_golden_v1_model_resaves_and_predicts(tmp_path, capsys):
     # written by the per-gate implementation that preceded packed storage; the pin checks
     # that each per-gate array lands where gate_view places it
+    # fixture pin: the v1 arrays' bytes hold on any kernel, its predictions within atol=1e-12
     doc = v1_doc("golden_v1_model.json")
     layers, head_w = upgrade_model.v1_weights(doc)
     names, scaler = tuple(doc["feature_names"]), doc["scaler"]
     model = LstmModel(
         layers=layers, head_w=head_w, head_b=np.array([doc["head"]["b"]]),
         scaler=ScalerParams(names, np.array(scaler["mins"]), np.array(scaler["maxs"])),
-        feature_names=names, lookback=doc["lookback"],
-        train_config=TrainConfig(hidden_sizes=tuple(doc["hidden_sizes"])), contract=CONTRACT)
+        lookback=doc["lookback"], train_config=TrainConfig(hidden_sizes=tuple(doc["hidden_sizes"])),
+        contract=CONTRACT, cell_variant=doc["cell_variant"], column_set=doc["column_set"],
+        indicator_config=IndicatorConfig(), use_adj_close=doc["use_adj_close"])
     assert model.hidden_sizes == (4, 3) and model.num_features == 3
     X = np.random.default_rng(20241).uniform(-1.0, 1.0, size=(32, 5, 3))
     pinned = json.loads((FIXTURES / "golden_v1_predictions.json").read_text())

@@ -101,7 +101,8 @@ COMMANDS = [
     ["backtest", "--input", "short_walk.csv", "--out-dir", "mv_folds", "--folds", "3",
      "--mode", "multivariate", "--epochs", "1"],
     # m.json's recorded split: a CSV too short to hold it, a CSV whose training span differs,
-    # and a --train-fraction, which evaluate refuses because the split is the file's
+    # and a --train-fraction, which evaluate does not take: argparse exits 64 on it as an
+    # unrecognized argument
     ["evaluate", "--input", "short_walk.csv", "--model", "m.json", "--report-out", "short_r.json"],
     ["evaluate", "--input", "nudged_walk.csv", "--model", "m.json", "--report-out",
      "nudged_r.json"],
