@@ -143,7 +143,7 @@ def cmd_indicators(args, cfg: RunConfig) -> int:
     series = _load_series(cfg, input_path)
     matrix = pipeline.build_matrix(series, cfg)
     _write_text(out, write_feature_csv(matrix))
-    print(matrix.warmup_dropped)
+    print(len(series) - matrix.rows)  # the warmup rows dropped
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 Config files are plain text, one ``key = value`` per line. A ``#`` at the
 start of a line or after whitespace starts a comment; elsewhere, as in the
-path ``runs/#3/data.csv``, it is part of the value. Every key is validated
-before any computation starts; unknown keys are errors. Command-line flags
-override file values.
+path ``runs/#3/data.csv``, it is part of the value. Unknown keys are errors,
+and a RunConfig checks every value when it is built, by resolve_config,
+directly or by dataclasses.replace, so a bad value raises ConfigError before
+any computation starts. Command-line flags override file values.
 
 This module imports no numpy, so argument parsing, ``--help`` and ``plot``
 run without it; indicators and lstm import their settings from here.
@@ -29,6 +30,13 @@ class StockcastError(Exception):
     """Bad input: the CLI prints it on one line and exits with its class's exit_code."""
 
     exit_code = 2  # bad data; usage errors are 64 and numerical failures 3
+    message = ""  # a dataclass subclass's str.format template over its fields
+
+    def __post_init__(self):  # BaseException keeps positional arguments alone as args
+        self.args = tuple(getattr(self, f.name) for f in fields(self))
+
+    def __str__(self):
+        return self.message.format(**vars(self)) if self.message else super().__str__()
 
 
 class ConfigError(StockcastError):
@@ -178,13 +186,40 @@ class _RunSettings:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
+def _validate(cfg: RunConfig) -> None:
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    if cfg.column_set and cfg.column_set not in COLUMN_SETS:
+        raise ConfigError(f"column_set must be one of {COLUMN_SETS}, got {cfg.column_set!r}")
+    effective = cfg.effective_column_set()
+    if cfg.mode == "univariate" and effective != UNIVARIATE:
+        raise ConfigError("univariate mode requires the univariate column set")
+    if cfg.mode == "multivariate" and effective == UNIVARIATE:
+        raise ConfigError("multivariate mode requires a multi-column set")
+    if cfg.cell_variant not in CELL_VARIANTS:
+        raise ConfigError(f"cell_variant must be one of {CELL_VARIANTS}")
+    if cfg.lookback < 1:
+        raise ConfigError("lookback must be >= 1")
+    if not 0.0 < cfg.train_fraction < 1.0:
+        raise ConfigError("train_fraction must lie strictly between 0 and 1")
+    if cfg.horizon < 1:
+        raise ConfigError("horizon must be >= 1")
+    if cfg.folds < 2:
+        raise ConfigError("folds must be >= 2")
+    try:
+        cfg.indicator_config()
+        cfg.train_config()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 RunConfig = make_dataclass(
     "RunConfig",
     [(f.name, f.type, field(default=f.default))
      for sub in (IndicatorConfig, TrainConfig) for f in fields(sub)],
     bases=(_RunSettings,),
     frozen=True,
-    namespace={"__module__": __name__},
+    namespace={"__module__": __name__, "__post_init__": _validate},
 )
 
 # Values a field may take; the flags offer them as argparse choices.
@@ -256,33 +291,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.column_set and cfg.column_set not in COLUMN_SETS:
-        raise ConfigError(f"column_set must be one of {COLUMN_SETS}, got {cfg.column_set!r}")
-    effective = cfg.effective_column_set()
-    if cfg.mode == "univariate" and effective != UNIVARIATE:
-        raise ConfigError("univariate mode requires the univariate column set")
-    if cfg.mode == "multivariate" and effective == UNIVARIATE:
-        raise ConfigError("multivariate mode requires a multi-column set")
-    if cfg.cell_variant not in CELL_VARIANTS:
-        raise ConfigError(f"cell_variant must be one of {CELL_VARIANTS}")
-    if cfg.lookback < 1:
-        raise ConfigError("lookback must be >= 1")
-    if not 0.0 < cfg.train_fraction < 1.0:
-        raise ConfigError("train_fraction must lie strictly between 0 and 1")
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if cfg.folds < 2:
-        raise ConfigError("folds must be >= 2")
-    try:
-        cfg.indicator_config()
-        cfg.train_config()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def resolve_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge file values then overrides onto defaults, parse, and validate."""
     merged: dict[str, object] = {}
@@ -304,9 +312,4 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
             kwargs[key] = raw
     if "column_set" in kwargs and "mode" not in kwargs:
         kwargs["mode"] = mode_for(kwargs["column_set"])
-    try:
-        cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    _validate(cfg)
-    return cfg
+    return RunConfig(**kwargs)

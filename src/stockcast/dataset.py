@@ -20,31 +20,25 @@ class DatasetError(StockcastError):
     pass
 
 
+@dataclass(eq=False)
 class TooFewRows(DatasetError):
-    def __init__(self, needed: int, have: int):
-        super().__init__(f"need at least {needed} rows, have {have}")
-        self.needed = needed
-        self.have = have
-
-    def __reduce__(self):
-        return type(self), (self.needed, self.have)
+    needed: int
+    have: int
+    message = "need at least {needed} rows, have {have}"
 
 
 class DegenerateSplit(DatasetError):
     pass
 
 
+@dataclass(eq=False)
 class SplitMismatch(DatasetError):
     """A CSV whose training span is not the one a model file records."""
 
-    def __init__(self, field: str, recorded, found):
-        super().__init__(f"the model's {field} is {recorded}, the CSV gives {found}")
-        self.field = field
-        self.recorded = recorded
-        self.found = found
-
-    def __reduce__(self):
-        return type(self), (self.field, self.recorded, self.found)
+    field: str
+    recorded: object
+    found: object
+    message = "the model's {field} is {recorded}, the CSV gives {found}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,13 +37,10 @@ class LengthMismatch(EvalError):
     pass
 
 
+@dataclass(eq=False)
 class ZeroActual(EvalError):
-    def __init__(self, index: int):
-        super().__init__(f"actual value at index {index} is zero; MAPE undefined")
-        self.index = index
-
-    def __reduce__(self):
-        return type(self), (self.index,)
+    index: int
+    message = "actual value at index {index} is zero; MAPE undefined"
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,10 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
 
 
 def walk_forward(series: OhlcvSeries, cfg: RunConfig) -> list[MetricsReport]:
-    """Expanding-window backtest over cfg.folds folds: fold j trains on the first
-    j/(folds+1) of the feature rows and takes one-step predictions on the next
-    segment, retraining from scratch with seed cfg.seed + j."""
+    """Expanding-window backtest over cfg.folds >= 2 folds, as RunConfig checks: fold j
+    trains on the first j/(folds+1) of the feature rows and takes one-step predictions
+    on the next segment, retraining from scratch with seed cfg.seed + j."""
     folds = cfg.folds
-    if folds < 2:  # a RunConfig built directly skips resolve_config's check
-        raise ValueError("folds must be >= 2")
     matrix = pipeline.build_matrix(series, cfg)
     rows = matrix.rows
     # fold 1 trains on rows // (folds + 1) rows, the fewest of any fold

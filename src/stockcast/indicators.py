@@ -28,14 +28,11 @@ class IndicatorError(StockcastError):
     pass
 
 
+@dataclass(eq=False)
 class SeriesTooShort(IndicatorError):
-    def __init__(self, needed: int, have: int):
-        super().__init__(f"need at least {needed} bars, have {have}")
-        self.needed = needed
-        self.have = have
-
-    def __reduce__(self):
-        return type(self), (self.needed, self.have)
+    needed: int
+    have: int
+    message = "need at least {needed} bars, have {have}"
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class FeatureMatrix:
     dates: tuple
     column_names: tuple[str, ...]
     values: np.ndarray
-    warmup_dropped: int = 0
     carry: Carry | None = None  # at the last row; slices and scaled copies have none
 
     def __post_init__(self):
@@ -310,16 +306,14 @@ def build_features(
 ) -> FeatureMatrix | tuple[np.ndarray, Carry]:
     """Assemble the requested columns and trim rows where any is undefined.
 
-    warmup_dropped records how many leading rows were removed; with the
-    default periods the 200-bar SMA dominates and drops 199 rows.
-    Raises SeriesTooShort when no row survives.
+    It drops len(series) - matrix.rows leading rows, 199 with the default
+    periods, where the 200-bar SMA dominates. Raises SeriesTooShort when no
+    row survives, and column_names_for's ValueError on an unknown column set.
 
     Given the carry at bar t - 1, `series` is instead a (6, m) price block
     ending at bar t, m >= _min_rows_needed + 1, and the call returns the
     pair (row t, carry at t). The row equals a full build's bit for bit.
     """
-    if column_set not in COLUMN_SETS:
-        raise ValueError(f"unknown column set {column_set!r}")
     names = column_names_for(cfg, column_set)
     if carry is not None:
         return _next_row(series, cfg, column_set, use_adj_close, carry, names)
@@ -357,7 +351,6 @@ def build_features(
         dates=src.dates()[first:],
         column_names=names,
         values=values[first:].copy(),
-        warmup_dropped=first,
         carry=carry or Carry(),
     )
 

@@ -100,31 +100,25 @@ class EmptyDataset(LstmError):
     pass
 
 
+@dataclass(eq=False)
 class NonFiniteLoss(LstmError):
     exit_code = 3
-
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
-        self.epoch = epoch
-        self.batch = batch
-
-    def __reduce__(self):
-        return type(self), (self.epoch, self.batch)
+    epoch: int
+    batch: int
+    message = "non-finite loss at epoch {epoch}, batch {batch}"
 
 
 class UnsupportedVersion(LstmError):
     pass
 
 
+@dataclass(eq=False)
 class CorruptModel(LstmError):
-    def __init__(self, path: str, reason: str = ""):
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"corrupt model document at {path}{detail}")
-        self.path = path
-        self.reason = reason
+    path: str
+    reason: str = ""
 
-    def __reduce__(self):
-        return type(self), (self.path, self.reason)
+    def __str__(self):
+        return f"corrupt model document at {self.path}{': ' + self.reason if self.reason else ''}"
 
 
 _MASK64 = (1 << 64) - 1
@@ -266,10 +260,6 @@ def init_weights(input_size: int, hidden_size: int, seed: int) -> LstmLayerParam
 def new_model(cfg: RunConfig, scaler: ScalerParams, contract: SplitContract) -> LstmModel:
     """A freshly initialized stacked model over scaler's columns that records every run-level
     fact of cfg and its train_config, which train fits by; layer k seeds from cfg.seed + k."""
-    if cfg.cell_variant not in CELL_VARIANTS:
-        raise ValueError(f"cell_variant must be one of {CELL_VARIANTS}")
-    if cfg.lookback < 1:
-        raise ValueError("lookback must be >= 1")
     tcfg = cfg.train_config()
     layers = []
     in_size = len(scaler.column_names)

@@ -39,38 +39,29 @@ class MalformedHeader(MarketDataError):
     pass
 
 
+@dataclass(eq=False)
 class MalformedRow(MarketDataError):
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
-        self.reason = reason
-
-    def __reduce__(self):
-        return type(self), (self.line_number, self.reason)
+    line_number: int
+    reason: str
+    message = "line {line_number}: {reason}"
 
 
 class EmptySeries(MarketDataError):
     pass
 
 
+@dataclass(eq=False)
 class NonAscendingDates(MarketDataError):
-    def __init__(self, offending: Date):
-        super().__init__(f"dates not strictly ascending at {offending.isoformat()}")
-        self.date = offending
-
-    def __reduce__(self):
-        return type(self), (self.date,)
+    date: Date  # the first date not after its predecessor
+    message = "dates not strictly ascending at {date}"
 
 
+@dataclass(eq=False)
 class InvariantViolation(MarketDataError):
-    def __init__(self, bar_date: Date, field: str, reason: str):
-        super().__init__(f"{bar_date.isoformat()}: {field}: {reason}")
-        self.date = bar_date
-        self.field = field
-        self.reason = reason
-
-    def __reduce__(self):
-        return type(self), (self.date, self.field, self.reason)
+    date: Date
+    field: str
+    reason: str
+    message = "{date}: {field}: {reason}"
 
 
 @dataclass(frozen=True)

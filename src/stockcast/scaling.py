@@ -65,7 +65,6 @@ def transform(params: ScalerParams, matrix: FeatureMatrix) -> FeatureMatrix:
         dates=matrix.dates,
         column_names=matrix.column_names,
         values=scale(params, matrix.values),
-        warmup_dropped=matrix.warmup_dropped,
     )
 
 

@@ -20,8 +20,8 @@ import stockcast
 from stockcast import dataset, pipeline
 from stockcast.charts import render_line_chart
 from stockcast.cli import SeriesFileError, _read_series_csv, main
-from stockcast.config import (FIELD_PARSERS, RunConfig, StockcastError, parse_config_text,
-                              resolve_config)
+from stockcast.config import (FIELD_PARSERS, ConfigError, RunConfig, StockcastError,
+                              parse_config_text, resolve_config)
 from stockcast.evaluation import evaluate_one_step, forecast_recursive
 from stockcast.indicators import IndicatorConfig
 from stockcast.lstm import TrainConfig, gate_view, load_model, save_model
@@ -701,6 +701,19 @@ def test_run_config_redeclares_every_sub_config_field():
             assert run_defaults[f.name] == f.default, f.name
     assert RunConfig().indicator_config() == IndicatorConfig()
     assert RunConfig().train_config() == TrainConfig()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RunConfig(folds=1), "folds must be >= 2"),
+    (lambda: RunConfig(mode="bogus"),
+     "mode must be one of ('univariate', 'multivariate'), got 'bogus'"),
+    (lambda: replace(RunConfig(), cell_variant="x"),
+     "cell_variant must be one of ('standard', 'as_printed')"),
+], ids=["direct folds", "direct mode", "replace"])
+def test_a_run_config_checks_itself_however_built(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

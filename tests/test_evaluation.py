@@ -1,8 +1,10 @@
 """Metrics, one-step evaluation, recursive forecasts, walk-forward backtest."""
 
+import importlib
 import itertools
 import math
 import pickle
+import pkgutil
 import tracemalloc
 import warnings
 from datetime import date, timedelta
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stockcast
 from stockcast import lstm, pipeline, scaling
-from stockcast.config import RunConfig, resolve_config
+from stockcast.config import ConfigError, RunConfig, StockcastError, resolve_config
 from stockcast.dataset import DegenerateSplit, SplitMismatch, TooFewRows, make_windows
 from stockcast.evaluation import (
     EvalError,
@@ -666,9 +669,8 @@ def test_walk_forward_names_the_rows_its_first_fold_needs(fraction, needed):
 
 
 def test_walk_forward_guards():
-    series = random_walk_series(100, seed=3)
-    with pytest.raises(ValueError, match="folds must be >= 2"):  # resolve_config would refuse it
-        walk_forward(series, replace(walk_cfg(), folds=1))
+    with pytest.raises(ConfigError, match="folds must be >= 2"):  # no RunConfig holds one fold
+        replace(walk_cfg(), folds=1)
     with pytest.raises(TooFewRows):
         walk_forward(random_walk_series(12, seed=3), walk_cfg(folds=3))
 
@@ -693,3 +695,21 @@ def test_typed_errors_survive_pickling(error):
     assert type(clone) is type(error)
     assert str(clone) == str(error) and clone.args == error.args
     assert vars(clone) == vars(error)
+
+
+def test_a_keyword_built_error_survives_pickling():
+    for error in (TooFewRows(needed=30, have=4), CorruptModel(path="$.scaler")):
+        clone = pickle.loads(pickle.dumps(error))
+        assert str(clone) == str(error) and clone.args == error.args == tuple(vars(error).values())
+
+
+def test_every_error_declares_its_fields_once():
+    # an error that carries data is a dataclass; BaseException pickles it by its args
+    modules = [importlib.import_module(f"stockcast.{info.name}")
+               for info in pkgutil.iter_modules(stockcast.__path__)]
+    errors = {obj for module in modules for obj in vars(module).values()
+              if isinstance(obj, type) and issubclass(obj, StockcastError)}
+    assert {TooFewRows, ZeroActual, CorruptModel, InvariantViolation} <= errors
+    for error in errors:
+        assert "__reduce__" not in vars(error), error.__name__
+        assert "__init__" not in vars(error) or "__dataclass_fields__" in vars(error), error.__name__

@@ -423,7 +423,7 @@ def test_column_sets():
 def test_warmup_drop_matches_longest_window():
     series = random_walk_series(2464, seed=9)
     matrix = build_features(series, IndicatorConfig(), PAPER_MULTIVARIATE)
-    assert matrix.warmup_dropped == 199
+    assert len(series) - matrix.rows == 199
     assert matrix.rows == 2265
     assert matrix.dates[0] == series.bars[199].date
     assert np.isfinite(matrix.values).all()
@@ -433,7 +433,7 @@ def test_warmup_drop_matches_longest_window():
 
 def test_univariate_has_no_warmup(snapshot_series):
     matrix = build_features(snapshot_series, IndicatorConfig(), UNIVARIATE)
-    assert matrix.warmup_dropped == 0
+    assert len(snapshot_series) - matrix.rows == 0
     assert matrix.rows == 5
     assert matrix.column_names == ("Close",)
 

@@ -24,7 +24,7 @@ def matrix_of(values, names=("Close",)):
         values = values[:, None]
     day = date(2021, 1, 4)
     dates = tuple(day + timedelta(days=i) for i in range(values.shape[0]))
-    return FeatureMatrix(dates=dates, column_names=tuple(names), values=values, warmup_dropped=0)
+    return FeatureMatrix(dates=dates, column_names=tuple(names), values=values)
 
 
 def column(matrix, name):
