@@ -133,7 +133,7 @@ def forecast_recursive(model, series: OhlcvSeries, horizon: int) -> ForecastResu
     block[:, :n] = series.block
     matrix = build_features(series, cfg, column_set, model.use_adj_close)
     carry = matrix.carry
-    history = scaling.transform(model.scaler, matrix).values[-lookback:]
+    history = scaling.scale(model.scaler, matrix.values[-lookback:])  # elementwise: rows alone
     clip = model.contract.clip_scaled
     if clip:
         history.clip(-1.0, 1.0, out=history)

@@ -5,6 +5,10 @@ where its lookback window is not yet full. build_features stacks the
 requested columns and trims the common warmup prefix, so downstream stages
 only ever see finite values.
 
+The same body extends the columns by one bar for a recursive forecast: the
+window columns read the last bars, and each recurrence (CMA, EMA, RSI, MACD)
+continues from a Carry, ema from its `start` and rsi from its `seeds`.
+
 Degenerate inputs use fixed conventions instead of dividing by zero:
 RSI on a flat stretch is 50 (100 when losses vanish, 0 when gains do),
 CCI is 0 when the mean absolute deviation is 0, the stochastic %K is 50
@@ -48,6 +52,9 @@ class Carry:
     macd_signal: float = np.nan
     rsi_gain: float = np.nan  # Wilder's average gain and loss
     rsi_loss: float = np.nan
+
+
+_UNSEEDED = Carry(0, *[None] * 7)  # a full build's start: each recurrence seeds itself
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +104,14 @@ def sma(closes, n: int) -> np.ndarray:
 
 def cma(closes) -> np.ndarray:
     """Cumulative mean of everything seen so far; defined from the first bar."""
-    x = _as_floats(closes)
-    if x.size == 0:
-        return x.copy()
-    return np.cumsum(x) / np.arange(1, x.size + 1, dtype=np.float64)
+    return _cma(_as_floats(closes))[0]
+
+
+def _cma(x: np.ndarray, total: float | None = None, count: int = 0):
+    """Cumulative means of x and its running sums; given the sum `total` of `count`
+    earlier values, the sums continue from it."""
+    sums = np.cumsum(x) if total is None else np.cumsum(np.concatenate(([total], x)))[1:]
+    return sums / np.arange(count + 1, count + x.size + 1, dtype=np.float64), sums
 
 
 def wma(closes, n: int) -> np.ndarray:
@@ -115,45 +126,36 @@ def wma(closes, n: int) -> np.ndarray:
     return out
 
 
-def ema(closes, alpha: float) -> np.ndarray:
-    """Exponential moving average seeded at the first value.
+def ema(closes, alpha: float, start: float | None = None) -> np.ndarray:
+    """Exponential moving average seeded at the first value, or continued from
+    `start`, the average at the value before closes[0].
 
-    Position t holds value[t - 1] + alpha * (closes[t] - value[t - 1]), the
-    usual alpha * closes[t] + (1 - alpha) * value[t - 1] in a form that is
-    exact when closes[t] equals value[t - 1], so a flat stretch stays flat.
+    Each position holds prev + alpha * (closes[t] - prev), the usual
+    alpha * closes[t] + (1 - alpha) * prev in a form that is exact when
+    closes[t] equals prev, so a flat stretch stays flat.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    x = _as_floats(closes)
-    if x.size == 0:
-        return x.copy()
-    values = x.tolist()  # Python floats step far faster than numpy scalars
-    prev = values[0]
-    out = [prev]
-    for value in values[1:]:
+    values = _as_floats(closes).tolist()  # Python floats step far faster than numpy scalars
+    out = values[:1] if start is None else []  # a seed at the first value is its own average
+    prev = values[0] if out else start
+    for value in values[len(out):]:
         prev = prev + alpha * (value - prev)
         out.append(prev)
     return np.array(out, dtype=np.float64)
 
 
-def _ema_step(prev: float, value: float, alpha: float) -> float:
-    """One step of ema's recurrence from prev, by ema itself."""
-    return float(ema([prev, value], alpha)[-1])
+def rsi(closes, n: int, seeds: tuple[float, float] | None = None):
+    """Relative strength index with Wilder smoothing: (values, avg_gain, avg_loss), one
+    average per defined value. The averages start as the means of the first n moves, so
+    values is defined from position n, or given seeds, the averages at closes[0], from 0.
 
-
-def rsi(closes, n: int) -> np.ndarray:
-    """Relative strength index with Wilder smoothing; first defined at position n.
-
-    Wilder's averages run as one Python-float loop; the map to RSI values is
-    vectorized with the same elementwise float64 operations, so both zero
-    gives 50, a zero average loss 100 and a zero average gain 0, in that order.
+    The averages step as one Python-float loop; the map to RSI values is vectorized with
+    the same elementwise float64 operations, so both zero gives 50, a zero average loss
+    100 and a zero average gain 0, in that order.
     """
     _check_period(n)
-    return _rsi(_as_floats(closes), n)[0]
-
-
-def _rsi(x: np.ndarray, n: int, seeds: tuple[float, float] | None = None):
-    """RSI and Wilder's averages from position n on; from 0 given seeds, the averages at x[0]."""
+    x = _as_floats(closes)
     first = n if seeds is None else 0
     out = np.full(x.shape, np.nan)
     if x.size < first + 1:
@@ -251,11 +253,13 @@ def macd(closes, fast: int = IndicatorConfig.macd_fast, slow: int = IndicatorCon
     return diff, signal, diff - signal
 
 
-def _macd_lines(x: np.ndarray, fast: int, slow: int, signal_n: int):
-    """MACD's fast and slow EMAs, their difference and its signal line."""
-    fast_ema, slow_ema = ema(x, 2.0 / (fast + 1)), ema(x, 2.0 / (slow + 1))
+def _macd_lines(x: np.ndarray, fast: int, slow: int, signal_n: int, starts=(None, None, None)):
+    """MACD's fast and slow EMAs, their difference and its signal line; given the
+    three EMAs at the value before x[0] as starts, each continues from its own."""
+    fast_ema = ema(x, 2.0 / (fast + 1), starts[0])
+    slow_ema = ema(x, 2.0 / (slow + 1), starts[1])
     diff = fast_ema - slow_ema
-    return fast_ema, slow_ema, diff, ema(diff, 2.0 / (signal_n + 1))
+    return fast_ema, slow_ema, diff, ema(diff, 2.0 / (signal_n + 1), starts[2])
 
 
 def column_names_for(cfg: IndicatorConfig, column_set: str) -> tuple[str, ...]:
@@ -312,76 +316,55 @@ def build_features(
 
     Given the carry at bar t - 1, `series` is instead a (6, m) price block
     ending at bar t, m >= _min_rows_needed + 1, and the call returns the
-    pair (row t, carry at t). The row equals a full build's bit for bit.
+    pair (row t, carry at t). One body serves both: each recurrence steps
+    from the carry where a full build seeds it, so the row equals a full
+    build's bit for bit.
     """
     names = column_names_for(cfg, column_set)
-    if carry is not None:
-        return _next_row(series, cfg, column_set, use_adj_close, carry, names)
-    src = series.with_close_from_adj() if use_adj_close else series
-    closes = src.closes()
-    columns: dict[str, np.ndarray] = {"Close": closes.copy()}
-    recurrences = ()
-    # a value past float64's range shows as inf or nan, which is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        if column_set != UNIVARIATE:
-            columns.update(_window_columns(src, cfg, column_set))
-            columns["CMA"] = cma(closes)
-            columns[f"EMA_{cfg.ema_alpha:g}"] = ema_values = ema(closes, cfg.ema_alpha)
-            columns["RSI"], gain, loss = _rsi(closes, cfg.rsi_period)
-            fast, slow, diff, signal = _macd_lines(closes, cfg.macd_fast, cfg.macd_slow,
-                                                   cfg.macd_signal)
-            columns["macd"], columns["macd_s"], columns["macd_h"] = diff, signal, diff - signal
-            recurrences = (ema_values, fast, slow, signal, gain, loss)  # in Carry's field order
-    values = np.column_stack([columns[name] for name in names])
-    finite_rows = np.all(np.isfinite(values), axis=1)
-    defined = np.nonzero(finite_rows)[0]
-    if defined.size == 0:
-        needed = _min_rows_needed(cfg, column_set)
-        if len(series) >= needed:
-            raise IndicatorError("no feature row is finite: a feature value overflows float64")
-        raise SeriesTooShort(needed, len(series))
-    first = int(defined[0])
-    if not finite_rows[first:].all():
-        # cannot happen for finite bar inputs; guard against silent nan leaks
-        bad = int(np.nonzero(~finite_rows[first:])[0][0]) + first
-        raise IndicatorError(f"non-finite feature value at row {bad}")
-    if recurrences:
-        carry = Carry(closes.size, np.cumsum(closes)[-1], *(r[-1] for r in recurrences))
-    return FeatureMatrix(
-        dates=src.dates()[first:],
-        column_names=names,
-        values=values[first:].copy(),
-        carry=carry or Carry(),
-    )
-
-
-def _next_row(block: np.ndarray, cfg: IndicatorConfig, column_set: str, use_adj_close: bool,
-              carry: Carry, names: tuple[str, ...]) -> tuple[np.ndarray, Carry]:
-    """Row and carry at a block's last bar: window columns over the block
-    alone, and one step of each recurrence, by ema and _rsi, from the carry."""
-    needed = _min_rows_needed(cfg, column_set) + 1
-    if block.shape[1] < needed:
+    step = carry is not None
+    block = series if step else series.block
+    if step and block.shape[1] < (needed := _min_rows_needed(cfg, column_set) + 1):
         raise SeriesTooShort(needed, block.shape[1])
-    if use_adj_close:
+    if use_adj_close:  # high, low and open stay raw, so low <= close <= high may break
         block = block.copy()
         block[3] = block[4]
     closes = block[3]
-    if column_set == UNIVARIATE:
-        return closes[-1:].copy(), carry
-    close = float(closes[-1])
-    fast = _ema_step(carry.macd_fast, close, 2.0 / (cfg.macd_fast + 1))
-    slow = _ema_step(carry.macd_slow, close, 2.0 / (cfg.macd_slow + 1))
-    rsi_values, gain, loss = _rsi(closes[-2:], cfg.rsi_period, (carry.rsi_gain, carry.rsi_loss))
-    carry = Carry(
-        carry.bars + 1, carry.close_sum + close, _ema_step(carry.ema, close, cfg.ema_alpha),
-        fast, slow, _ema_step(carry.macd_signal, fast - slow, 2.0 / (cfg.macd_signal + 1)),
-        float(gain[-1]), float(loss[-1]),
-    )
-    columns = {name: column[-1] for name, column in _window_columns(block, cfg, column_set).items()}
-    columns.update({"Close": close, "CMA": carry.close_sum / carry.bars,
-                    f"EMA_{cfg.ema_alpha:g}": carry.ema, "RSI": rsi_values[-1], "macd": fast - slow,
-                    "macd_s": carry.macd_signal, "macd_h": (fast - slow) - carry.macd_signal})
-    return np.array([columns[name] for name in names]), carry
+    columns = {"Close": closes}
+    recurrences = ()
+    # a value past float64's range shows as inf or nan, which a full build refuses below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if column_set != UNIVARIATE:
+            columns.update(_window_columns(block, cfg, column_set))
+            # the closes each recurrence steps over, and its state at the bar before them
+            new, start = (closes[-1:], carry) if step else (closes, _UNSEEDED)
+            columns["CMA"], sums = _cma(new, start.close_sum, start.bars)
+            columns[f"EMA_{cfg.ema_alpha:g}"] = ema_values = ema(new, cfg.ema_alpha, start.ema)
+            columns["RSI"], gain, loss = rsi(closes[-2:] if step else closes, cfg.rsi_period,
+                                             (start.rsi_gain, start.rsi_loss) if step else None)
+            fast, slow, diff, signal = _macd_lines(
+                new, cfg.macd_fast, cfg.macd_slow, cfg.macd_signal,
+                (start.macd_fast, start.macd_slow, start.macd_signal))
+            columns["macd"], columns["macd_s"], columns["macd_h"] = diff, signal, diff - signal
+            recurrences = (sums, ema_values, fast, slow, signal, gain, loss)  # Carry's order
+    if not step:
+        values = np.column_stack([columns[name] for name in names])
+        finite_rows = np.all(np.isfinite(values), axis=1)
+        defined = np.nonzero(finite_rows)[0]
+        if defined.size == 0:
+            needed = _min_rows_needed(cfg, column_set)
+            if len(series) >= needed:
+                raise IndicatorError("no feature row is finite: a feature value overflows float64")
+            raise SeriesTooShort(needed, len(series))
+        first = int(defined[0])
+        if not finite_rows[first:].all():
+            # cannot happen for finite bar inputs; guard against silent nan leaks
+            bad = int(np.nonzero(~finite_rows[first:])[0][0]) + first
+            raise IndicatorError(f"non-finite feature value at row {bad}")
+    if recurrences:
+        carry = Carry(start.bars + new.size, *(float(r[-1]) for r in recurrences))
+    if step:
+        return np.array([columns[name][-1] for name in names]), carry
+    return FeatureMatrix(series.dates()[first:], names, values[first:].copy(), carry or Carry())
 
 
 def write_feature_csv(matrix: FeatureMatrix) -> str:

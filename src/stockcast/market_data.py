@@ -153,17 +153,6 @@ class OhlcvSeries:
     def adj_closes(self) -> np.ndarray:
         return self.block[4]
 
-    def with_close_from_adj(self) -> "OhlcvSeries":
-        """Substitute the adjusted close as the modeled price.
-
-        High/low/open keep their raw values, so derived bars may break the
-        usual low <= close <= high ordering; indicator math does not care.
-        """
-        block = self.block.copy()
-        block[3] = block[4]
-        return OhlcvSeries.from_columns(self.symbol, self._dates, block, self.dropped_nulls,
-                                        self.flat_zero_volume_bars)
-
 
 def _parse_date(token: str, line_number: int) -> Date:
     # date.fromisoformat grew laxer in 3.11; pin the YYYY-MM-DD shape here

@@ -133,7 +133,7 @@ def test_indicator_oracles_and_exact_invariances():
         close_nan(cma(closes), naive_cma(xs))
         close_nan(wma(closes, 10), naive_wma(xs, 10))
         close_nan(ema(closes, 0.1), naive_ema(xs, 0.1))
-        close_nan(rsi(closes, 14), naive_rsi(xs, 14))
+        close_nan(rsi(closes, 14)[0], naive_rsi(xs, 14))
         close_nan(cci(series, 20), naive_cci(series, 20), rtol=1e-6)
         close_nan(ad(series), naive_ad(series))
         k = stochastic_k(series, 14)
@@ -144,7 +144,7 @@ def test_indicator_oracles_and_exact_invariances():
         close_nan(signal, naive_ema(diff.tolist(), 0.2))
         assert np.array_equal(hist, diff - signal)
 
-        for bounded in (rsi(closes, 14), k, stochastic_d(k, 10)):
+        for bounded in (rsi(closes, 14)[0], k, stochastic_d(k, 10)):
             finite = bounded[~np.isnan(bounded)]
             assert ((finite >= 0.0) & (finite <= 100.0)).all()
 
@@ -165,7 +165,7 @@ def test_indicator_oracles_and_exact_invariances():
             walk = random_walk_series(60, seed=int(rng.integers(0, 2**31)))
             scaled = scale_bars(walk, factor)
             assert np.array_equal(
-                rsi(scaled.closes(), 14), rsi(walk.closes(), 14), equal_nan=True
+                rsi(scaled.closes(), 14)[0], rsi(walk.closes(), 14)[0], equal_nan=True
             )
             assert np.array_equal(
                 stochastic_k(scaled, 14), stochastic_k(walk, 14), equal_nan=True

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -187,11 +188,11 @@ def test_ema_hand_cases():
 
 
 def test_rsi_conventions():
-    rising = rsi(np.arange(1.0, 21.0), 14)
+    rising = rsi(np.arange(1.0, 21.0), 14)[0]
     assert np.isnan(rising[:14]).all()
     assert (rising[14:] == 100.0).all()
-    assert (rsi(np.full(20, 5.0), 14)[14:] == 50.0).all()
-    falling = rsi(np.arange(21.0, 1.0, -1.0), 14)
+    assert (rsi(np.full(20, 5.0), 14)[0][14:] == 50.0).all()
+    falling = rsi(np.arange(21.0, 1.0, -1.0), 14)[0]
     assert (falling[14:] == 0.0).all()
 
 
@@ -245,7 +246,7 @@ def test_ops_match_naive_oracles():
     close_nan(cma(closes), naive_cma(xs))
     close_nan(wma(closes, 10), naive_wma(xs, 10))
     close_nan(ema(closes, 0.1), naive_ema(xs, 0.1))
-    close_nan(rsi(closes, 14), naive_rsi(xs, 14))
+    close_nan(rsi(closes, 14)[0], naive_rsi(xs, 14))
     close_nan(cci(series, 20), naive_cci(series, 20), rtol=1e-6)
     close_nan(ad(series), naive_ad(series))
     k = stochastic_k(series, 14)
@@ -288,9 +289,9 @@ def test_level_ops_scale_homogeneous(xs, c):
 @given(positive_lists, shifts, scales)
 def test_rsi_shift_invariant_scale_invariant_bounded(xs, c, s):
     x = np.array(xs)
-    base = rsi(x, 14)
-    close_nan(rsi(x + c, 14), base, rtol=1e-9)
-    close_nan(rsi(s * x, 14), base, rtol=1e-9)
+    base = rsi(x, 14)[0]
+    close_nan(rsi(x + c, 14)[0], base, rtol=1e-9)
+    close_nan(rsi(s * x, 14)[0], base, rtol=1e-9)
     finite = base[~np.isnan(base)]
     assert ((finite >= 0.0) & (finite <= 100.0)).all()
 
@@ -403,7 +404,25 @@ def test_ema_matches_elementwise_loop_exactly(xs, alpha):
 @example(xs=np.arange(41.0, 1.0, -1.0), n=14)  # gains vanish: 0
 @example(xs=np.r_[np.arange(10.0, 26.0), np.full(20, 25.0), np.arange(25.0, 5.0, -1.0)], n=5)
 def test_rsi_matches_elementwise_loop_exactly(xs, n):
-    assert np.array_equal(rsi(xs, n), elementwise_rsi(xs, n), equal_nan=True)
+    assert np.array_equal(rsi(xs, n)[0], elementwise_rsi(xs, n), equal_nan=True)
+
+
+@exact
+@given(price_paths(), st.integers(1, 20), st.integers(0, 60))
+@example(xs=np.full(40, 7.25), n=14, cut=3)
+def test_ema_and_rsi_continue_from_their_state_exactly(xs, n, cut):
+    # a run continued from its state at any bar equals the whole run from there, bit for bit
+    whole = ema(xs, 0.1)
+    cut = 1 + cut % xs.size
+    assert ema(xs[cut:], 0.1, whole[cut - 1]).tobytes() == whole[cut:].tobytes()
+    values, gain, loss = rsi(xs, n)
+    if xs.size > n:
+        cut = n + cut % (xs.size - n)  # a bar where Wilder's averages are defined
+        seeds = (gain[cut - n], loss[cut - n])
+        got = rsi(xs[cut:], n, seeds)
+        assert got[0].tobytes() == values[cut:].tobytes()
+        assert (got[1].tobytes(), got[2].tobytes()) == (gain[cut - n :].tobytes(),
+                                                        loss[cut - n :].tobytes())
 
 
 # ------------------------------------------------------------- feature assembly
@@ -461,6 +480,50 @@ def test_an_overflowing_indicator_is_blamed_on_its_values_not_the_length():
 def test_adj_close_switch_changes_close_column(snapshot_series):
     matrix = build_features(snapshot_series, IndicatorConfig(), UNIVARIATE, use_adj_close=True)
     assert np.array_equal(column(matrix, "Close"), snapshot_series.adj_closes())
+
+
+def adjusted_walk(n, seed, factor):
+    """A random walk whose adjusted close is factor(i) times its close at bar i."""
+    walk = random_walk_series(n, seed)
+    return OhlcvSeries(walk.symbol, tuple(replace(b, adj_close=b.close * factor(i))
+                                          for i, b in enumerate(walk.bars)))
+
+
+def test_adj_close_features_equal_features_of_the_replaced_bars():
+    # an adjusted close that drifts away from the close, as after dividends
+    series = adjusted_walk(300, 4, lambda i: 0.8 + 0.001 * i)
+    replaced = OhlcvSeries(series.symbol, tuple(replace(b, close=b.adj_close) for b in series.bars))
+    bar = np.full(6, series.adj_closes()[-1] * 1.01)  # a synthetic next bar
+    bar[5] = 1000.0
+    cfg = IndicatorConfig()
+    for column_set in COLUMN_SETS:
+        got = build_features(series, cfg, column_set, use_adj_close=True)
+        want = build_features(replaced, cfg, column_set)
+        assert (got.column_names, got.dates, got.carry) == (want.column_names, want.dates,
+                                                             want.carry)
+        assert got.values.tobytes() == want.values.tobytes()
+        # and so do the carried rows that extend them by the same bar
+        tail = _min_rows_needed(cfg, column_set) + 1
+        (got_row, got_carry), (want_row, want_carry) = (
+            build_features(np.column_stack((source.block[:, 1 - tail :], bar)), cfg, column_set,
+                           use_adj_close, full.carry)
+            for source, use_adj_close, full in ((series, True, got), (replaced, False, want))
+        )
+        assert got_row.tobytes() == want_row.tobytes() and got_carry == want_carry
+
+
+def test_adj_close_carried_step_leaves_the_block_unchanged():
+    # forecast_recursive writes each prediction into the block it passes, so the swap must copy
+    series = adjusted_walk(300, 8, lambda i: 0.5)
+    block = np.column_stack((series.block, [60.0, 60.0, 60.0, 60.0, 55.0, 1000.0]))
+    before = block.copy()
+    cfg = IndicatorConfig()
+    carry = build_features(series, cfg, PAPER_MULTIVARIATE, use_adj_close=True).carry
+    tail = _min_rows_needed(cfg, PAPER_MULTIVARIATE) + 1
+    row, _ = build_features(block[:, -tail:], cfg, PAPER_MULTIVARIATE, True, carry)
+    assert row[0] == 55.0  # the new bar's adjusted close
+    assert block.flags.writeable and block.tobytes() == before.tobytes()
+    assert series.block.tobytes() == before[:, :-1].tobytes()
 
 
 def test_feature_csv_deterministic():

@@ -1,6 +1,5 @@
 """CSV parsing, bar validation, and serialization."""
 
-import dataclasses
 import math
 from datetime import date
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockcast.indicators import PAPER_MULTIVARIATE, UNIVARIATE, IndicatorConfig, build_features
+from stockcast.indicators import TABLE4_ALL, UNIVARIATE, IndicatorConfig, build_features
 from stockcast.market_data import (
     CSV_HEADER,
     Bar,
@@ -272,31 +271,18 @@ def test_long_csv_parses_like_the_reference(n):
 def test_adj_close_substitution(snapshot_series):
     lines = SNAPSHOT_CSV.splitlines()
     lines[1] = lines[1].replace("2372.800049,3639616.0", "1186.400024,3639616.0")
-    swapped = parse_csv("\n".join(lines) + "\n", "X").with_close_from_adj()
-    assert swapped.bars[0].close == 1186.400024
-    assert swapped.bars[0].high == 2392.0
-    assert swapped.bars[1].close == snapshot_series.bars[1].adj_close
-
-
-def test_adj_close_swap_builds_the_replaced_bars_and_shares_the_column():
-    series = random_walk_series(300, 4)
-    swapped = series.with_close_from_adj()
-    replaced = tuple(dataclasses.replace(b, close=b.adj_close) for b in series.bars)
-    assert swapped.bars == replaced
-    assert swapped.dates() == series.dates()
-    assert np.array_equal(swapped.closes(), series.adj_closes())
-    assert np.array_equal(swapped.adj_closes(), series.adj_closes())
-    for column in (swapped.closes(), swapped.adj_closes()):
-        assert not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = 1.0
-    # features read from the swapped block match those of a series built from the replaced bars
-    rebuilt = OhlcvSeries(series.symbol, replaced)
-    for column_set in (UNIVARIATE, PAPER_MULTIVARIATE):
-        got = build_features(series, IndicatorConfig(), column_set, use_adj_close=True)
-        want = build_features(rebuilt, IndicatorConfig(), column_set)
-        assert got.column_names == want.column_names and got.dates == want.dates
-        assert np.array_equal(got.values, want.values)
+    series = parse_csv("\n".join(lines) + "\n", "X")
+    closes = build_features(series, IndicatorConfig(), UNIVARIATE, use_adj_close=True).values[:, 0]
+    assert closes[0] == 1186.400024
+    assert closes[1] == snapshot_series.bars[1].adj_close
+    # the window columns still read the raw high: AD on the first defined row takes the
+    # first bar's swapped close and the second bar's own high and low
+    periods_of_one = IndicatorConfig(sma_periods=[1], wma_period=1, rsi_period=1, cci_period=1,
+                                     stoch_k_period=1, stoch_d_period=1)
+    matrix = build_features(series, periods_of_one, TABLE4_ALL, use_adj_close=True)
+    assert matrix.dates[0] == series.dates()[1]
+    ad = matrix.values[0, matrix.column_names.index("AD")]
+    assert ad == (2378.0 - 1186.400024) / (2378.0 - 2348.100098)
 
 
 def test_series_builders_reject_disorder():
@@ -321,18 +307,6 @@ def test_series_columns_are_read_only_views_of_one_block(snapshot_series):
             column[0] = 1.0
     assert snapshot_series.dates() is snapshot_series.dates()
     assert snapshot_series.dates() == tuple(b.date for b in snapshot_series.bars)
-
-
-def test_with_close_from_adj_leaves_its_source_unchanged():
-    walk = random_walk_series(50, 8)
-    series = OhlcvSeries(walk.symbol, tuple(
-        dataclasses.replace(b, adj_close=b.close / 2.0) for b in walk.bars
-    ))
-    dates, block = series.dates(), series.block.copy()
-    swapped = series.with_close_from_adj()
-    assert series.dates() == dates and np.array_equal(series.block, block)
-    assert not np.shares_memory(swapped.block, series.block)
-    assert np.array_equal(swapped.closes(), block[4]) and np.array_equal(series.closes(), block[3])
 
 
 # Field values that, in place of another, pass or trip the null drop, the date, the number

@@ -3,7 +3,8 @@
     python tools/cli_parity.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout with the package under src/. The script writes
-seeded random-walk OHLCV CSVs and a few malformed ones, files for the error
+seeded random-walk OHLCV CSVs (one whose adjusted close drifts from its close,
+for a --use-adj-close model) and a few malformed ones, files for the error
 paths (text that is not UTF-8, series a chart refuses), copies the tree's own
 format_version 1 model (tests/fixtures/golden_v1_paper_model.json) and a copy
 of it with an unknown column set, runs one fixed list of commands against each
@@ -67,9 +68,16 @@ def inputs() -> dict[str, list[str]]:
     date_, open_, high, low, close, _, volume = walk[300].split(",")
     mid = repr((float(open_) + float(close)) / 2.0)
     nudged = {300: ",".join([date_, open_, high, low, mid, mid, volume])}
+    # adjusted_walk.csv's adjusted close drifts from the close, as after dividends
+    adjusted = []
+    for k, line in enumerate(walk):
+        fields = line.split(",")
+        fields[5] = repr(float(fields[4]) * (0.8 + 0.0002 * k))
+        adjusted.append(",".join(fields))
     files = {"walk.csv": walk, "short_walk.csv": walk_rows(500, 5),
              "leak_walk.csv": walk_rows(700, 5),
-             "nudged_walk.csv": [nudged.get(k, line) for k, line in enumerate(walk)]}
+             "nudged_walk.csv": [nudged.get(k, line) for k, line in enumerate(walk)],
+             "adjusted_walk.csv": adjusted}
     for name, edited in edits.items():
         files[name + ".csv"] = [edited.get(k, line) for k, line in enumerate(walk)]
     return files
@@ -87,10 +95,10 @@ RAW_FILES = {
 
 
 MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
-CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv", "nudged_walk.csv")
+CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv", "nudged_walk.csv", "adjusted_walk.csv")
 COMMANDS = [
     ["indicators", "--input", "walk.csv", "--out", "features.csv", "--column-set", "paper_multivariate"],
-    ["indicators", "--input", "walk.csv", "--out", "close.csv", "--use-adj-close"],
+    ["indicators", "--input", "adjusted_walk.csv", "--out", "close.csv", "--use-adj-close"],
     ["train", "--input", "walk.csv", "--model-out", "m.json", "--history-out", "h.csv", *MODEL],
     ["evaluate", "--input", "walk.csv", "--model", "m.json", "--report-out", "r.json",
      "--predictions-out", "p.csv"],
@@ -118,6 +126,13 @@ COMMANDS = [
      "--predictions-out", "leak_p.csv"],
     ["forecast", "--input", "leak_walk.csv", "--model", "leak.json", "--out", "leak_f.csv",
      "--horizon", "5"],
+    # a model of the adjusted close: evaluate, and a forecast whose carried rows swap it in
+    ["train", "--input", "adjusted_walk.csv", "--model-out", "adj.json", "--history-out",
+     "adj_h.csv", *MODEL, "--use-adj-close"],
+    ["evaluate", "--input", "adjusted_walk.csv", "--model", "adj.json", "--report-out",
+     "adj_r.json", "--predictions-out", "adj_p.csv"],
+    ["forecast", "--input", "adjusted_walk.csv", "--model", "adj.json", "--out", "adj_f30.csv",
+     "--horizon", "30"],
     *[["indicators", "--input", name, "--out", f"{name}.features.csv"] for name in INPUTS
       if name not in CLEAN],
     # a format_version 1 file, and one whose column set no version knows
