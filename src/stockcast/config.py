@@ -310,6 +310,6 @@ def resolve_config(file_values: dict | None = None, overrides: dict | None = Non
                 raise ConfigError(f"{key}: {exc}") from None
         else:
             kwargs[key] = raw
-    if "column_set" in kwargs and "mode" not in kwargs:
+    if kwargs.get("column_set") and "mode" not in kwargs:
         kwargs["mode"] = mode_for(kwargs["column_set"])
     return RunConfig(**kwargs)

@@ -226,16 +226,6 @@ def stochastic_k(series, n: int) -> np.ndarray:
     return out
 
 
-def stochastic_d(k_values, m: int) -> np.ndarray:
-    """%D: m-period simple mean of %K. nan while any window value is undefined."""
-    _check_period(m)
-    k = _as_floats(k_values)
-    out = np.full(k.shape, np.nan)
-    if 0 < m <= k.size:
-        out[m - 1 :] = sliding_window_view(k, m).mean(axis=1)
-    return out
-
-
 def macd(closes, fast: int = IndicatorConfig.macd_fast, slow: int = IndicatorConfig.macd_slow,
          signal_n: int = IndicatorConfig.macd_signal):
     """MACD line, signal line, histogram.
@@ -293,7 +283,7 @@ def _window_columns(bars, cfg: IndicatorConfig, column_set: str) -> dict[str, np
     closes = _hlc(bars)[2]
     columns = {f"SMA{n}": sma(closes, n) for n in cfg.sma_periods}
     columns["K%"] = k = stochastic_k(bars, cfg.stoch_k_period)
-    columns["D%"] = stochastic_d(k, cfg.stoch_d_period)
+    columns["D%"] = sma(k, cfg.stoch_d_period)
     columns["CCI"] = cci(bars, cfg.cci_period)
     if column_set == TABLE4_ALL:
         columns[f"WMA{cfg.wma_period}"] = wma(closes, cfg.wma_period)

@@ -32,9 +32,10 @@ LstmModel.predict (evaluate, backtest, validation) pushes a chunk through it,
 one window per column; a recursive forecast pushes each new row to its W
 overlapping windows at once. A backward step is two GEMMs:
 dZ @ XH[t].T adds the input, recurrent and bias gradients at once, and
-W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. train
-keeps one ForwardCache block for the whole fit and overwrites it batch after
-batch; a short last batch views the front of the same block.
+W[:I+H] @ dZ is the lower layer's input gradient and the dh carry. A
+ForwardCache names the model that made it, for backward(cache, d), and is
+valid until the next forward_batch on its buffers' block; train passes the
+first batch's block to every batch, so a short last batch views its front.
 
 Summing x, h and bias terms inside one GEMM rounds differently from summing
 them apart, so a window's last bits can depend on the batch it is predicted
@@ -90,10 +91,6 @@ class ShapeMismatch(LstmError):
 
 class NonFiniteInput(LstmError):
     exit_code = 3
-
-
-class CacheMismatch(LstmError):
-    pass
 
 
 class EmptyDataset(LstmError):
@@ -295,14 +292,15 @@ class LayerBuffers:
 
 @dataclass(eq=False)
 class ForwardCache:
-    """What backward reads: each layer's all-T buffers from forward_batch."""
+    """What backward reads: the model that forward_batch ran, each layer's all-T buffers, all
+    views of one block, and the head's input. Valid until the next forward_batch on its block."""
 
-    variant: str
+    model: LstmModel
     layers: list[LayerBuffers]
-    h_last: np.ndarray | None = None  # (B, H), the head's input
+    h_last: np.ndarray  # (B, H)
 
 
-def _buffers(layers, length: int, batch: int, block=None) -> list[LayerBuffers]:
+def _buffers(layers, length: int, batch: int, block) -> list[LayerBuffers]:
     """Each layer's buffers as views of one block: the front of block when that is big enough,
     else a new block. One array per buffer is handed back to the system on free and faults its
     pages in again (2.6k faults per batch-32 step)."""
@@ -428,50 +426,35 @@ def _windows(model: LstmModel, windows) -> np.ndarray:
     return X
 
 
-def _cache_batch(model: LstmModel, caches) -> int:
-    """The batch size of a ForwardCache made for this model; CacheMismatch for any other."""
-    if not isinstance(caches, ForwardCache):
-        raise CacheMismatch("caches were not made by forward_batch")
-    if caches.variant != model.cell_variant:
-        raise CacheMismatch(f"caches built for {caches.variant!r}, model is {model.cell_variant!r}")
-    shapes = [buf.xh.shape for buf in caches.layers]  # each (T+1, I+H+1, B)
-    batch = shapes[0][2] if shapes else 0
-    if shapes != (want := [(model.lookback + 1, layer.W.shape[0], batch) for layer in model.layers]):
-        raise CacheMismatch(f"caches shaped {shapes}, model needs {want}")
-    return batch
-
-
-def forward_batch(model: LstmModel, windows: np.ndarray, out: ForwardCache | None = None):
+def forward_batch(model: LstmModel, windows: np.ndarray, block: np.ndarray | None = None):
     """Unrolled forward pass over (batch, lookback, features) windows.
 
-    Returns the predictions and a ForwardCache for backward, which keeps
-    every layer's buffers for all lookback steps; out, an earlier call's
-    ForwardCache at this batch size, is overwritten and returned instead.
-    Calls that only predict should use LstmModel.predict: same values, no caches.
+    Returns the predictions and a ForwardCache for backward that names model and keeps every
+    layer's buffers for all lookback steps, views of the front of block (an earlier cache's
+    layers[0].xh.base) when it is big enough, else of a new block; the cache is valid until
+    the next forward_batch on that block. Calls that only predict should use
+    LstmModel.predict: same values, no caches.
     """
     X = _windows(model, windows)
-    if out is None:
-        out = ForwardCache(model.cell_variant, _buffers(model.layers, model.lookback, len(X)))
-    if (batch := _cache_batch(model, out)) != len(X):
-        raise CacheMismatch(f"out holds batch {batch}, windows have {len(X)}")
+    buffers = _buffers(model.layers, model.lookback, len(X), block)
     seq = X.transpose(1, 2, 0)  # (T, I, B) view: step t's input columns
-    for layer, buf in zip(model.layers, out.layers):
+    for layer, buf in zip(model.layers, buffers):
         seq = _unroll(layer, seq, buf, model.cell_variant == "standard")
-    out.h_last = np.ascontiguousarray(seq[-1].T)
-    return out.h_last @ model.head_w + model.head_b[0], out
+    cache = ForwardCache(model, buffers, np.ascontiguousarray(seq[-1].T))
+    return cache.h_last @ model.head_w + model.head_b[0], cache
 
 
-def backward(model: LstmModel, caches: ForwardCache, d_prediction) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(d_prediction * prediction) for every parameter.
+def backward(caches: ForwardCache, d_prediction) -> dict[str, np.ndarray]:
+    """Exact gradients of sum(d_prediction * prediction) for every parameter of the model
+    that made caches, forward_batch's ForwardCache.
 
-    caches is forward_batch's ForwardCache for this model. d_prediction
-    carries the loss derivative per batch element; gradients are summed over
+    d_prediction carries the loss derivative per batch element; gradients are summed over
     the batch. Keys follow model_param_items naming.
     """
-    batch = _cache_batch(model, caches)
+    model, batch = caches.model, len(caches.h_last)
     d_pred = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if d_pred.shape != (batch,):
-        raise CacheMismatch(f"d_prediction shaped {d_pred.shape}, cache batch is {batch}")
+        raise ShapeMismatch(f"d_prediction shaped {d_pred.shape}, cache batch is {batch}")
     standard = model.cell_variant == "standard"
 
     layers, sums = [], {}  # from the top: what one step reads and its scratch; k -> W gradient.T
@@ -599,26 +582,23 @@ def train(model_init: LstmModel, train_ds):
     params = model_param_items(model)
     optimizer = Adam(params, cfg.learning_rate)
     history = {"train_mse": [], "val_mse": []}
-    # The one ForwardCache, overwritten batch after batch. The short last batch, and the next
-    # epoch's first, re-view its block: freeing it and allocating anew at each change of size
-    # let peak RSS creep up by 6.6 MB by the third epoch at paper scale (heap fragmentation).
-    cache = None
+    # Every batch views one block, the first batch's. Freeing it and allocating anew at each
+    # change of batch size let peak RSS creep up by 6.6 MB by the third epoch at paper scale
+    # (heap fragmentation).
+    block = None
     for epoch in range(1, cfg.epochs + 1):
         sq_err = 0.0
         for batch_no, start in enumerate(range(0, len(fit_y), cfg.batch_size), start=1):
             xb = fit_x[start : start + cfg.batch_size]
             yb = fit_y[start : start + cfg.batch_size]
-            if cache is not None and len(cache.h_last) != len(xb):
-                block = cache.layers[0].xh.base  # sized by the first, full-size batch
-                cache = ForwardCache(model.cell_variant,
-                                     _buffers(model.layers, model.lookback, len(xb), block))
-            preds, cache = forward_batch(model, xb, cache)
+            preds, cache = forward_batch(model, xb, block)
+            block = cache.layers[0].xh.base
             err = preds - yb
             batch_sq = float(np.sum(err * err))
             if not math.isfinite(batch_sq):
                 raise NonFiniteLoss(epoch, batch_no)
             sq_err += batch_sq
-            grads = backward(model, cache, 2.0 * err / len(yb))
+            grads = backward(cache, 2.0 * err / len(yb))
             clip_gradient_norm(grads, cfg.gradient_clip_norm)
             optimizer.step(params, grads)
         val_pred, val_sq = model.predict(val_x, cfg.batch_size), 0.0

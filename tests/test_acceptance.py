@@ -31,7 +31,6 @@ from stockcast.indicators import (
     macd,
     rsi,
     sma,
-    stochastic_d,
     stochastic_k,
     wma,
 )
@@ -94,7 +93,7 @@ def test_bptt_gradient_oracle():
             preds, caches = forward_batch(model, X)
             from stockcast.lstm import backward
 
-            grads = backward(model, caches, d_pred)
+            grads = backward(caches, d_pred)
             h = 1e-5
             for key, arr in model_param_items(model):
                 flat = arr.ravel()
@@ -138,13 +137,13 @@ def test_indicator_oracles_and_exact_invariances():
         close_nan(ad(series), naive_ad(series))
         k = stochastic_k(series, 14)
         close_nan(k, naive_k(series, 14))
-        close_nan(stochastic_d(k, 10), naive_d(naive_k(series, 14), 10))
+        close_nan(sma(k, 10), naive_d(naive_k(series, 14), 10))
         diff, signal, hist = macd(closes)
         close_nan(diff, np.subtract(naive_ema(xs, 2.0 / 13.0), naive_ema(xs, 2.0 / 27.0)))
         close_nan(signal, naive_ema(diff.tolist(), 0.2))
         assert np.array_equal(hist, diff - signal)
 
-        for bounded in (rsi(closes, 14)[0], k, stochastic_d(k, 10)):
+        for bounded in (rsi(closes, 14)[0], k, sma(k, 10)):
             finite = bounded[~np.isnan(bounded)]
             assert ((finite >= 0.0) & (finite <= 100.0)).all()
 

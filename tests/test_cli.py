@@ -843,6 +843,12 @@ def test_every_config_key_reads_its_default_back():
     assert resolve_config(parse_config_text(text)) == defaults
 
 
+def test_only_a_non_empty_column_set_implies_its_mode():
+    assert resolve_config(parse_config_text("column_set =\n")) == RunConfig()
+    cfg = resolve_config(parse_config_text("column_set = table4_all\n"))
+    assert (cfg.mode, cfg.effective_column_set()) == ("multivariate", "table4_all")
+
+
 def test_readme_config_reference_lists_every_key_with_its_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     start = readme.index("```ini\n# Every key, set to its default") + len("```ini\n")

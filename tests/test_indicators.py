@@ -28,7 +28,6 @@ from stockcast.indicators import (
     macd,
     rsi,
     sma,
-    stochastic_d,
     stochastic_k,
     wma,
     write_feature_csv,
@@ -220,8 +219,8 @@ def test_stochastic_hand_cases():
     assert math.isnan(got[0])
     assert got[1] == 50.0
     assert stochastic_k(flat_series([4.0, 4.0]), 2)[1] == 50.0
-    close_nan(stochastic_d([0.0, 100.0], 2), [nan, 50.0])
-    close_nan(stochastic_d([nan, 40.0, 60.0], 2), [nan, nan, 50.0])
+    close_nan(sma([0.0, 100.0], 2), [nan, 50.0])
+    close_nan(sma([nan, 40.0, 60.0], 2), [nan, nan, 50.0])
 
 
 def test_macd_identities():
@@ -251,7 +250,7 @@ def test_ops_match_naive_oracles():
     close_nan(ad(series), naive_ad(series))
     k = stochastic_k(series, 14)
     close_nan(k, naive_k(series, 14))
-    close_nan(stochastic_d(k, 10), naive_d(naive_k(series, 14), 10))
+    close_nan(sma(k, 10), naive_d(naive_k(series, 14), 10))
     diff, signal, hist = macd(closes)
     close_nan(diff, np.subtract(naive_ema(xs, 2.0 / 13.0), naive_ema(xs, 2.0 / 27.0)))
     close_nan(signal, naive_ema(diff.tolist(), 0.2))
@@ -320,7 +319,7 @@ def test_channel_ops_scale_invariant_and_bounded(seed, factor):
     close_nan(k_scaled, k, rtol=1e-9)
     finite = k[~np.isnan(k)]
     assert ((finite >= 0.0) & (finite <= 100.0)).all()
-    d = stochastic_d(k, 10)
+    d = sma(k, 10)
     finite_d = d[~np.isnan(d)]
     assert ((finite_d >= 0.0) & (finite_d <= 100.0)).all()
     close_nan(cci(scaled_series(series, factor), 20), cci(series, 20), rtol=1e-6)

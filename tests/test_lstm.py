@@ -21,7 +21,6 @@ from stockcast.dataset import WindowedDataset
 from stockcast.indicators import column_names_for
 from stockcast.jsonio import dump_json
 from stockcast.lstm import (
-    CacheMismatch,
     CorruptModel,
     EmptyDataset,
     LstmError,
@@ -537,7 +536,7 @@ def test_predict_batch_keeps_no_backward_caches():
 
 def loss_and_grads(model, X, d_pred):
     preds, caches = forward_batch(model, X)
-    return float(np.dot(d_pred, preds)), backward(model, caches, d_pred)
+    return float(np.dot(d_pred, preds)), backward(caches, d_pred)
 
 
 @pytest.mark.parametrize("variant, hidden, batch", [
@@ -581,54 +580,56 @@ def test_zero_upstream_gives_zero_grads():
 
 
 def test_backward_rejects_mismatched_caches():
-    model = tiny_model(lookback=4, hidden=(3,), variant="standard")
-    X = np.random.default_rng(0).normal(size=(2, 4, 1))
-    _, caches = forward_batch(model, X)
-    with pytest.raises(CacheMismatch):
-        backward(model, caches, np.zeros(5))
-    other = tiny_model(lookback=4, hidden=(3,), variant="as_printed")
-    with pytest.raises(CacheMismatch):
-        backward(other, caches, np.zeros(2))
-    with pytest.raises(CacheMismatch):
-        backward(model, {"shape": (2, 4, 1)}, np.zeros(2))
-    with pytest.raises(CacheMismatch):  # forward_batch's out must hold the windows' batch size
-        forward_batch(model, np.zeros((3, 4, 1)), out=caches)
+    model = tiny_model(lookback=4, hidden=(3,))
+    _, caches = forward_batch(model, np.random.default_rng(0).normal(size=(2, 4, 1)))
+    assert caches.model is model  # backward reads the weights of the model that made caches
+    with pytest.raises(ShapeMismatch):
+        backward(caches, np.zeros(5))
 
 
-@pytest.mark.parametrize("hidden, lookback", [((5, 3, 2), 4), ((4, 3), 4), ((3,), 4), ((5, 3), 6)])
-def test_backward_rejects_a_cache_from_another_model_shape(hidden, lookback):
-    _, caches = forward_batch(tiny_model(lookback=4, hidden=(5, 3)),
-                              np.random.default_rng(0).normal(size=(2, 4, 1)))
-    other = tiny_model(lookback=lookback, hidden=hidden)
-    with pytest.raises(CacheMismatch):
-        backward(other, caches, np.zeros(2))
-    with pytest.raises(CacheMismatch):  # nor may forward_batch overwrite it for that model
-        forward_batch(other, np.zeros((2, lookback, 1)), out=caches)
+def fresh_pass(model, X, d_pred):
+    preds, caches = forward_batch(model, X)
+    return preds, backward(caches, d_pred)
+
+
+def assert_same_pass(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert list(got[1]) == list(want[1])
+    assert all(np.array_equal(got[1][key], want[1][key]) for key in want[1])
 
 
 def test_live_and_reused_caches_give_fresh_gradients():
     model = tiny_model(num_features=2, lookback=5, hidden=(4, 3), seed=7, mode="multivariate")
     rng = np.random.default_rng(23)
     batches = [(rng.normal(size=(6, 5, 2)), rng.normal(size=6)) for _ in range(2)]
-
-    def fresh(X, d_pred):
-        preds, caches = forward_batch(model, X)
-        return preds, backward(model, caches, d_pred)
-
-    def assert_same(got, want):
-        assert np.array_equal(got[0], want[0])
-        assert list(got[1]) == list(want[1])
-        assert all(np.array_equal(got[1][key], want[1][key]) for key in want[1])
-
-    want = [fresh(X, d_pred) for X, d_pred in batches]
+    want = [fresh_pass(model, X, d_pred) for X, d_pred in batches]
     live = [forward_batch(model, X) for X, _ in batches]  # both caches alive at once
     for (preds, caches), (_, d_pred), expect in zip(live, batches, want):
-        assert_same((preds, backward(model, caches, d_pred)), expect)
-        assert_same((preds, backward(model, caches, d_pred)), expect)  # backward reads only
-    reused = live[0][1]
-    preds, caches = forward_batch(model, batches[1][0], out=reused)
-    assert caches is reused
-    assert_same((preds, backward(model, caches, batches[1][1])), want[1])
+        assert_same_pass((preds, backward(caches, d_pred)), expect)
+        assert_same_pass((preds, backward(caches, d_pred)), expect)  # backward reads only
+    block = live[0][1].layers[0].xh.base
+    preds, caches = forward_batch(model, batches[1][0], block)
+    assert all(view.base is block for buf in caches.layers for view in vars(buf).values())
+    assert_same_pass((preds, backward(caches, batches[1][1])), want[1])
+
+
+@pytest.mark.parametrize("variant", ["standard", "as_printed"])
+def test_forward_batch_views_a_big_enough_block_and_replaces_a_small_one(variant):
+    model = tiny_model(num_features=2, lookback=5, hidden=(4, 3), seed=5, variant=variant,
+                       mode="multivariate")
+    rng = np.random.default_rng(31)
+    X, d_pred = rng.normal(size=(6, 5, 2)), rng.normal(size=6)
+    want = fresh_pass(model, X, d_pred)
+    small = forward_batch(model, X[:2])[1].layers[0].xh.base
+    large = forward_batch(model, np.concatenate([X, X]))[1].layers[0].xh.base
+    for block, viewed in ((small, False), (large, True)):
+        block[...] = np.nan  # stale values must not reach the outputs
+        preds, caches = forward_batch(model, X, block)
+        bases = {id(view.base) for buf in caches.layers for view in vars(buf).values()}
+        assert len(bases) == 1 and (id(block) in bases) == viewed
+        if viewed:  # the front of the block
+            assert np.shares_memory(caches.layers[0].xh, block[:1])
+        assert_same_pass((preds, backward(caches, d_pred)), want)
 
 
 # ------------------------------------------------------------------ optimizer
@@ -706,7 +707,7 @@ def test_train_matches_a_loop_over_the_public_steps():
             preds, caches = forward_batch(ref, ds.inputs[start:stop])
             err = preds - ds.targets[start:stop]
             sq_err += float(np.sum(err * err))
-            grads = backward(ref, caches, 2.0 * err / len(err))
+            grads = backward(caches, 2.0 * err / len(err))
             clip_gradient_norm(grads, cfg.gradient_clip_norm)
             optimizer.step(params, grads)
         val_sq = 0.0
@@ -727,14 +728,11 @@ def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
     ds = memorization_data(n=75)
     model = tiny_model(lookback=8, hidden=(5, 3), seed=6, epochs=3, batch_size=16)
     cfg = model.train_config
-    caches, blocks, sizes = [], [], []  # weakrefs to each ForwardCache and block in turn; batch sizes
+    blocks, sizes = [], []  # weakrefs to each block in turn; batch sizes
     real = lstm.forward_batch
 
-    def tracked(model, windows, out=None):
-        preds, cache = real(model, windows, out)
-        if not caches or caches[-1]() is not cache:
-            assert all(ref() is None for ref in caches), "two ForwardCaches alive at once"
-            caches.append(weakref.ref(cache))
+    def tracked(model, windows, block=None):
+        preds, cache = real(model, windows, block)
         block = cache.layers[0].xh.base
         assert all(view.base is block for buf in cache.layers for view in vars(buf).values())
         if not blocks or blocks[-1]() is not block:
@@ -745,8 +743,7 @@ def test_train_keeps_one_forward_cache_and_one_block(monkeypatch):
     monkeypatch.setattr(lstm, "forward_batch", tracked)
     train(model, ds)
     assert sizes == ([16] * 4 + [4]) * cfg.epochs
-    assert len(caches) == 2 * cfg.epochs  # a new ForwardCache at each change of batch size
-    assert len(blocks) == 1  # every one of them a view of the first, full-size batch's block
+    assert len(blocks) == 1  # every batch a view of the first, full-size batch's block
 
 
 def test_last_val_mse_is_the_returned_models_chunked_validation_error():

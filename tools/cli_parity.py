@@ -104,6 +104,13 @@ COMMANDS = [
      "--predictions-out", "p.csv"],
     ["forecast", "--input", "walk.csv", "--model", "m.json", "--out", "f30.csv", "--horizon", "30"],
     ["forecast", "--input", "walk.csv", "--model", "m.json", "--out", "f1.csv", "--horizon", "1"],
+    # the as_printed cell, whose backward takes its own branch
+    ["train", "--input", "walk.csv", "--model-out", "ap.json", "--history-out", "ap_h.csv", *MODEL,
+     "--cell-variant", "as_printed"],
+    ["evaluate", "--input", "walk.csv", "--model", "ap.json", "--report-out", "ap_r.json",
+     "--predictions-out", "ap_p.csv"],
+    ["forecast", "--input", "walk.csv", "--model", "ap.json", "--out", "ap_f30.csv", "--horizon",
+     "30"],
     ["backtest", "--input", "short_walk.csv", "--out-dir", "folds", "--folds", "3",
      "--mode", "univariate", "--epochs", "1", "--clip-scaled"],
     ["backtest", "--input", "short_walk.csv", "--out-dir", "mv_folds", "--folds", "3",
