@@ -2,7 +2,8 @@
 
 Sample s covers matrix rows [s, s + lookback) and its target is the Close
 value at row s + lookback, so inputs never touch the target row or anything
-after it.
+after it. The inputs are a read-only view of the matrix's rows, so a window
+set holds each value once; copy them to write to them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SplitMismatch(DatasetError):
 
 @dataclass(frozen=True, eq=False)
 class WindowedDataset:
-    inputs: np.ndarray  # (samples, lookback, features)
+    inputs: np.ndarray  # (samples, lookback, features), a read-only view of the matrix's rows
     targets: np.ndarray  # (samples,) scaled Close at the row after each window
     dates: tuple  # target date per sample
 
@@ -63,8 +64,8 @@ def make_windows(matrix: FeatureMatrix, lookback: int) -> WindowedDataset:
     except ValueError:
         raise DatasetError("feature matrix has no Close column to target") from None
     values = matrix.values
-    # the view is (samples, features, lookback): one C-contiguous copy, lookback before features
-    inputs = sliding_window_view(values[:-1], lookback, axis=0).transpose(0, 2, 1).copy()
+    # the view is (samples, features, lookback); transposed, lookback comes before features
+    inputs = sliding_window_view(values[:-1], lookback, axis=0).transpose(0, 2, 1)
     targets = values[lookback:, close_idx].copy()
     dates = tuple(matrix.dates[lookback:])
     return WindowedDataset(inputs, targets, dates)

@@ -128,19 +128,8 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def uniform(self, low: float, high: float) -> float:
-        unit = (self.next_u64() >> 11) * (1.0 / (1 << 53))  # 53-bit mantissa in [0, 1)
-        return low + (high - low) * unit
-
     def fill(self, shape, low: float, high: float) -> np.ndarray:
-        """The next count uniform() draws, computed as one uint64 array."""
+        """The stream's next count outputs mapped into [low, high) by their top 53 bits."""
         count = int(np.prod(shape))
         draws = np.arange(1, count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64, as intended

@@ -9,7 +9,9 @@ the RunConfig, and lstm.train fits it by the train_config it records.
 ``held_out_windows`` reads the split, the clip and the scaler from that
 model, once the contract matches the matrix it is given, and scales and
 windows rows [split_row - L, rows); the L rows before split_row are only the
-first window's inputs. Train and every walk-forward fold fit through
+first window's inputs. The windows view the scaled rows without copying
+them, so held_out_windows clips the rows it scaled, once make_windows has
+copied the targets. Train and every walk-forward fold fit through
 fit_rows; evaluate and every fold score through
 evaluation.evaluate_one_step(model, matrix), which calls held_out_windows.
 """
@@ -80,9 +82,10 @@ def held_out_windows(matrix: FeatureMatrix, model: lstm.LstmModel) -> WindowedDa
             f"split row {split_row} needs {lookback} rows before it and 1 after, of {matrix.rows}"
         )
     held_out = matrix.row_slice(split_row - lookback, matrix.rows)
-    windows = dataset.make_windows(scaling.transform(model.scaler, held_out), lookback)
-    if contract.clip_scaled:
-        windows.inputs.clip(-1.0, 1.0, out=windows.inputs)  # make_windows copied them
+    scaled = scaling.transform(model.scaler, held_out)
+    windows = dataset.make_windows(scaled, lookback)
+    if contract.clip_scaled:  # the inputs view these fresh rows; make_windows copied the targets
+        scaled.values.clip(-1.0, 1.0, out=scaled.values)
     return windows
 
 

@@ -1,5 +1,6 @@
 """Windowing and the chronological train/test split by row."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockcast import lstm, scaling
-from stockcast.config import ConfigError, resolve_config
+from stockcast.config import (PAPER_MULTIVARIATE, ConfigError, IndicatorConfig, RunConfig,
+                              resolve_config)
 from stockcast.dataset import DatasetError, DegenerateSplit, SplitMismatch, TooFewRows, make_windows
+from stockcast.indicators import column_names_for
 from stockcast.pipeline import fit_rows, held_out_windows, split_contract, split_row_for
 from stockcast.scaling import ScalerParams
 
@@ -54,6 +57,19 @@ def test_close_column_required():
     matrix = matrix_of([1.0, 2.0, 3.0], ("RSI",))
     with pytest.raises(DatasetError):
         make_windows(matrix, lookback=1)
+
+
+def test_windows_view_the_rows_read_only_and_copy_the_targets():
+    values = np.arange(24.0).reshape(8, 3)
+    matrix = matrix_of(values.copy(), ("A", "Close", "B"))
+    ds = make_windows(matrix, lookback=3)
+    assert np.shares_memory(ds.inputs, matrix.values)
+    assert not ds.inputs.flags.writeable
+    with pytest.raises(ValueError):
+        ds.inputs[0, 0, 0] = -1.0
+    assert not np.shares_memory(ds.targets, matrix.values)
+    ds.targets[0] = -1.0
+    assert matrix.values.tobytes() == values.tobytes()
 
 
 def fit_windows(matrix, split_row, lookback, clip=False):
@@ -192,7 +208,8 @@ def test_fit_rows_and_held_out_windows_match_stack_and_slice(
     scaled = replace(unclipped, values=np.clip(unclipped.values, -1, 1)) if clip else unclipped
     train_scaled, test_scaled = scaled_out
     assert train_scaled.values.tobytes() == scaled.values[:split_row].tobytes()
-    assert test_scaled.values.tobytes() == unclipped.values[split_row - lookback :].tobytes()
+    # held_out_windows clips the rows it scaled, which its windows view
+    assert test_scaled.values.tobytes() == scaled.values[split_row - lookback :].tobytes()
     train_ref, (clipped_inputs, _, _) = stack_and_slice(scaled, lookback, split_row)
     _, (_, test_targets, test_dates) = stack_and_slice(unclipped, lookback, split_row)
     # held out, clip bounds the window inputs only and never the targets
@@ -203,8 +220,43 @@ def test_fit_rows_and_held_out_windows_match_stack_and_slice(
         assert np.array_equal(side.targets, targets)
         assert side.targets.tobytes() == targets.tobytes()
         assert side.dates == dates
-        assert side.inputs.flags.c_contiguous
-    arrays = (train.inputs, test.inputs, train_scaled.values, test_scaled.values, matrix.values)
-    for i, a in enumerate(arrays):
-        for b in arrays[i + 1 :]:
-            assert not np.shares_memory(a, b)
+    sides = ((train, train_scaled), (test, test_scaled))
+    for (side, own), (other, theirs) in (sides, sides[::-1]):
+        # read-only views of the rows their own side scaled, and of nothing else
+        assert not side.inputs.flags.writeable
+        assert np.shares_memory(side.inputs, own.values)
+        for foreign in (matrix.values, theirs.values, other.inputs, side.targets):
+            assert not np.shares_memory(side.inputs, foreign)
+        for foreign in (matrix.values, own.values, theirs.values, other.targets):
+            assert not np.shares_memory(side.targets, foreign)
+
+
+def test_held_out_windows_clips_the_rows_it_scaled_and_leaves_the_matrix_alone():
+    values = np.random.default_rng(7).normal(size=(30, 2))
+    values[25] = (100.0, -100.0)  # a held-out row far outside the training range
+    matrix = matrix_of(values.copy(), ("Close", "F1"))
+    _, model = fit_windows(matrix, 20, 4, clip=True)
+    test = held_out_windows(matrix, model)
+    assert matrix.values.tobytes() == values.tobytes()
+    assert not test.inputs.flags.writeable
+    assert test.inputs.max() == 1.0 and test.inputs.min() == -1.0
+    assert test.targets.max() > 1.0  # the clip bounds the inputs, never the targets
+
+
+def test_fit_rows_memory_peak_is_under_half_a_copy_of_its_windows():
+    # a copy of the 940 windows of 60 rows by 13 columns would take 5.9 MB; as views of the
+    # 1000 scaled rows they take 0.1 MB, and at hidden 4 and batch 8 the forward block and
+    # the rest of a fit stay near 0.35 MB, so the peak sits near 0.45 MB
+    names = column_names_for(IndicatorConfig(), PAPER_MULTIVARIATE)
+    matrix = matrix_of(np.random.default_rng(940).normal(size=(1001, 13)), names)
+    cfg = RunConfig(mode="multivariate", lookback=60, hidden_sizes=(4,), batch_size=8, epochs=1)
+    window_copy = 940 * 60 * 13 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, history = fit_rows(matrix, 1000, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(history["val_mse"]) == 1
+    assert peak < window_copy / 2, peak

@@ -84,20 +84,38 @@ def sigmoid(z):
 
 # ------------------------------------------------------------------------ PRNG
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_outputs(seed):
+    """SplitMix64's outputs one at a time in Python ints: the scalar oracle for fill."""
+    state = seed & MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        yield z ^ (z >> 31)
+
+
+def scalar_uniforms(seed, low, high):
+    """The oracle's outputs mapped into [low, high) by their top 53 bits, one at a time."""
+    for z in splitmix64_outputs(seed):
+        yield low + (high - low) * ((z >> 11) * (1.0 / (1 << 53)))
+
+
 def test_splitmix64_reference_stream():
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    assert rng.next_u64() == 0x06C45D188009454F
+    known = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    outputs = splitmix64_outputs(0)
+    assert [next(outputs) for _ in known] == known
+    # on [0, 1) a draw is its output's top 53 bits over 2**53, exactly
+    assert (SplitMix64(0).fill((3,), 0.0, 1.0) * 2.0**53).tolist() == [z >> 11 for z in known]
 
 
 def test_splitmix64_uniform_range_and_determinism():
-    a = SplitMix64(123)
-    b = SplitMix64(123)
-    values = [a.uniform(-0.25, 0.75) for _ in range(500)]
-    assert values == [b.uniform(-0.25, 0.75) for _ in range(500)]
-    assert all(-0.25 <= v < 0.75 for v in values)
-    assert min(values) < 0.0 < max(values)
+    values = SplitMix64(123).fill((500,), -0.25, 0.75)
+    assert values.tolist() == SplitMix64(123).fill((500,), -0.25, 0.75).tolist()
+    assert all(-0.25 <= v < 0.75 for v in values.tolist())
+    assert values.min() < 0.0 < values.max()
     grid = SplitMix64(7).fill((3, 4), -1.0, 1.0)
     assert grid.shape == (3, 4)
     assert not np.array_equal(grid, SplitMix64(8).fill((3, 4), -1.0, 1.0))
@@ -105,10 +123,10 @@ def test_splitmix64_uniform_range_and_determinism():
 
 def test_splitmix64_fill_matches_scalar_stream():
     for seed in (0, 123, 2**64 - 1):
-        vector, scalar = SplitMix64(seed), SplitMix64(seed)
+        vector, scalar = SplitMix64(seed), scalar_uniforms(seed, -0.3, 0.3)
         grid = vector.fill((5, 7), -0.3, 0.3)
-        assert grid.tolist() == [[scalar.uniform(-0.3, 0.3) for _ in range(7)] for _ in range(5)]
-        assert vector.next_u64() == scalar.next_u64()
+        assert grid.tolist() == [[next(scalar) for _ in range(7)] for _ in range(5)]
+        assert vector.fill((2,), -0.3, 0.3).tolist() == [next(scalar), next(scalar)]
     assert SplitMix64(1).fill((0,), -1.0, 1.0).shape == (0,)
 
 

@@ -133,6 +133,14 @@ COMMANDS = [
      "--predictions-out", "leak_p.csv"],
     ["forecast", "--input", "leak_walk.csv", "--model", "leak.json", "--out", "leak_f.csv",
      "--horizon", "5"],
+    # the clip over 13 columns: a clipped multivariate model's evaluate, and a clipped backtest
+    ["train", "--input", "leak_walk.csv", "--model-out", "leak_mv.json", "--history-out",
+     "leak_mv_h.csv", *MODEL, "--clip-scaled"],
+    ["evaluate", "--input", "leak_walk.csv", "--model", "leak_mv.json", "--report-out",
+     "leak_mv_r.json", "--predictions-out", "leak_mv_p.csv"],
+    ["backtest", "--input", "leak_walk.csv", "--out-dir", "leak_mv_folds", "--folds", "3",
+     "--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "1",
+     "--clip-scaled"],
     # a model of the adjusted close: evaluate, and a forecast whose carried rows swap it in
     ["train", "--input", "adjusted_walk.csv", "--model-out", "adj.json", "--history-out",
      "adj_h.csv", *MODEL, "--use-adj-close"],
