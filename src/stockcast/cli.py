@@ -8,7 +8,9 @@ identical inputs, config, and seed produce byte-identical output files.
 
 Only the handlers that compute import the numpy modules, so ``--help`` and
 ``plot`` start, and fail, without numpy. Each handler looks its functions
-up when it runs.
+up when it runs. The parser registers every subcommand's name and help, but a
+subcommand adds its flags only when argparse dispatches to it, so a command
+builds only its own.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ class SeriesFileError(StockcastError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, add_flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.add_flags = add_flags  # a subcommand's, run once when argparse dispatches to it
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.add_flags:
+            _globals(self, default=argparse.SUPPRESS)  # one given before the command stands
+            self.add_flags(self)
+            self.add_flags = None
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -45,65 +58,55 @@ _TRAIN_FLAGS = (
 )
 
 
-def _flags(p: argparse.ArgumentParser, *names: str, **help_text: str) -> None:
-    """One ``--dash-name`` flag per RunConfig field, typed from the field's declaration.
+def _flags(p: argparse.ArgumentParser, *names: str, default=None, **help_text: str) -> None:
+    """One ``--dash-name`` flag per RunConfig field, typed from the field's declaration;
+    ``flag_name:field`` stores ``--flag-name`` as that field.
 
     An unset flag stays None, so config-file values and defaults show through.
     List fields stay strings here, for FIELD_PARSERS to read.
     """
-    for name in names:
+    for spec in names:
+        flag, _, name = spec.rpartition(":")
         f = _FIELDS[name]
         if f.type.startswith("tuple"):
             help_text.setdefault(name, "comma-separated, e.g. " + ",".join(map(str, f.default)))
         typed = {"action": "store_true"} if f.type == "bool" else {
             "type": {"int": int, "float": float}.get(f.type), "choices": FIELD_CHOICES.get(name)}
-        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+        p.add_argument("--" + (flag or name).replace("_", "-"), dest=name, default=default,
                        help=help_text.get(name), **typed)
 
 
-def _globals(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    _flags(parser, "seed", seed="PRNG seed override")
-    parser.add_argument("--verbose", action="store_true", default=None, help="chatty stderr")
+def _globals(parser: argparse.ArgumentParser, default=None) -> None:
+    parser.add_argument("--config", default=default, help="flat key=value config file")
+    _flags(parser, "seed", default=default, seed="PRNG seed override")
+    parser.add_argument("--verbose", action="store_true", default=default, help="chatty stderr")
 
 
-def _command(sub, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_text)
-    _globals(p)
-    p.set_defaults(handler=handler)
-    return p
+def _plot_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--series", action="append", default=None, metavar="LABEL=PATH[:COLUMN]",
+                   help="repeatable; COLUMN defaults to the last column")
+    _flags(p, "out", "merge_out", out="SVG output path", merge_out="merged CSV output path")
+    p.add_argument("--title", default="")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="stockcast", description="LSTM forecasting for daily stock prices")
     _globals(parser)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    p = _command(sub, "indicators", cmd_indicators, "compute a feature CSV from an OHLCV CSV")
-    _flags(p, "input", "out", "symbol", "column_set", "use_adj_close")
-
-    p = _command(sub, "train", cmd_train, "train a model and write it as JSON")
-    _flags(p, "input")
-    p.add_argument("--model-out", dest="model", default=None)
-    _flags(p, "history_out", *_TRAIN_FLAGS)
-
-    p = _command(sub, "evaluate", cmd_evaluate, "one-step metrics on the held-out test split")
-    _flags(p, "input", "model")
-    p.add_argument("--report-out", dest="out", default=None)
-    _flags(p, "predictions_out", "symbol")
-
-    p = _command(sub, "forecast", cmd_forecast, "recursive multi-day forecast from a trained model")
-    _flags(p, "input", "model", "out", "horizon", "symbol")
-
-    p = _command(sub, "backtest", cmd_backtest, "expanding-window walk-forward evaluation")
-    _flags(p, "input", "out_dir", "folds", *_TRAIN_FLAGS)
-
-    p = _command(sub, "plot", cmd_plot, "render series CSVs as an SVG chart")
-    p.add_argument("--series", action="append", default=None, metavar="LABEL=PATH[:COLUMN]",
-                   help="repeatable; COLUMN defaults to the last column")
-    _flags(p, "out", "merge_out", out="SVG output path", merge_out="merged CSV output path")
-    p.add_argument("--title", default="")
-
+    for name, handler, help_text, add_flags in (
+        ("indicators", cmd_indicators, "compute a feature CSV from an OHLCV CSV",
+         lambda p: _flags(p, "input", "out", "symbol", "column_set", "use_adj_close")),
+        ("train", cmd_train, "train a model and write it as JSON",
+         lambda p: _flags(p, "input", "model_out:model", "history_out", *_TRAIN_FLAGS)),
+        ("evaluate", cmd_evaluate, "one-step metrics on the held-out test split",
+         lambda p: _flags(p, "input", "model", "report_out:out", "predictions_out", "symbol")),
+        ("forecast", cmd_forecast, "recursive multi-day forecast from a trained model",
+         lambda p: _flags(p, "input", "model", "out", "horizon", "symbol")),
+        ("backtest", cmd_backtest, "expanding-window walk-forward evaluation",
+         lambda p: _flags(p, "input", "out_dir", "folds", *_TRAIN_FLAGS)),
+        ("plot", cmd_plot, "render series CSVs as an SVG chart", _plot_flags),
+    ):
+        sub.add_parser(name, help=help_text, add_flags=add_flags).set_defaults(handler=handler)
     return parser
 
 

@@ -2,8 +2,9 @@
 
 Sample s covers matrix rows [s, s + lookback) and its target is the Close
 value at row s + lookback, so inputs never touch the target row or anything
-after it. The inputs are a read-only view of the matrix's rows, so a window
-set holds each value once; copy them to write to them.
+after it. The inputs are one read-only strided view of the matrix's rows, from
+the helper that gives the indicators their windows, so a window set holds
+each value once; copy them to write to them.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import StockcastError
-from .indicators import FeatureMatrix
+from .indicators import FeatureMatrix, _windows
 
 
 class DatasetError(StockcastError):
@@ -64,8 +64,7 @@ def make_windows(matrix: FeatureMatrix, lookback: int) -> WindowedDataset:
     except ValueError:
         raise DatasetError("feature matrix has no Close column to target") from None
     values = matrix.values
-    # the view is (samples, features, lookback); transposed, lookback comes before features
-    inputs = sliding_window_view(values[:-1], lookback, axis=0).transpose(0, 2, 1)
+    inputs = _windows(values[:-1], lookback)
     targets = values[lookback:, close_idx].copy()
     dates = tuple(matrix.dates[lookback:])
     return WindowedDataset(inputs, targets, dates)

@@ -5,6 +5,9 @@ where its lookback window is not yet full. build_features stacks the
 requested columns and trims the common warmup prefix, so downstream stages
 only ever see finite values.
 
+Every window, here and in dataset.make_windows, is one read-only strided
+view from _windows(), which copies nothing.
+
 The same body extends the columns by one bar for a recursive forecast: the
 window columns read the last bars, and each recurrence (CMA, EMA, RSI, MACD)
 continues from a Carry, ema from its `start` and rsi from its `seeds`.
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (COLUMN_SETS, PAPER_MULTIVARIATE, TABLE4_ALL, UNIVARIATE, IndicatorConfig,
                      StockcastError)
@@ -80,6 +82,17 @@ class FeatureMatrix:
                        carry=None)
 
 
+def _windows(values: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view of every n consecutive entries along the first axis, shaped
+    (len - n + 1, n, *rest), with the strides sliding_window_view gives a 1-D input."""
+    if not 1 <= n <= len(values):
+        raise ValueError(f"window of {n} over {len(values)} entries")
+    x = np.ascontiguousarray(values)  # the view needs one buffer; no caller's input is strided
+    view = np.ndarray((len(x) - n + 1, n, *x.shape[1:]), x.dtype, x, 0, (x.strides[0], *x.strides))
+    view.flags.writeable = False
+    return view
+
+
 def _as_floats(values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
@@ -98,7 +111,7 @@ def sma(closes, n: int) -> np.ndarray:
     x = _as_floats(closes)
     out = np.full(x.shape, np.nan)
     if 0 < n <= x.size:
-        out[n - 1 :] = sliding_window_view(x, n).mean(axis=1)
+        out[n - 1 :] = _windows(x, n).mean(axis=1)
     return out
 
 
@@ -122,7 +135,7 @@ def wma(closes, n: int) -> np.ndarray:
     if 0 < n <= x.size:
         weights = np.arange(1, n + 1, dtype=np.float64)  # oldest..newest
         denom = n * (n + 1) / 2.0
-        out[n - 1 :] = sliding_window_view(x, n) @ weights / denom
+        out[n - 1 :] = _windows(x, n) @ weights / denom
     return out
 
 
@@ -192,7 +205,7 @@ def cci(series, n: int) -> np.ndarray:
     m = (h + l + c) / 3.0
     out = np.full(m.shape, np.nan)
     if 0 < n <= m.size:
-        windows = sliding_window_view(m, n)
+        windows = _windows(m, n)
         sm = windows.mean(axis=1)
         dev = np.abs(windows - sm[:, None]).mean(axis=1)
         safe = np.where(dev > 0.0, dev, 1.0)
@@ -218,8 +231,8 @@ def stochastic_k(series, n: int) -> np.ndarray:
     h, l, c = _hlc(series)
     out = np.full(c.shape, np.nan)
     if 0 < n <= c.size:
-        hh = sliding_window_view(h, n).max(axis=1)
-        ll = sliding_window_view(l, n).min(axis=1)
+        hh = _windows(h, n).max(axis=1)
+        ll = _windows(l, n).min(axis=1)
         span = hh - ll
         safe = np.where(span > 0.0, span, 1.0)
         out[n - 1 :] = np.where(span > 0.0, (c[n - 1 :] - ll) * 100.0 / safe, 50.0)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import stockcast
-from stockcast import dataset, pipeline
+from stockcast import cli, dataset, pipeline
 from stockcast.charts import render_line_chart
 from stockcast.cli import SeriesFileError, _read_series_csv, main
 from stockcast.config import (FIELD_PARSERS, ConfigError, RunConfig, StockcastError,
@@ -72,6 +72,31 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["fetch", "--symbol", "X"]) == 64  # the download command is gone
     assert "invalid choice: 'fetch'" in capsys.readouterr().err
+
+
+SUBCOMMANDS = ("indicators", "train", "evaluate", "forecast", "backtest", "plot")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_unknown_flag_on_each_subcommand_is_a_usage_error(command, capsys):
+    assert main([command, "--no-such-flag"]) == 64
+    assert capsys.readouterr() == ("", "usage error: unrecognized arguments: --no-such-flag\n")
+
+
+def test_global_flags_count_before_or_after_the_command(monkeypatch):
+    """A subcommand's parser adds its flags, the global ones too, only when argparse
+    dispatches to it; a global flag given before the command is not reset by them."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_train", lambda args, cfg: seen.append((args, cfg)) or 0)
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert [len(p._actions) for p in subparsers.values()] == [1] * 6  # -h alone, until dispatch
+    for argv in (["--seed", "3", "--verb", "train", "--epochs", "2"],
+                 ["train", "--seed", "3", "--verb", "--epochs", "2"],
+                 ["--seed", "4", "--verbose", "train", "--epochs", "2", "--seed", "3"]):
+        assert main(argv) == 0
+    (first, cfg), *rest = seen
+    assert first.verbose is True and cfg == resolve_config({}, {"seed": 3, "epochs": 2})
+    assert all(args.verbose is True and other == cfg for args, other in rest)
 
 
 HELP_COMMANDS = ([], ["indicators"], ["train"], ["evaluate"], ["forecast"], ["backtest"],

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stockcast.indicators import (
     COLUMN_SETS,
@@ -19,6 +21,7 @@ from stockcast.indicators import (
     IndicatorError,
     SeriesTooShort,
     _min_rows_needed,
+    _windows,
     ad,
     build_features,
     cci,
@@ -422,6 +425,51 @@ def test_ema_and_rsi_continue_from_their_state_exactly(xs, n, cut):
         assert got[0].tobytes() == values[cut:].tobytes()
         assert (got[1].tobytes(), got[2].tobytes()) == (gain[cut - n :].tobytes(),
                                                         loss[cut - n :].tobytes())
+
+
+@st.composite
+def window_rows(draw):
+    """A 1-D float array as the indicators pass one: its own array, the close row of a
+    read-only (6, m) price block, or a row of a column slice of a wider block, as a
+    carried forecast step passes it."""
+    width = draw(st.integers(1, 40))
+    block = draw(arrays(np.float64, (6, width), elements=st.floats(-1e6, 1e6)))
+    kind = draw(st.sampled_from(["array", "block row", "slice row"]))
+    if kind == "array":
+        return block[3].copy()
+    if kind == "block row":
+        block.flags.writeable = False
+        return block[3]
+    start = draw(st.integers(0, width - 1))
+    return block[:, start : draw(st.integers(start + 1, width))][3]
+
+
+def assert_windows_match(values, want):
+    """_windows(values, n) is `want(values, n)` in shape, strides and bits, and read-only,
+    for every n from 1 to len(values); one more raises ValueError."""
+    for n in range(1, len(values) + 1):
+        got, expected = _windows(values, n), want(values, n)
+        assert (got.shape, got.strides) == (expected.shape, expected.strides)
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.0
+    with pytest.raises(ValueError, match=f"^window of {len(values) + 1} over {len(values)} "):
+        _windows(values, len(values) + 1)
+
+
+@exact
+@given(window_rows())
+def test_windows_equal_sliding_window_view(values):
+    assert_windows_match(values, sliding_window_view)
+
+
+@exact
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 13)),
+              elements=st.floats(-1e6, 1e6)))
+def test_windows_over_rows_equal_the_transposed_sliding_window_view(values):
+    # the (samples, lookback, features) windows that make_windows takes of a matrix's rows
+    assert_windows_match(
+        values, lambda v, n: sliding_window_view(v, n, axis=0).transpose(0, 2, 1))
 
 
 # ------------------------------------------------------------- feature assembly

@@ -12,7 +12,8 @@ tree in a fresh directory of its own, and lists every difference in exit code,
 stdout, stderr or output file. It exits 1 when anything differs and 0 when
 nothing does. The version 1 files go to evaluate and forecast with no split
 flag, so each tree shows what its reader does with them: a tree that reads
-version 2 alone refuses them and names tools/upgrade_model.py.
+version 2 alone refuses them and names tools/upgrade_model.py. Every command
+runs with COLUMNS=80, so a help page is laid out the same on both sides.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ RAW_FILES = {
 }
 
 
+SUBCOMMANDS = ("indicators", "train", "evaluate", "forecast", "backtest", "plot")
 MODEL = ["--mode", "multivariate", "--column-set", "paper_multivariate", "--epochs", "2"]
 CLEAN = ("walk.csv", "short_walk.csv", "leak_walk.csv", "nudged_walk.csv", "adjusted_walk.csv")
 COMMANDS = [
@@ -167,6 +169,9 @@ COMMANDS = [
     ["plot", "--series", "two_series.csv", "--series", "three_series.csv", "--merge-out",
      "ragged.csv"],
     ["indicators", "--input", "walk.csv", "--out", "missing/features.csv"],
+    # what the parser prints: every help page, and an unrecognized flag on each subcommand
+    *[[*command, "--help"] for command in ([], *([name] for name in SUBCOMMANDS))],
+    *[[name, "--no-such-flag"] for name in SUBCOMMANDS],
 ]
 
 
@@ -179,7 +184,7 @@ def run(tree: Path, work: Path) -> list[tuple[int, bytes, bytes]]:
     v1 = (tree / "tests" / "fixtures" / "golden_v1_paper_model.json").read_text()
     (work / "v1.json").write_text(v1)
     (work / "v1_sideways.json").write_text(json.dumps({**json.loads(v1), "column_set": "sideways"}))
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "COLUMNS": "80"}
     return [(p.returncode, p.stdout, p.stderr) for p in (
         subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=work, env=env, capture_output=True)
         for argv in COMMANDS)]
